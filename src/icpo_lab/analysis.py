@@ -17,36 +17,40 @@ from .pretrain import FisherStats, PretrainDataset, fisher_matrix, gradient, los
 from .subspace import helmert_basis, paired_helmert_basis, restricted_eigenvalues
 from .teacher import mix_policy, softmax
 
+# Samples per batch in the randomized sweep: bounds its working set, since
+# whole-sweep batches add tens of MiB of peak memory and no speed.
+LEMMA_CHUNK = 1024
 
-def fisher_spectrum_check(p: np.ndarray, gamma: float) -> tuple[float, float]:
+
+def fisher_spectrum_check(p: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue range of the softmax curvature restricted to the zero-sum subspace.
 
-    For an exploration mixture the range must land in [gamma/K, 1/2].
+    For an exploration mixture the range must land in [gamma/K, 1/2].  `p` is
+    (..., K); the (min, max) pair has the leading shape.
     """
     p = np.asarray(p, dtype=float)
-    k = len(p)
+    k = p.shape[-1]
     if np.any(p < gamma / k - 1e-12):
         raise InvalidDistributionError(
             f"not a gamma-mixture: min entry {p.min()} below floor {gamma / k}"
         )
     eigs = restricted_eigenvalues(fisher_matrix(p), helmert_basis(k))
-    return float(eigs.min()), float(eigs.max())
+    return eigs.min(axis=-1), eigs.max(axis=-1)
 
 
-def softmax_lipschitz_check(u: np.ndarray, v: np.ndarray) -> float:
+def softmax_lipschitz_check(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Ratio ||softmax(u) - softmax(v)|| / ||u - v|| for a zero-sum difference.
 
-    Must never exceed 1/2.  Returns 0 when u equals v.
+    Must never exceed 1/2; 0 where u equals v.  (..., K) inputs give one ratio per row.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     diff = u - v
-    if np.abs(diff - (diff - diff.mean())).max() > 1e-10:
+    if np.abs(diff - (diff - diff.mean(axis=-1, keepdims=True))).max() > 1e-10:
         raise InvalidDistributionError("logit difference must lie in the zero-sum subspace")
-    denom = float(np.linalg.norm(diff))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(softmax(u) - softmax(v))) / denom
+    denom = np.linalg.norm(diff, axis=-1)
+    num = np.linalg.norm(softmax(u) - softmax(v), axis=-1)
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
 
 
 @dataclass
@@ -110,11 +114,11 @@ def kl_sandwich_check(tc: TwoChannelParams, ds: PretrainDataset, gamma_hat: np.n
     # Next-step mixed policies on both sides.  The stored labels are
     # projected logits, which is harmless: the mixture ignores constant
     # shifts.
-    p_teacher = (1.0 - gamma) * softmax(y) + gamma / k
-    p_student = (1.0 - gamma) * softmax(student_logits) + gamma / k
+    p_teacher = mix_policy(y, gamma).p
+    p_student = mix_policy(student_logits, gamma).p
     # Mixed-policy floor: both sides are bounded below, so KL stays finite.
-    assert p_teacher.min() >= gamma / k - 1e-12
-    assert p_student.min() >= gamma / k - 1e-12
+    if min(p_teacher.min(), p_student.min()) < gamma / k - 1e-12:
+        raise InvalidDistributionError(f"mixed policy falls below its floor gamma/K = {gamma / k}")
     kl = kl_divergence(p_teacher, p_student)
     return SandwichSample(
         fisher_quad=fisher_quad,
@@ -125,18 +129,12 @@ def kl_sandwich_check(tc: TwoChannelParams, ds: PretrainDataset, gamma_hat: np.n
 
 
 def finite_difference_gradient(tc: TwoChannelParams, fs: FisherStats, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the quadratic loss, entry by entry."""
+    """Central-difference gradient of the quadratic loss, all entries in one batch."""
     base = tc.stacked
-    grad = np.zeros_like(base)
-    for i in range(base.shape[0]):
-        for j in range(base.shape[1]):
-            bumped = base.copy()
-            bumped[i, j] += eps
-            up = loss_quadratic(TwoChannelParams.from_stacked(bumped), fs)
-            bumped[i, j] -= 2 * eps
-            down = loss_quadratic(TwoChannelParams.from_stacked(bumped), fs)
-            grad[i, j] = (up - down) / (2 * eps)
-    return grad
+    bumps = np.eye(base.size).reshape(base.size, *base.shape) * eps
+    losses = loss_quadratic(np.concatenate([base + bumps, base - bumps]), fs)
+    up, down = losses[: base.size], losses[base.size :]
+    return ((up - down) / (2 * eps)).reshape(base.shape)
 
 
 def gradient_fd_relative_error(tc: TwoChannelParams, fs: FisherStats, eps: float = 1e-5) -> float:
@@ -167,6 +165,10 @@ def pl_constant(gamma_hat: np.ndarray, sigma_bar: np.ndarray) -> float:
     return gamma_min_restricted(gamma_hat) * sigma_min_restricted(sigma_bar)
 
 
+def _chunks(total: int) -> list[int]:
+    return [min(LEMMA_CHUNK, total - start) for start in range(0, total, LEMMA_CHUNK)]
+
+
 def run_lemma_suite(
     ds: PretrainDataset,
     fs: FisherStats,
@@ -187,11 +189,10 @@ def run_lemma_suite(
     report = {"seed": seed, "k": k, "gamma": gamma, "checks": {}}
 
     lo_slack, hi_slack = np.inf, np.inf
-    for _ in range(spectrum_samples):
-        p = mix_policy(rng.normal(size=k) * 2.0, gamma).p
-        lo, hi = fisher_spectrum_check(p, gamma)
-        lo_slack = min(lo_slack, lo - gamma / k)
-        hi_slack = min(hi_slack, 0.5 - hi)
+    for c in _chunks(spectrum_samples):
+        lo, hi = fisher_spectrum_check(mix_policy(rng.normal(size=(c, k)) * 2.0, gamma).p, gamma)
+        lo_slack = min(lo_slack, float((lo - gamma / k).min()))
+        hi_slack = min(hi_slack, float((0.5 - hi).min()))
     report["checks"]["fisher_spectrum"] = {
         "samples": spectrum_samples,
         "worst_slack": min(lo_slack, hi_slack),
@@ -199,12 +200,11 @@ def run_lemma_suite(
 
     worst = np.inf
     for dim in (2, 5, 10):
-        for _ in range(lipschitz_samples // 3):
-            u = rng.normal(size=dim) * 3.0
-            delta = rng.normal(size=dim)
-            delta -= delta.mean()
-            ratio = softmax_lipschitz_check(u + delta, u)
-            worst = min(worst, 0.5 - ratio)
+        for c in _chunks(lipschitz_samples // 3):
+            draws = rng.normal(size=(c, 2, dim))
+            u = draws[:, 0] * 3.0
+            delta = draws[:, 1] - draws[:, 1].mean(axis=-1, keepdims=True)
+            worst = min(worst, float((0.5 - softmax_lipschitz_check(u + delta, u)).min()))
     report["checks"]["softmax_lipschitz"] = {
         "samples": 3 * (lipschitz_samples // 3),
         "worst_slack": worst,

@@ -112,8 +112,10 @@ class HttpGenerator:
     """JSON-over-HTTP chat-completion client with bearer auth and retries.
 
     The API key is read from the environment variable named by
-    `api_key_env`.  Transport errors, HTTP 5xx, and 429 are retried with
-    linear backoff up to `max_retries` times, then surfaced.
+    `api_key_env`.  Transport errors (connection failures and timeouts),
+    HTTP 5xx, and 429 are retried with linear backoff up to `max_retries`
+    times, then surfaced.  Any other 4xx, and a body that is not JSON or
+    lacks the chat-completion fields, raise `GeneratorError` at once.
     """
 
     def __init__(
@@ -154,6 +156,8 @@ class HttpGenerator:
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(self.backoff * attempt)
             try:
                 resp = self._session.post(
                     self.endpoint,
@@ -161,14 +165,20 @@ class HttpGenerator:
                     headers=self._headers(),
                     timeout=self.timeout,
                 )
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    raise GeneratorError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                resp.raise_for_status()
-                return self._parse(request, resp.json())
-            except (requests.RequestException, GeneratorError, ValueError, KeyError) as exc:
+            except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff * (attempt + 1))
+                continue
+            except requests.RequestException as exc:
+                raise GeneratorError(f"request failed: {exc}") from exc
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last_error = GeneratorError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                continue
+            if resp.status_code >= 400:
+                raise GeneratorError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            try:
+                return self._parse(request, resp.json())
+            except (ValueError, KeyError, TypeError) as exc:
+                raise GeneratorError(f"malformed response body: {exc!r}") from exc
         raise GeneratorError(f"request failed after {self.max_retries + 1} attempts: {last_error}")
 
     @staticmethod

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bandit import CrnStream, History, coupled_sample, draw_reward, sample_task
 from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
-from .lsa import TwoChannelParams, project
+from .lsa import TwoChannelParams
 from .subspace import paired_helmert_basis, restricted_eigenvalues
 from .teacher import TeacherConfig, mix_policy, teacher_logits
 
@@ -57,26 +57,38 @@ class PretrainDataset:
         """Assemble (Z, Y, P): normalized statistics, projected labels, policies.
 
         Rows are ordered trajectory-major then by prefix length, which fixes
-        the summation order of every moment estimate.
+        the summation order of every moment estimate.  Prefix statistics are
+        running sums over one-hot actions, accumulated left to right.  Raises
+        `InvalidConfigError` unless there are exactly B trajectories, each of
+        shape (N, K) with actions in [0, K).
         """
-        k = self.cfg.k
-        m = self.m
-        z = np.zeros((m, 2 * k))
-        y = np.zeros((m, k))
-        p = np.zeros((m, k))
-        row = 0
-        for traj in self.trajectories:
-            n_vec = np.zeros(k)
-            g_vec = np.zeros(k)
-            for t in range(1, self.n):
-                a = int(traj.actions[t - 1])
-                n_vec[a] += 1.0
-                g_vec[a] += traj.rewards[t - 1]
-                z[row, :k] = n_vec / t
-                z[row, k:] = g_vec / t
-                y[row] = project(traj.logits[t - 1])
-                p[row] = traj.policies[t - 1]
-                row += 1
+        k, n = self.cfg.k, self.n
+        if len(self.trajectories) != self.b:
+            raise InvalidConfigError(f"dataset has {len(self.trajectories)} trajectories, expected B={self.b}")
+        for i, traj in enumerate(self.trajectories):
+            shapes = (traj.actions.shape, traj.rewards.shape, traj.logits.shape, traj.policies.shape)
+            if shapes != ((n,), (n,), (n - 1, k), (n - 1, k)):
+                raise InvalidConfigError(f"trajectory {i} has shapes {shapes}, expected N={n}, K={k}")
+            if traj.actions.min() < 0 or traj.actions.max() >= k:
+                raise InvalidConfigError(f"trajectory {i} has an action outside [0, {k})")
+        # Everything is built in place and the index arrays are dropped before
+        # y and p exist, so peak memory stays at the size of (Z, Y, P) itself.
+        actions = np.stack([traj.actions[: n - 1] for traj in self.trajectories])
+        rewards = np.stack([traj.rewards[: n - 1] for traj in self.trajectories])
+        onehot = actions[..., np.newaxis] == np.arange(k)
+        z = np.zeros((self.b, n - 1, 2 * k))
+        counts, sums = z[..., :k], z[..., k:]
+        np.cumsum(onehot, axis=1, dtype=float, out=counts)
+        np.copyto(sums, rewards[..., np.newaxis], where=onehot)
+        np.cumsum(sums, axis=1, out=sums)
+        t = np.arange(1, n)[:, np.newaxis]
+        counts /= t
+        sums /= t
+        del actions, rewards, onehot
+        z = z.reshape(self.m, 2 * k)
+        y = np.concatenate([traj.logits for traj in self.trajectories])
+        y -= y.mean(axis=-1, keepdims=True)  # project(), in place
+        p = np.concatenate([traj.policies for traj in self.trajectories])
         return z, y, p
 
 
@@ -123,11 +135,12 @@ def _run_teacher_trajectory(cfg: TeacherConfig, n: int, seed: int, tau: int) -> 
 
 
 def fisher_matrix(p: np.ndarray) -> np.ndarray:
-    """Softmax curvature Diag(p) - p p^T of a probability vector."""
+    """Softmax curvature Diag(p) - p p^T; (..., K) rows give (..., K, K)."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidDistributionError(f"not a probability vector (sum={p.sum()})")
-    return np.diag(p) - np.outer(p, p)
+    sums = p.sum(axis=-1)
+    if np.any(p < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
+        raise InvalidDistributionError(f"not a probability vector (sums in [{sums.min()}, {sums.max()}])")
+    return np.eye(p.shape[-1]) * p[..., np.newaxis, :] - p[..., :, np.newaxis] * p[..., np.newaxis, :]
 
 
 @dataclass
@@ -171,13 +184,19 @@ def loss_direct(tc: TwoChannelParams, ds: PretrainDataset, gamma_hat: np.ndarray
     return 0.5 * float(per_pair.mean())
 
 
-def loss_quadratic(tc: TwoChannelParams, fs: FisherStats) -> float:
-    """Same loss via moment matrices, constant label term included."""
-    w = tc.stacked
-    quad = 0.5 * np.trace(fs.gamma_hat @ w @ fs.sigma_bar @ w.T)
-    lin = np.trace(fs.gamma_hat @ fs.sigma_yz @ w.T)
+def loss_quadratic(tc: TwoChannelParams | np.ndarray, fs: FisherStats) -> float | np.ndarray:
+    """Same loss via moment matrices, constant label term included.
+
+    Also takes stacked operators W = [W_n  W_g] of shape (..., K, 2K) and
+    then returns one loss per leading index.
+    """
+    w = tc.stacked if isinstance(tc, TwoChannelParams) else np.asarray(tc, dtype=float)
+    w_t = np.swapaxes(w, -1, -2)
+    quad = 0.5 * np.trace(fs.gamma_hat @ w @ fs.sigma_bar @ w_t, axis1=-2, axis2=-1)
+    lin = np.trace(fs.gamma_hat @ fs.sigma_yz @ w_t, axis1=-2, axis2=-1)
     const = 0.5 * np.trace(fs.gamma_hat @ fs.sigma_yy)
-    return float(quad - lin + const)
+    loss = quad - lin + const
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def gradient(tc: TwoChannelParams, fs: FisherStats) -> np.ndarray:
@@ -247,7 +266,7 @@ def train_gd(
     k = fs.k
     w = TwoChannelParams.zeros(k) if init is None else init
     mat = w.stacked.copy()
-    losses = [loss_quadratic(TwoChannelParams.from_stacked(mat), fs)]
+    losses = [loss_quadratic(mat, fs)]
     grad_norms = []
     blowup = 1e3 * max(abs(losses[0]), 1e-12)
     converged = False
@@ -259,7 +278,7 @@ def train_gd(
             converged = True
             break
         mat = mat - step * grad
-        loss = loss_quadratic(TwoChannelParams.from_stacked(mat), fs)
+        loss = loss_quadratic(mat, fs)
         losses.append(loss)
         if loss > blowup:
             raise StepSizeError(f"loss grew to {loss:.3e} (from {losses[0]:.3e}); reduce the step")
@@ -347,8 +366,16 @@ def load_dataset(directory: str | Path) -> PretrainDataset:
     cfg = TeacherConfig.from_dict(config["teacher"])
     manifest = json.loads((directory / "manifest.json").read_text())
     ds = PretrainDataset(cfg=cfg, b=int(config["b"]), n=int(config["n"]), seed=int(config["seed"]))
-    for name in manifest["trajectories"]:
-        ds.trajectories.append(_trajectory_from_bytes((directory / name).read_bytes(), cfg.k, ds.n))
+    names, hashes = manifest["trajectories"], manifest["sha256"]
+    if len(names) != ds.b or len(hashes) != ds.b:
+        raise InvalidConfigError(
+            f"manifest lists {len(names)} trajectories and {len(hashes)} hashes, expected B={ds.b}"
+        )
+    for name, digest in zip(names, hashes):
+        blob = (directory / name).read_bytes()
+        if hashlib.sha256(blob).hexdigest() != digest:
+            raise InvalidConfigError(f"{name}: SHA-256 does not match the manifest")
+        ds.trajectories.append(_trajectory_from_bytes(blob, cfg.k, ds.n))
     return ds
 
 

@@ -119,13 +119,16 @@ def teacher_logits(history: History, cfg: TeacherConfig) -> np.ndarray:
 
 
 def mix_policy(s: np.ndarray, gamma: float) -> MixedPolicy:
-    """Softmax of the logits blended with uniform exploration weight gamma."""
+    """Softmax of the logits blended with uniform exploration weight gamma.
+
+    `s` is (..., K): leading axes are a batch, mixed row by row.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidConfigError(f"exploration mix must be in [0, 1], got {gamma}")
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError("logits must be finite")
-    k = len(s)
+    k = s.shape[-1]
     p = (1.0 - gamma) * softmax(s) + gamma / k
     return MixedPolicy(logits=s, p=p)
 

@@ -15,11 +15,12 @@ from icpo_lab.analysis import (
     sigma_min_restricted,
     softmax_lipschitz_check,
 )
+from icpo_lab import analysis
 from icpo_lab.errors import InvalidDistributionError
 from icpo_lab.lsa import TwoChannelParams, teacher_two_channel
-from icpo_lab.pretrain import empirical_stats
-from icpo_lab.subspace import helmert_basis, paired_helmert_basis
-from icpo_lab.teacher import coverage_margin, mix_policy
+from icpo_lab.pretrain import empirical_stats, fisher_matrix, gradient, loss_quadratic
+from icpo_lab.subspace import helmert_basis, paired_helmert_basis, restricted_eigenvalues
+from icpo_lab.teacher import MixedPolicy, coverage_margin, mix_policy, softmax
 
 
 class TestHelmertBasis:
@@ -198,3 +199,140 @@ class TestLemmaSuite:
         }
         for check in report["checks"].values():
             assert check["worst_slack"] >= -1e-10
+
+
+def _reference_lemma_sweep(ds, fs, seed, spectrum_samples, lipschitz_samples, sandwich_draws, scale=0.3):
+    """One sample per iteration from the scalar building blocks, drawing in suite order."""
+    rng = np.random.default_rng(seed)
+    k, gamma = ds.cfg.k, ds.cfg.gamma
+    q = helmert_basis(k)
+    spectrum = np.inf
+    for _ in range(spectrum_samples):
+        eigs = restricted_eigenvalues(fisher_matrix(mix_policy(rng.normal(size=k) * 2.0, gamma).p), q)
+        spectrum = min(spectrum, eigs.min() - gamma / k, 0.5 - eigs.max())
+    lipschitz = np.inf
+    for dim in (2, 5, 10):
+        for _ in range(lipschitz_samples // 3):
+            u = rng.normal(size=dim) * 3.0
+            delta = rng.normal(size=dim)
+            delta -= delta.mean()
+            ratio = np.linalg.norm(softmax(u + delta) - softmax(u)) / np.linalg.norm(delta)
+            lipschitz = min(lipschitz, 0.5 - ratio)
+    sandwich = np.inf
+    for _ in range(sandwich_draws):
+        tc = TwoChannelParams(w_n=rng.normal(size=(k, k)) * scale, w_g=rng.normal(size=(k, k)) * scale)
+        sample = kl_sandwich_check(tc, ds, fs.gamma_hat)
+        sandwich = min(sandwich, sample.lower_slack, sample.upper_slack)
+    gradient_fd = np.inf
+    for _ in range(100):
+        tc = TwoChannelParams(w_n=rng.normal(size=(k, k)), w_g=rng.normal(size=(k, k)))
+        analytic = gradient(tc, fs)
+        rel = np.linalg.norm(analytic - _entrywise_fd(tc, fs)) / max(np.linalg.norm(analytic), 1e-12)
+        gradient_fd = min(gradient_fd, 1e-6 - rel)
+    return {
+        "fisher_spectrum": spectrum,
+        "softmax_lipschitz": lipschitz,
+        "kl_sandwich": sandwich,
+        "gradient_vs_fd": gradient_fd,
+    }
+
+
+def _entrywise_fd(tc, fs, eps=1e-5):
+    base = tc.stacked
+    grad = np.zeros_like(base)
+    for i in range(base.shape[0]):
+        for j in range(base.shape[1]):
+            up, down = base.copy(), base.copy()
+            up[i, j] += eps
+            down[i, j] -= eps
+            grad[i, j] = (loss_quadratic(up, fs) - loss_quadratic(down, fs)) / (2 * eps)
+    return grad
+
+
+class TestBatchedChecks:
+    """Each batched check against the same quantity computed one sample at a time."""
+
+    def test_spectrum_matches_per_sample(self):
+        rng = np.random.default_rng(8)
+        gamma, k = 0.3, 6
+        p = mix_policy(rng.normal(size=(300, k)) * 2.5, gamma).p
+        lo, hi = fisher_spectrum_check(p, gamma)
+        assert lo.shape == hi.shape == (300,)
+        for row, lo_i, hi_i in zip(p, lo, hi):
+            eigs = restricted_eigenvalues(fisher_matrix(row), helmert_basis(k))
+            assert abs(lo_i - eigs.min()) <= 1e-15 and abs(hi_i - eigs.max()) <= 1e-15
+
+    def test_spectrum_rejects_one_bad_row(self):
+        p = np.full((4, 3), 1.0 / 3.0)
+        p[2] = [0.9, 0.05, 0.05]
+        with pytest.raises(InvalidDistributionError):
+            fisher_spectrum_check(p, gamma=0.6)
+
+    def test_lipschitz_matches_per_sample(self):
+        rng = np.random.default_rng(9)
+        u = rng.normal(size=(300, 5)) * 3
+        d = rng.normal(size=(300, 5))
+        d -= d.mean(axis=1, keepdims=True)
+        d[7] = 0.0
+        ratios = softmax_lipschitz_check(u + d, u)
+        assert ratios.shape == (300,) and ratios[7] == 0.0
+        for ui, di, ratio in zip(u, d, ratios):
+            denom = np.linalg.norm(di)
+            want = 0.0 if denom == 0 else np.linalg.norm(softmax(ui + di) - softmax(ui)) / denom
+            assert abs(ratio - want) <= 1e-15
+
+    def test_lipschitz_rejects_one_unprojected_row(self):
+        u = np.zeros((3, 2))
+        v = np.array([[0.5, -0.5], [1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(InvalidDistributionError):
+            softmax_lipschitz_check(u, v)
+
+    def test_finite_difference_matches_entrywise(self, matching_stats):
+        rng = np.random.default_rng(10)
+        k = matching_stats.k
+        for _ in range(3):
+            tc = TwoChannelParams(w_n=rng.normal(size=(k, k)), w_g=rng.normal(size=(k, k)))
+            fd = finite_difference_gradient(tc, matching_stats)
+            assert np.abs(fd - _entrywise_fd(tc, matching_stats)).max() <= 1e-15
+
+    def test_mix_policy_rows_match_single_calls(self):
+        rng = np.random.default_rng(11)
+        s = rng.normal(size=(20, 4)) * 2
+        batch = mix_policy(s, 0.25).p
+        assert np.array_equal(batch, np.stack([mix_policy(row, 0.25).p for row in s]))
+
+    def test_mix_policy_rejects_one_bad_row(self):
+        s = np.zeros((5, 4))
+        s[3, 1] = np.nan
+        with pytest.raises(ValueError):
+            mix_policy(s, 0.25)
+
+    def test_sandwich_floor_violation_raises(self, monkeypatch, matching_dataset, matching_stats):
+        """The mixed-policy floor is a real check, not an assert that -O strips."""
+
+        def off_floor(s, gamma):
+            # Positive, so KL stays defined, but far below gamma/K.
+            p = softmax(s)
+            p[0, 0] = 1e-6
+            return MixedPolicy(logits=s, p=p / p.sum(axis=-1, keepdims=True))
+
+        monkeypatch.setattr(analysis, "mix_policy", off_floor)
+        with pytest.raises(InvalidDistributionError):
+            kl_sandwich_check(TwoChannelParams.zeros(10), matching_dataset, matching_stats.gamma_hat)
+
+    def test_suite_matches_per_sample_reference(self, margin_dataset):
+        """Chunked sweep versus a one-sample-per-iteration loop with the same draws.
+
+        The counts straddle the chunk size so partial chunks are covered.
+        """
+        fs = empirical_stats(margin_dataset)
+        counts = dict(spectrum_samples=analysis.LEMMA_CHUNK + 300, lipschitz_samples=3 * 1100, sandwich_draws=4)
+        report = run_lemma_suite(margin_dataset, fs, seed=3, **counts)
+        want = _reference_lemma_sweep(margin_dataset, fs, seed=3, **counts)
+        checks = report["checks"]
+        assert checks["fisher_spectrum"]["samples"] == counts["spectrum_samples"]
+        assert checks["softmax_lipschitz"]["samples"] == counts["lipschitz_samples"]
+        for name in ("fisher_spectrum", "softmax_lipschitz", "kl_sandwich"):
+            assert checks[name]["worst_slack"] == pytest.approx(want[name], abs=1e-12)
+        assert checks["gradient_vs_fd"]["worst_slack"] == pytest.approx(want["gradient_vs_fd"], abs=1e-9)
+        assert report["passed"]

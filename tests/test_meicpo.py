@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import requests
 
 from icpo_lab.errors import GeneratorError, InvalidConfigError, NoConsensusError
 from icpo_lab.meicpo import (
@@ -430,7 +431,19 @@ class _FakeSession:
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+
+class _NotJsonResponse(_FakeResponse):
+    def __init__(self):
+        super().__init__(200)
+        self.text = "<html>gateway</html>"
+
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
 
 
 class TestHttpGenerator:
@@ -471,6 +484,32 @@ class TestHttpGenerator:
         gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError):
             gen.generate(self._request())
+
+    def test_client_error_is_not_retried(self):
+        session = _FakeSession([_FakeResponse(404)] * 3)
+        gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
+        with pytest.raises(GeneratorError, match="HTTP 404"):
+            gen.generate(self._request())
+        assert len(session.posts) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda: _FakeResponse(200, {"error": "no choices"}), _NotJsonResponse],
+        ids=["missing-choices", "not-json"],
+    )
+    def test_malformed_body_is_not_retried(self, bad):
+        session = _FakeSession([bad() for _ in range(3)])
+        gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
+        with pytest.raises(GeneratorError, match="malformed"):
+            gen.generate(self._request())
+        assert len(session.posts) == 1
+
+    def test_retries_transport_errors_then_succeeds(self):
+        ok = _FakeResponse(200, {"choices": [{"text": "a"}, {"text": "b"}]})
+        session = _FakeSession([requests.ConnectionError("reset"), requests.Timeout("slow"), ok])
+        gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
+        assert gen.generate(self._request()).texts == ["a", "b"]
+        assert len(session.posts) == 3
 
     def test_choice_count_mismatch_is_error(self):
         session = _FakeSession([_FakeResponse(200, {"choices": [{"text": "only one"}]})] * 2)

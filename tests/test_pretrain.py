@@ -1,5 +1,8 @@
 """Pretraining tests: dataset generation, moments, losses, solvers, persistence."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,25 @@ def _small_cfg(**kwargs):
     defaults = dict(k=4, c=1.0, gamma=0.3, lam=0.2, tau_w=1.0, sigma_xi=0.4)
     defaults.update(kwargs)
     return TeacherConfig(**defaults)
+
+
+def _reference_pair_matrices(ds):
+    """Prefix statistics accumulated one step at a time."""
+    k = ds.cfg.k
+    z, y, p = np.zeros((ds.m, 2 * k)), np.zeros((ds.m, k)), np.zeros((ds.m, k))
+    row = 0
+    for traj in ds.trajectories:
+        n_vec, g_vec = np.zeros(k), np.zeros(k)
+        for t in range(1, ds.n):
+            a = int(traj.actions[t - 1])
+            n_vec[a] += 1.0
+            g_vec[a] += traj.rewards[t - 1]
+            z[row, :k] = n_vec / t
+            z[row, k:] = g_vec / t
+            y[row] = project(traj.logits[t - 1])
+            p[row] = traj.policies[t - 1]
+            row += 1
+    return z, y, p
 
 
 class TestGenerateDataset:
@@ -107,6 +129,51 @@ class TestGenerateDataset:
         assert (tmp_path / "a/manifest.json").read_bytes() == (tmp_path / "b/manifest.json").read_bytes()
 
 
+class TestPairMatrices:
+    def test_equals_stepwise_reference(self, matching_dataset):
+        for ds in (matching_dataset, generate_dataset(_small_cfg(), b=7, n=5, seed=1)):
+            for got, want in zip(ds.pair_matrices(), _reference_pair_matrices(ds)):
+                assert np.array_equal(got, want)
+
+    def test_missing_trajectory_rejected(self):
+        ds = generate_dataset(_small_cfg(), b=4, n=5, seed=2)
+        ds.trajectories.pop()
+        with pytest.raises(InvalidConfigError, match="3 trajectories"):
+            ds.pair_matrices()
+
+    def test_wrong_shape_rejected(self):
+        ds = generate_dataset(_small_cfg(), b=4, n=5, seed=2)
+        ds.trajectories[1] = dataclasses.replace(ds.trajectories[1], logits=ds.trajectories[1].logits[:-1])
+        with pytest.raises(InvalidConfigError, match="trajectory 1"):
+            ds.pair_matrices()
+
+    def test_action_out_of_range_rejected(self):
+        ds = generate_dataset(_small_cfg(), b=2, n=5, seed=2)
+        ds.trajectories[0].actions[2] = 4
+        with pytest.raises(InvalidConfigError, match="action"):
+            ds.pair_matrices()
+
+
+class TestDatasetIntegrity:
+    def test_dropped_trajectory_rejected(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (tmp_path / manifest["trajectories"].pop()).unlink()
+        manifest["sha256"].pop()
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidConfigError, match="expected B=4"):
+            load_dataset(tmp_path)
+
+    def test_flipped_byte_rejected(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / "traj_00002.bin"
+        blob = bytearray(path.read_bytes())
+        blob[40] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvalidConfigError, match="traj_00002.bin"):
+            load_dataset(tmp_path)
+
+
 class TestFisherMatrix:
     def test_uniform_two_arms(self):
         f = fisher_matrix(np.array([0.5, 0.5]))
@@ -118,6 +185,20 @@ class TestFisherMatrix:
     def test_off_simplex_rejected(self):
         with pytest.raises(InvalidDistributionError):
             fisher_matrix(np.array([0.5, 0.6]))
+
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(3)
+        p = mix_policy(rng.normal(size=(2, 7, 5)) * 2, 0.2).p
+        f = fisher_matrix(p)
+        assert f.shape == (2, 7, 5, 5)
+        for idx in np.ndindex(2, 7):
+            assert np.array_equal(f[idx], np.diag(p[idx]) - np.outer(p[idx], p[idx]))
+
+    def test_batch_rejects_one_bad_row(self):
+        p = np.full((6, 3), 1.0 / 3.0)
+        p[4] = [0.5, 0.6, -0.1]
+        with pytest.raises(InvalidDistributionError):
+            fisher_matrix(p)
 
     def test_annihilates_ones_and_psd(self):
         rng = np.random.default_rng(0)
@@ -176,6 +257,14 @@ class TestLosses:
             a = loss_direct(tc, matching_dataset, matching_stats.gamma_hat)
             b = loss_quadratic(tc, matching_stats)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+    def test_batched_operators_match_single_calls(self, matching_stats):
+        rng = np.random.default_rng(19)
+        w = rng.normal(size=(12, 10, 20))
+        batch = loss_quadratic(w, matching_stats)
+        assert batch.shape == (12,)
+        for wi, loss in zip(w, batch):
+            assert abs(loss - loss_quadratic(TwoChannelParams.from_stacked(wi), matching_stats)) <= 1e-15
 
     def test_zero_operator_values(self, matching_dataset, matching_stats):
         tc = TwoChannelParams.zeros(10)
