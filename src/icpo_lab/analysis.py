@@ -105,9 +105,15 @@ def kl_sandwich_check(tc: TwoChannelParams, ds: PretrainDataset, gamma_hat: np.n
     The sandwich holds per pair against the un-halved quadratic residual, so
     mean KL is trapped between (1-gamma)^2/4 and K/(4 gamma) times its mean.
     """
-    gamma = ds.cfg.gamma
-    k = ds.cfg.k
     z, y, _ = ds.pair_matrices()
+    return _kl_sandwich(tc, z, y, gamma_hat, ds.cfg.gamma)
+
+
+def _kl_sandwich(
+    tc: TwoChannelParams, z: np.ndarray, y: np.ndarray, gamma_hat: np.ndarray, gamma: float
+) -> SandwichSample:
+    """`kl_sandwich_check` on pair matrices (Z, Y) built once by the caller."""
+    k = y.shape[-1]
     student_logits = z @ tc.stacked.T
     resid = student_logits - y
     fisher_quad = np.einsum("mi,ij,mj->m", resid, gamma_hat, resid)
@@ -211,12 +217,13 @@ def run_lemma_suite(
     }
 
     worst = np.inf
+    z, y, _ = ds.pair_matrices()
     for _ in range(sandwich_draws):
         tc = TwoChannelParams(
             w_n=rng.normal(size=(k, k)) * sandwich_scale,
             w_g=rng.normal(size=(k, k)) * sandwich_scale,
         )
-        sample = kl_sandwich_check(tc, ds, fs.gamma_hat)
+        sample = _kl_sandwich(tc, z, y, fs.gamma_hat, gamma)
         worst = min(worst, sample.lower_slack, sample.upper_slack)
     report["checks"]["kl_sandwich"] = {
         "samples": sandwich_draws,

@@ -27,9 +27,9 @@ import numpy as np
 
 from .analysis import run_lemma_suite
 from .errors import IcpoError, InvalidConfigError
-from .loop import MatchingReport, ShockReport, matching_experiment, shock_experiment
+from .loop import matching_experiment, shock_experiment
 from .lsa import TwoChannelParams
-from .meicpo.generator import FunctionGenerator, GeneratorRequest, HttpGenerator, ScriptedGenerator
+from .meicpo.generator import HttpGenerator, ScriptedGenerator, demo_generator
 from .meicpo.loop import MeIcpoConfig, run_me_icpo, write_trace_jsonl
 from .pretrain import (
     PretrainDataset,
@@ -180,20 +180,9 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_matching_csv(report: MatchingReport, path: Path) -> None:
-    lines = ["round,mean,std"]
-    for i, r in enumerate(report.rounds):
-        lines.append(f"{r},{_fmt(report.mean[i])},{_fmt(report.std[i])}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_shock_csv(report: ShockReport, path: Path) -> None:
-    lines = ["round,mean,std,bound"]
-    for i, r in enumerate(report.rounds):
-        lines.append(
-            f"{r},{_fmt(report.mean[i])},{_fmt(report.std[i])},{_fmt(report.bound[i])}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rounds: np.ndarray, *columns: np.ndarray) -> None:
+    rows = [",".join([str(r), *(_fmt(col[i]) for col in columns)]) for i, r in enumerate(rounds)]
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -219,7 +208,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     sec = parser["dataset"]
     b, n = sec.getint("b"), sec.getint("n")
     seed = args.seed_override if args.seed_override is not None else sec.getint("seed")
-    ds = generate_dataset(cfg, b=b, n=n, seed=seed, threads=args.threads)
+    ds = generate_dataset(cfg, b=b, n=n, seed=seed)
     out = _out_dir(parser, args.out) / "dataset"
     save_dataset(ds, out)
     print(f"wrote {ds.m} training pairs to {out}")
@@ -281,19 +270,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise InvalidConfigError("config is missing the [experiment] section")
     sec = parser["experiment"]
     kind = sec.get("kind")
+    if kind not in ("lemma-suite", "matching", "shock"):
+        raise InvalidConfigError(f"unknown experiment kind {kind!r}")
     out = _out_dir(parser, args.out)
-
-    if kind == "me-icpo":
-        return _run_me_icpo_command(parser, out)
-
     cfg = teacher_from_config(parser)
     seed = args.seed_override if args.seed_override is not None else sec.getint("seed", 0)
-    sidecar = {
-        "teacher": cfg.to_dict(),
-        "experiment": dict(sec),
-        "seed": seed,
-        "threads": args.threads,
-    }
+    sidecar = {"teacher": cfg.to_dict(), "experiment": dict(sec), "seed": seed}
 
     if kind == "lemma-suite":
         dsec = parser["dataset"]
@@ -316,64 +298,35 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"experiment kind {kind!r} needs --params")
     tc = load_params(args.params)
     if kind == "matching":
-        report = matching_experiment(
-            cfg, tc, b_test=sec.getint("b_test"), n=sec.getint("n"), seed=seed, threads=args.threads
-        )
-        write_matching_csv(report, out / "matching.csv")
+        report = matching_experiment(cfg, tc, b_test=sec.getint("b_test"), n=sec.getint("n"), seed=seed)
+        _write_csv(out / "matching.csv", "round,mean,std", report.rounds, report.mean, report.std)
         _write_json(sidecar, out / "matching.json")
         print(f"max mean policy gap {report.mean.max():.3e}; wrote {out}")
         return 0
-    if kind == "shock":
-        c_b_text = sec.get("c_b", "auto")
-        report = shock_experiment(
-            cfg,
-            tc,
-            b_test=sec.getint("b_test"),
-            n=sec.getint("n"),
-            s=sec.getint("s"),
-            delta_r=sec.getfloat("delta_r"),
-            seed=seed,
-            c_b_override=None if c_b_text == "auto" else float(c_b_text),
-            threads=args.threads,
-        )
-        write_shock_csv(report, out / "shock.csv")
-        sidecar["a"] = report.a
-        sidecar["b_min"] = float(report.b_values.min())
-        sidecar["b_max"] = float(report.b_values.max())
-        sidecar["b_mean"] = float(report.b_values.mean())
-        _write_json(sidecar, out / "shock.json")
-        print(f"post-shock peak {report.post_shock_max:.3e}; wrote {out}")
-        return 0
-    raise InvalidConfigError(f"unknown experiment kind {kind!r}")
+    c_b_text = sec.get("c_b", "auto")
+    report = shock_experiment(
+        cfg,
+        tc,
+        b_test=sec.getint("b_test"),
+        n=sec.getint("n"),
+        s=sec.getint("s"),
+        delta_r=sec.getfloat("delta_r"),
+        seed=seed,
+        c_b_override=None if c_b_text == "auto" else float(c_b_text),
+    )
+    _write_csv(out / "shock.csv", "round,mean,std,bound", report.rounds, report.mean, report.std, report.bound)
+    sidecar["a"] = report.a
+    sidecar["b_min"] = float(report.b_values.min())
+    sidecar["b_max"] = float(report.b_values.max())
+    sidecar["b_mean"] = float(report.b_values.mean())
+    _write_json(sidecar, out / "shock.json")
+    print(f"post-shock peak {report.post_shock_max:.3e}; wrote {out}")
+    return 0
 
 
-def _demo_generator() -> FunctionGenerator:
-    """Self-contained deterministic stand-in used by `generator = mock`.
-
-    Produces distinct boxed numeric answers keyed on a stable hash of the
-    prompt and the sample index, so the loop mechanics can be exercised
-    offline; it does not attempt to be a plausible mathematician.
-    """
-
-    def respond(request: GeneratorRequest) -> list[str]:
-        prompt = "\n".join(m.text for m in request.messages)
-        digest = hashlib.sha256(prompt.encode()).digest()
-        texts = []
-        for j in range(request.n):
-            if request.temperature == 0.0:
-                value = digest[0] % 10
-            else:
-                value = (digest[j % len(digest)] + j) % 10
-            if prompt.startswith("Provide a concise summary"):
-                texts.append(f"Deterministic demo idea. boxed{{{value}}}")
-            else:
-                texts.append(f"Deterministic demo reasoning. boxed{{{value}}}")
-        return texts
-
-    return FunctionGenerator(respond)
-
-
-def _run_me_icpo_command(parser: configparser.ConfigParser, out: Path) -> int:
+def cmd_me_icpo(args: argparse.Namespace) -> int:
+    parser = load_config(args.config)
+    out = _out_dir(parser, args.out)
     if "me-icpo" not in parser:
         raise InvalidConfigError("config is missing the [me-icpo] section")
     sec = parser["me-icpo"]
@@ -402,7 +355,7 @@ def _run_me_icpo_command(parser: configparser.ConfigParser, out: Path) -> int:
             script = json.loads(Path(script_path).read_text())
             generator = ScriptedGenerator(script)
         else:
-            generator = _demo_generator()
+            generator = demo_generator()
     elif backend == "http":
         endpoint = sec.get("endpoint")
         model = sec.get("model")
@@ -439,18 +392,11 @@ def _run_me_icpo_command(parser: configparser.ConfigParser, out: Path) -> int:
     return 0
 
 
-def cmd_me_icpo(args: argparse.Namespace) -> int:
-    parser = load_config(args.config)
-    out = _out_dir(parser, args.out)
-    return _run_me_icpo_command(parser, out)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icpo-lab",
         description="Generate expert rollouts, train the attention student, and run experiments.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for per-task loops")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate and persist a pretraining dataset")
@@ -465,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("experiment", help="run matching / shock / lemma-suite / me-icpo")
+    p = sub.add_parser("experiment", help="run matching / shock / lemma-suite")
     p.add_argument("--config", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--out", default=None)

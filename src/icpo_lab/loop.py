@@ -1,23 +1,98 @@
-"""Closed-loop deployment of a trained student and the two validation runs.
+"""One batched closed-loop kernel and the experiments built on it.
 
-The matching run rides the student's own closed loop while scoring the expert
-on the same realized histories.  The shock run drives two trajectories off one
-shared random-number stream, injects a single observation-side reward bump,
-and compares the measured policy drift against its analytical envelope.
+`closed_loop` steps a block of tasks together, one round at a time, and
+serves every caller: the expert generating pretraining data, a single
+student rollout, the matching run (the student drives while the expert is
+scored on the same realized histories) and the shock run (baseline and
+perturbed copies of each task share one random-number stream, and a single
+observation-side reward bump lands on the perturbed copies only).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit import CrnStream, History, coupled_sample, draw_reward, sample_task
+from .bandit import CrnStream, coupled_sample, draw_reward, sample_task
 from .errors import InvalidConfigError
-from .lsa import TwoChannelParams, two_channel_logits
-from .teacher import TeacherConfig, mix_policy, teacher_logits
+from .lsa import TwoChannelParams, expert_two_channel
+from .teacher import TeacherConfig, mix_policy
+
+# Rows stepped together by `closed_loop`.  Bounds the working set: one
+# block's per-round arrays are all that is held, whatever the task count.
+BLOCK_ROWS = 512
+
+
+@dataclass
+class Round:
+    """One round of `closed_loop` for every row of a block."""
+
+    t: int
+    policies: np.ndarray  # (R, B, K) each operator's mixed policy before acting
+    actions: np.ndarray  # (B,) drawn from operator 0's policy
+    rewards: np.ndarray  # (B,) as observed, shock included
+    logits: np.ndarray  # (R, B, K) each operator's logits after this round
+
+
+def closed_loop(
+    ops: np.ndarray,
+    w: np.ndarray,
+    uniforms: np.ndarray,
+    noise: np.ndarray,
+    cfg: TeacherConfig,
+    shock: tuple[int, float | np.ndarray] | None = None,
+) -> Iterator[Round]:
+    """Step B tasks through the closed loop together and yield every round.
+
+    `ops` stacks R operators [W_n  W_g] as (R, K, 2K).  Operator 0 drives;
+    the others are scored on the state it produces.  Row i has task w[i]
+    and, at round t, draws uniforms[i, t-1] and noise[i, t-1].  Its state is
+    [counts | reward sums], and each operator's logits are ops @ state / t.
+    With `shock = (s, bump)`, bump (a scalar or one value per row) is added
+    to the reward observed at round s; the environment draw is untouched.
+    """
+    b, t_max = uniforms.shape
+    k = w.shape[-1]
+    rows = np.arange(b)
+    state = np.zeros((b, 2 * k))
+    logits = np.zeros((ops.shape[0], b, k))
+    for t in range(1, t_max + 1):
+        policies = mix_policy(logits, cfg.gamma).p
+        actions = coupled_sample(policies[0], uniforms[:, t - 1])
+        rewards = draw_reward(w, actions, noise[:, t - 1], cfg.sigma_xi)
+        if shock is not None and t == shock[0]:
+            rewards = rewards + shock[1]
+        state[rows, actions] += 1.0
+        state[rows, k + actions] += rewards
+        # Summed column by column, left to right, so a row's logits do not
+        # depend on the size of its block or its place in it.
+        logits = np.zeros_like(logits)
+        for j in range(2 * k):
+            logits += ops[:, np.newaxis, :, j] * state[:, j, np.newaxis]
+        logits /= t
+        yield Round(t=t, policies=policies, actions=actions, rewards=rewards, logits=logits)
+
+
+def task_blocks(
+    cfg: TeacherConfig, b: int, t_max: int, seed: int, rows_per_task: int = 1
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Tasks 0..b-1 in blocks that fill at most BLOCK_ROWS kernel rows.
+
+    Task tau owns CRN stream id tau.  Each block gives its task range, the
+    task vectors (B, K), and the action uniforms and noise draws (B, t_max).
+    """
+    size = BLOCK_ROWS // rows_per_task
+    for start in range(0, b, size):
+        streams = [CrnStream(seed, stream_id=tau) for tau in range(start, min(b, start + size))]
+        yield (
+            slice(start, start + len(streams)),
+            np.stack([sample_task(stream, cfg.k, cfg.tau_w) for stream in streams]),
+            np.stack([stream.uniforms(t_max) for stream in streams]),
+            np.stack([stream.normals(t_max) for stream in streams]),
+        )
 
 
 @dataclass
@@ -26,8 +101,7 @@ class RolloutResult:
 
     policies: np.ndarray  # (T, K)
     actions: np.ndarray  # (T,)
-    rewards: np.ndarray  # (T,) as recorded in the history (shock included)
-    history: History
+    rewards: np.ndarray  # (T,) as observed (shock included)
 
 
 def rollout(
@@ -48,38 +122,21 @@ def rollout(
         raise InvalidConfigError(f"horizon must be >= 1, got {t_max}")
     if shock is not None and not 1 <= shock[0] <= t_max:
         raise InvalidConfigError(f"shock round {shock[0]} outside horizon [1, {t_max}]")
-    history = History(cfg.k)
-    policies = np.zeros((t_max, cfg.k))
-    actions = np.zeros(t_max, dtype=np.int64)
-    rewards = np.zeros(t_max)
-    for t in range(1, t_max + 1):
-        policy = mix_policy(two_channel_logits(history, tc), cfg.gamma)
-        policies[t - 1] = policy.p
-        action = coupled_sample(policy.p, stream.uniform(t))
-        reward = draw_reward(w, action, stream.normal(t), cfg.sigma_xi)
-        if shock is not None and t == shock[0]:
-            reward += shock[1]
-        history.append(action, reward)
-        actions[t - 1] = action
-        rewards[t - 1] = reward
-    return RolloutResult(policies=policies, actions=actions, rewards=rewards, history=history)
-
-
-def teacher_rollout(w: np.ndarray, cfg: TeacherConfig, t_max: int, stream: CrnStream) -> RolloutResult:
-    """Run the expert loop under the same stream layout as `rollout`."""
-    history = History(cfg.k)
-    policies = np.zeros((t_max, cfg.k))
-    actions = np.zeros(t_max, dtype=np.int64)
-    rewards = np.zeros(t_max)
-    for t in range(1, t_max + 1):
-        policy = mix_policy(teacher_logits(history, cfg), cfg.gamma)
-        policies[t - 1] = policy.p
-        action = coupled_sample(policy.p, stream.uniform(t))
-        reward = draw_reward(w, action, stream.normal(t), cfg.sigma_xi)
-        history.append(action, reward)
-        actions[t - 1] = action
-        rewards[t - 1] = reward
-    return RolloutResult(policies=policies, actions=actions, rewards=rewards, history=history)
+    rounds = list(
+        closed_loop(
+            tc.stacked[np.newaxis],
+            np.asarray(w, dtype=float)[np.newaxis],
+            stream.uniforms(t_max)[np.newaxis],
+            stream.normals(t_max)[np.newaxis],
+            cfg,
+            shock,
+        )
+    )
+    return RolloutResult(
+        policies=np.stack([rnd.policies[0, 0] for rnd in rounds]),
+        actions=np.array([rnd.actions[0] for rnd in rounds]),
+        rewards=np.array([rnd.rewards[0] for rnd in rounds]),
+    )
 
 
 @dataclass
@@ -95,27 +152,12 @@ class MatchingReport:
     cfg: TeacherConfig
 
 
-def _run_tasks(worker, b_test: int, threads: int) -> None:
-    """Run per-task workers sequentially or on a thread pool.
-
-    Each task owns its stream id and writes into its own output row, so the
-    result is identical either way.
-    """
-    if threads <= 1:
-        for tau in range(b_test):
-            worker(tau)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, range(b_test)))
-
-
 def matching_experiment(
     cfg: TeacherConfig,
     tc: TwoChannelParams,
     b_test: int,
     n: int,
     seed: int,
-    threads: int = 1,
 ) -> MatchingReport:
     """Student-driven closed loop with the expert scored on the same histories.
 
@@ -123,21 +165,11 @@ def matching_experiment(
     are computed on it, their L2 gap recorded, and the loop continues with
     the student's policy.
     """
+    ops = np.stack([tc.stacked, expert_two_channel(cfg).stacked])
     gaps = np.zeros((b_test, n))
-
-    def worker(tau: int) -> None:
-        stream = CrnStream(seed, stream_id=tau)
-        w = sample_task(stream, cfg.k, cfg.tau_w)
-        history = History(cfg.k)
-        for t in range(1, n + 1):
-            student = mix_policy(two_channel_logits(history, tc), cfg.gamma)
-            expert = mix_policy(teacher_logits(history, cfg), cfg.gamma)
-            gaps[tau, t - 1] = float(np.linalg.norm(student.p - expert.p))
-            action = coupled_sample(student.p, stream.uniform(t))
-            reward = draw_reward(w, action, stream.normal(t), cfg.sigma_xi)
-            history.append(action, reward)
-
-    _run_tasks(worker, b_test, threads)
+    for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed):
+        for rnd in closed_loop(ops, w, uniforms, noise, cfg):
+            gaps[tasks, rnd.t - 1] = np.linalg.norm(rnd.policies[0] - rnd.policies[1], axis=-1)
     return MatchingReport(
         rounds=np.arange(1, n + 1),
         mean=gaps.mean(axis=0),
@@ -177,12 +209,8 @@ def shock_bound(a: float, b: float, c_b: float, s: int, t: int, delta_r: float) 
 
 def sample_b_distribution(cfg: TeacherConfig, n_tasks: int, seed: int) -> np.ndarray:
     """Per-task envelope exponents b over freshly sampled tasks."""
-    values = np.zeros(n_tasks)
-    for tau in range(n_tasks):
-        stream = CrnStream(seed, stream_id=tau)
-        w = sample_task(stream, cfg.k, cfg.tau_w)
-        values[tau] = shock_constants(cfg, w)[1]
-    return values
+    draws = task_blocks(cfg, n_tasks, 0, seed)
+    return np.array([shock_constants(cfg, w)[1] for _, block, _, _ in draws for w in block])
 
 
 @dataclass
@@ -217,7 +245,6 @@ def shock_experiment(
     delta_r: float,
     seed: int,
     c_b_override: float | None = None,
-    threads: int = 1,
 ) -> ShockReport:
     """Coupled baseline/perturbed rollouts per task, drift and envelope per round.
 
@@ -234,23 +261,22 @@ def shock_experiment(
     bounds = np.zeros((b_test, n))
     b_values = np.zeros(b_test)
     c_b_values = np.zeros(b_test)
-    a_values = np.zeros(b_test)
-
-    def worker(tau: int) -> None:
-        stream = CrnStream(seed, stream_id=tau)
-        w = sample_task(stream, cfg.k, cfg.tau_w)
-        baseline = rollout(tc, w, cfg, n, stream)
-        shocked = rollout(tc, w, cfg, n, stream, shock=(s, delta_r))
-        deltas[tau] = np.linalg.norm(shocked.policies - baseline.policies, axis=1)
-        a_const, b_val = shock_constants(cfg, w)
-        c_b = default_c_b(b_val) if c_b_override is None else c_b_override
-        a_values[tau] = a_const
-        b_values[tau] = b_val
-        c_b_values[tau] = c_b
-        for u in range(s, n + 1):
-            bounds[tau, u - 1] = shock_bound(a_const, b_val, c_b, s, max(u - 1, s), delta_r)
-
-    _run_tasks(worker, b_test, threads)
+    ops = tc.stacked[np.newaxis]
+    for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed, rows_per_task=2):
+        # Rows [0, m) are the baselines and rows [m, 2m) their shocked copies.
+        m = len(w)
+        pair = [np.concatenate([x, x]) for x in (w, uniforms, noise)]
+        bump = np.repeat([0.0, delta_r], m)
+        for rnd in closed_loop(ops, *pair, cfg, shock=(s, bump)):
+            p = rnd.policies[0]
+            deltas[tasks, rnd.t - 1] = np.linalg.norm(p[m:] - p[:m], axis=-1)
+        for tau, task in zip(range(tasks.start, tasks.stop), w):
+            a_const, b_val = shock_constants(cfg, task)
+            c_b = default_c_b(b_val) if c_b_override is None else c_b_override
+            b_values[tau] = b_val
+            c_b_values[tau] = c_b
+            for u in range(s, n + 1):
+                bounds[tau, u - 1] = shock_bound(a_const, b_val, c_b, s, max(u - 1, s), delta_r)
     return ShockReport(
         rounds=np.arange(1, n + 1),
         mean=deltas.mean(axis=0),
@@ -262,7 +288,7 @@ def shock_experiment(
         n=n,
         seed=seed,
         cfg=cfg,
-        a=float(a_values[0]),
+        a=a_const,  # the same for every task
         b_values=b_values,
         c_b_values=c_b_values,
     )

@@ -153,7 +153,7 @@ def build_embedding(history: History, q_x: np.ndarray | None = None, q_r: float 
     t = history.t
     e = np.zeros((k + 1, t + 1))
     for j, step in enumerate(history.steps):
-        e[:k, j] = step.x
+        e[step.action, j] = 1.0
         e[k, j] = step.r
     e[:k, t] = q_x
     e[k, t] = q_r
@@ -233,6 +233,15 @@ def realize_teacher_params(cfg: TeacherConfig) -> LsaParams:
     w_pv = np.zeros((k + 1, k + 1))
     w_pv[:k, :k] = cfg.c * cfg.u
     return LsaParams(w_pv=w_pv, w_kq=w_kq)
+
+
+def expert_two_channel(cfg: TeacherConfig) -> TwoChannelParams:
+    """The expert's own update (c V, c U) as channel operators, unprojected.
+
+    Its logits (c V n + c U g) / t are the expert's (c/t)(U g + V n), so
+    the closed loop runs the expert through the same code as a student.
+    """
+    return TwoChannelParams(w_n=cfg.c * cfg.v, w_g=cfg.c * cfg.u)
 
 
 def teacher_two_channel(cfg: TeacherConfig) -> TwoChannelParams:

@@ -1,12 +1,14 @@
 """Text-generation backends behind one request/response interface.
 
 Two deterministic mocks cover the test surface (a strict FIFO script and a
-pure function of the request); the HTTP client speaks the common JSON
-chat-completion shape with bearer auth, timeouts, and retries.
+pure function of the request, which also backs the offline demo generator);
+the HTTP client speaks the common JSON chat-completion shape with bearer
+auth, timeouts, and retries.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -107,6 +109,31 @@ class FunctionGenerator:
         self.requests.append(request)
         return _as_response(request, self._fn(request))
 
+
+def demo_generator() -> FunctionGenerator:
+    """Self-contained deterministic stand-in used by `generator = mock`.
+
+    Produces distinct boxed numeric answers keyed on a stable hash of the
+    prompt and the sample index, so the loop mechanics can be exercised
+    offline; it does not attempt to be a plausible mathematician.
+    """
+
+    def respond(request: GeneratorRequest) -> list[str]:
+        prompt = "\n".join(m.text for m in request.messages)
+        digest = hashlib.sha256(prompt.encode()).digest()
+        texts = []
+        for j in range(request.n):
+            if request.temperature == 0.0:
+                value = digest[0] % 10
+            else:
+                value = (digest[j % len(digest)] + j) % 10
+            if prompt.startswith("Provide a concise summary"):
+                texts.append(f"Deterministic demo idea. boxed{{{value}}}")
+            else:
+                texts.append(f"Deterministic demo reasoning. boxed{{{value}}}")
+        return texts
+
+    return FunctionGenerator(respond)
 
 class HttpGenerator:
     """JSON-over-HTTP chat-completion client with bearer auth and retries.

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bandit import CrnStream, History, coupled_sample, draw_reward, sample_task
 from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
-from .lsa import TwoChannelParams
+from .loop import closed_loop, task_blocks
+from .lsa import TwoChannelParams, expert_two_channel
 from .subspace import paired_helmert_basis, restricted_eigenvalues
-from .teacher import TeacherConfig, mix_policy, teacher_logits
+from .teacher import TeacherConfig
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -92,46 +91,31 @@ class PretrainDataset:
         return z, y, p
 
 
-def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int, threads: int = 1) -> PretrainDataset:
+def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainDataset:
     """Roll the expert for N steps on B independent tasks and record labels.
 
     Each trajectory owns CRN stream id tau, so regeneration from (cfg, b, n,
-    seed) is bit-exact and trajectories can be produced in parallel without
-    changing the result; they are always stored in stream-id order.
+    seed) is bit-exact; trajectories are stored in stream-id order.
     """
     if b < 1:
         raise InvalidConfigError(f"need at least one trajectory, got B={b}")
     if n < 2:
         raise InvalidConfigError(f"need at least two rounds, got N={n}")
     ds = PretrainDataset(cfg=cfg, b=b, n=n, seed=seed)
-    if threads <= 1:
-        ds.trajectories = [_run_teacher_trajectory(cfg, n, seed, tau) for tau in range(b)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ds.trajectories = list(pool.map(lambda tau: _run_teacher_trajectory(cfg, n, seed, tau), range(b)))
+    expert = expert_two_channel(cfg).stacked[np.newaxis]
+    for _, w, uniforms, noise in task_blocks(cfg, b, n, seed):
+        actions = np.zeros((len(w), n), dtype=np.int64)
+        rewards = np.zeros((len(w), n))
+        logits = np.zeros((len(w), n - 1, cfg.k))
+        policies = np.zeros((len(w), n - 1, cfg.k))
+        for rnd in closed_loop(expert, w, uniforms, noise, cfg):
+            actions[:, rnd.t - 1] = rnd.actions
+            rewards[:, rnd.t - 1] = rnd.rewards
+            if rnd.t < n:
+                policies[:, rnd.t - 1] = rnd.policies[0]
+                logits[:, rnd.t - 1] = rnd.logits[0]
+        ds.trajectories.extend(map(Trajectory, w, actions, rewards, logits, policies))
     return ds
-
-
-def _run_teacher_trajectory(cfg: TeacherConfig, n: int, seed: int, tau: int) -> Trajectory:
-    stream = CrnStream(seed, stream_id=tau)
-    w = sample_task(stream, cfg.k, cfg.tau_w)
-    history = History(cfg.k)
-    actions = np.zeros(n, dtype=np.int64)
-    rewards = np.zeros(n)
-    logits = np.zeros((n - 1, cfg.k))
-    policies = np.zeros((n - 1, cfg.k))
-    for t in range(1, n + 1):
-        policy = mix_policy(teacher_logits(history, cfg), cfg.gamma)
-        if t <= n - 1:
-            policies[t - 1] = policy.p
-        action = coupled_sample(policy.p, stream.uniform(t))
-        reward = draw_reward(w, action, stream.normal(t), cfg.sigma_xi)
-        history.append(action, reward)
-        actions[t - 1] = action
-        rewards[t - 1] = reward
-        if t <= n - 1:
-            logits[t - 1] = teacher_logits(history, cfg)
-    return Trajectory(w=w, actions=actions, rewards=rewards, logits=logits, policies=policies)
 
 
 def fisher_matrix(p: np.ndarray) -> np.ndarray:
@@ -361,10 +345,22 @@ def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
 def load_dataset(directory: str | Path) -> PretrainDataset:
     directory = Path(directory)
     config = json.loads((directory / "config.json").read_text())
+    if config["version"] == 1:
+        raise InvalidConfigError(
+            "dataset format version 1 was drawn with an older CRN stream layout, "
+            f"which changed in version {DATASET_FORMAT_VERSION}; regenerate the dataset"
+        )
     if config["version"] != DATASET_FORMAT_VERSION:
         raise InvalidConfigError(f"unsupported dataset version {config['version']}")
     cfg = TeacherConfig.from_dict(config["teacher"])
     manifest = json.loads((directory / "manifest.json").read_text())
+    provenance = {key: config[key] for key in ("version", "b", "n", "seed")}
+    provenance["k"] = cfg.k
+    for key, want in provenance.items():
+        if manifest.get(key) != want:
+            raise InvalidConfigError(
+                f"manifest.json has {key} = {manifest.get(key)!r} but config.json has {want!r}"
+            )
     ds = PretrainDataset(cfg=cfg, b=int(config["b"]), n=int(config["n"]), seed=int(config["seed"]))
     names, hashes = manifest["trajectories"], manifest["sha256"]
     if len(names) != ds.b or len(hashes) != ds.b:
@@ -380,13 +376,7 @@ def load_dataset(directory: str | Path) -> PretrainDataset:
 
 
 def _trajectory_bytes(traj: Trajectory) -> bytes:
-    parts = [
-        traj.w,
-        traj.actions.astype(float),
-        traj.rewards,
-        traj.logits.ravel(),
-        traj.policies.ravel(),
-    ]
+    parts = [traj.w, traj.actions.astype(float), traj.rewards, traj.logits.ravel(), traj.policies.ravel()]
     return np.concatenate(parts).astype("<f8").tobytes()
 
 
@@ -395,17 +385,5 @@ def _trajectory_from_bytes(blob: bytes, k: int, n: int) -> Trajectory:
     expected = k + 2 * n + 2 * (n - 1) * k
     if flat.size != expected:
         raise InvalidConfigError(f"trajectory record has {flat.size} floats, expected {expected}")
-    pos = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal pos
-        out = flat[pos : pos + count].copy()
-        pos += count
-        return out
-
-    w = take(k)
-    actions = take(n).astype(np.int64)
-    rewards = take(n)
-    logits = take((n - 1) * k).reshape(n - 1, k)
-    policies = take((n - 1) * k).reshape(n - 1, k)
-    return Trajectory(w=w, actions=actions, rewards=rewards, logits=logits, policies=policies)
+    w, actions, rewards, logits, policies = np.split(flat.astype(float), np.cumsum([k, n, n, (n - 1) * k]))
+    return Trajectory(w, actions.astype(np.int64), rewards, logits.reshape(n - 1, k), policies.reshape(n - 1, k))

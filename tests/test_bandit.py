@@ -13,31 +13,40 @@ class TestCrnStream:
     def test_same_address_same_draw(self):
         a = CrnStream(seed=99, stream_id=3)
         b = CrnStream(seed=99, stream_id=3)
-        for t in (1, 2, 17):
-            assert a.uniform(t) == b.uniform(t)
-            assert a.normal(t) == b.normal(t)
+        assert np.array_equal(a.uniforms(17), b.uniforms(17))
+        assert np.array_equal(a.normals(17), b.normals(17))
 
     def test_draws_do_not_depend_on_call_order(self):
         a = CrnStream(seed=5, stream_id=0)
-        u_early = a.uniform(4)
+        u_early = a.uniforms(4)
         b = CrnStream(seed=5, stream_id=0)
-        for t in range(1, 4):
-            b.uniform(t)
-            b.normal(t)
-        assert b.uniform(4) == u_early
+        b.normals(3)
+        b.task_normals(3)
+        assert np.array_equal(b.uniforms(4), u_early)
+
+    def test_round_value_does_not_depend_on_horizon(self):
+        s = CrnStream(seed=8, stream_id=2)
+        assert np.array_equal(s.uniforms(5), s.uniforms(10)[:5])
+        assert np.array_equal(s.normals(5), s.normals(10)[:5])
 
     def test_purposes_are_independent_substreams(self):
         s = CrnStream(seed=1, stream_id=0)
-        assert s.uniform(1) != s.normal(1)
+        assert s.uniforms(1)[0] != s.normals(1)[0]
+
+    def test_purposes_share_no_philox_word(self):
+        """Purposes sit where the counter never advances, so no output block repeats."""
+        s = CrnStream(seed=1, stream_id=4)
+        words = [set(s._generator(purpose).bit_generator.random_raw(1024).tolist()) for purpose in range(3)]
+        assert all(len(w) == 1024 for w in words)
+        assert not words[0] & words[1] and not words[0] & words[2] and not words[1] & words[2]
 
     def test_distinct_streams_differ(self):
-        assert CrnStream(1, 0).uniform(1) != CrnStream(1, 1).uniform(1)
-        assert CrnStream(1, 0).uniform(1) != CrnStream(2, 0).uniform(1)
+        assert CrnStream(1, 0).uniforms(1)[0] != CrnStream(1, 1).uniforms(1)[0]
+        assert CrnStream(1, 0).uniforms(1)[0] != CrnStream(2, 0).uniforms(1)[0]
 
     def test_uniform_range(self):
-        s = CrnStream(seed=7)
-        us = [s.uniform(t) for t in range(1, 200)]
-        assert all(0.0 <= u < 1.0 for u in us)
+        us = CrnStream(seed=7).uniforms(200)
+        assert np.all((0.0 <= us) & (us < 1.0))
 
 
 class TestSampleTask:
@@ -79,6 +88,19 @@ class TestDrawReward:
         with pytest.raises(IndexError):
             draw_reward(np.array([1.0, 2.0]), 2, noise=0.0, sigma_xi=1.0)
 
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(6, 4))
+        actions = rng.integers(0, 4, size=6)
+        noise = rng.normal(size=6)
+        got = draw_reward(w, actions, noise, sigma_xi=0.3)
+        want = [draw_reward(w[i], int(actions[i]), noise[i], 0.3) for i in range(6)]
+        assert np.array_equal(got, want)
+
+    def test_batch_rejects_one_bad_action(self):
+        with pytest.raises(IndexError):
+            draw_reward(np.zeros((3, 2)), np.array([0, 1, 2]), np.zeros(3), sigma_xi=1.0)
+
 
 class TestCoupledSample:
     def test_point_mass(self):
@@ -94,6 +116,27 @@ class TestCoupledSample:
             coupled_sample(np.array([0.6, 0.6]), 0.5)
         with pytest.raises(InvalidDistributionError):
             coupled_sample(np.array([-0.1, 1.1]), 0.5)
+
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(5)
+        p = rng.dirichlet(np.ones(5), size=200)
+        p[0] = [0.0, 0.0, 0.0, 0.0, 1.0]
+        us = rng.random(200)
+        us[0] = 0.9999999999
+        got = coupled_sample(p, us)
+        assert np.array_equal(got, [coupled_sample(p[i], us[i]) for i in range(200)])
+
+    def test_beyond_rounded_mass_falls_back_to_last_arm(self):
+        p = np.full(10, 0.1)
+        u = np.nextafter(1.0, 0.0)
+        assert not np.any(np.cumsum(p) > u)  # ten 0.1s sum to just below 1
+        assert coupled_sample(p, u) == 9
+        assert coupled_sample(np.stack([p, p]), np.array([u, 0.05])).tolist() == [9, 0]
+
+    def test_batch_rejects_one_bad_row(self):
+        p = np.array([[0.5, 0.5], [0.6, 0.6]])
+        with pytest.raises(InvalidDistributionError):
+            coupled_sample(p, np.array([0.1, 0.2]))
 
     def test_identical_policies_identical_draws(self):
         """Coupling oracle: same p and shared uniforms give the same actions."""
@@ -125,7 +168,6 @@ class TestHistory:
         h.append(0, 0.5)
         assert np.array_equal(h.n, [2.0, 0.0, 1.0])
         assert np.array_equal(h.g, [2.5, 0.0, -1.0])
-        assert h.steps[1].x.tolist() == [0.0, 0.0, 1.0]
 
     def test_out_of_range_action(self):
         with pytest.raises(IndexError):
@@ -149,6 +191,5 @@ class TestHistory:
     def test_one_hot_invariant(self):
         h = History(5)
         h.append(3, 1.0)
-        step = h.steps[0]
-        assert step.x.sum() == 1.0
-        assert step.x[step.action] == 1.0
+        assert h.steps[0].action == 3
+        assert np.array_equal(h.n, np.eye(5)[3])

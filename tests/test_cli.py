@@ -214,12 +214,14 @@ class TestMeIcpoCommand:
         result = json.loads((tmp_path / "out/result.json").read_text())
         assert result["question"] == "What is 50% of 10?"
 
-    def test_experiment_kind_me_icpo_dispatches(self, tmp_path):
+    def test_experiment_kind_me_icpo_rejected(self, tmp_path, capsys):
+        """The refinement loop runs through the `me-icpo` command only."""
         cfg = tmp_path / "m.ini"
         cfg.write_text(
             "[experiment]\nkind = me-icpo\n\n"
             "[me-icpo]\ngenerator = mock\nrounds = 1\nk = 2\nm = 2\nmode = numeric\n"
             f"question = Anything?\n\n[output]\ndir = {tmp_path / 'out'}\n"
         )
-        assert main(["experiment", "--config", str(cfg)]) == 0
-        assert (tmp_path / "out/result.json").exists()
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "unknown experiment kind 'me-icpo'" in capsys.readouterr().err
+        assert not (tmp_path / "out/result.json").exists()

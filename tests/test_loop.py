@@ -1,29 +1,121 @@
-"""Closed-loop tests: rollouts, coupling, matching, shock constants and envelope."""
+"""Closed-loop tests: the batched kernel, rollouts, coupling, matching, shock constants and envelope."""
 
 import math
 
 import numpy as np
 import pytest
 
-from icpo_lab.bandit import CrnStream, sample_task
+from icpo_lab.bandit import CrnStream, History, coupled_sample, draw_reward, sample_task
 from icpo_lab.errors import InvalidConfigError
 from icpo_lab.loop import (
+    BLOCK_ROWS,
+    closed_loop,
     matching_experiment,
     rollout,
     sample_b_distribution,
     shock_bound,
     shock_constants,
     shock_experiment,
-    teacher_rollout,
 )
-from icpo_lab.lsa import teacher_two_channel
-from icpo_lab.teacher import TeacherConfig
+from icpo_lab.lsa import TwoChannelParams, expert_two_channel, teacher_two_channel, two_channel_logits
+from icpo_lab.pretrain import generate_dataset
+from icpo_lab.teacher import TeacherConfig, mix_policy, teacher_logits
 
 
 def _cfg(**kwargs):
     defaults = dict(k=5, c=0.5, gamma=0.8, lam=0.1, tau_w=0.5, sigma_xi=0.1)
     defaults.update(kwargs)
     return TeacherConfig(**defaults)
+
+
+def _scalar_loop(drive, score, w, cfg, uniforms, noise, shock=None):
+    """One task one round at a time on a History: the kernel's oracle.
+
+    `drive` and `score` map a history to logits; `drive` chooses the actions.
+    Returns both operators' mixed policies per round and the actions.
+    """
+    history = History(cfg.k)
+    driven, scored, actions = [], [], []
+    for t in range(1, len(uniforms) + 1):
+        p = mix_policy(drive(history), cfg.gamma).p
+        driven.append(p)
+        scored.append(mix_policy(score(history), cfg.gamma).p)
+        action = coupled_sample(p, uniforms[t - 1])
+        reward = draw_reward(w, action, noise[t - 1], cfg.sigma_xi)
+        if shock is not None and t == shock[0]:
+            reward += shock[1]
+        history.append(action, reward)
+        actions.append(action)
+    return np.array(driven), np.array(scored), np.array(actions)
+
+
+def _random_cfg(rng, k):
+    h = None
+    if rng.random() < 0.5:
+        a = rng.normal(size=(k, k))
+        h = a @ a.T + 0.5 * np.eye(k)
+    return TeacherConfig(
+        k=k,
+        c=float(rng.uniform(0.2, 2.0)),
+        gamma=float(rng.uniform(0.05, 0.9)),
+        lam=float(rng.uniform(0.0, 1.0)),
+        tau_w=float(rng.uniform(0.3, 1.5)),
+        sigma_xi=float(rng.uniform(0.0, 0.7)),
+        h=h,
+    )
+
+
+class TestClosedLoopKernel:
+    def test_matches_scalar_oracle(self):
+        """A perturbed student drives while the expert is scored, with and without a shock."""
+        rng = np.random.default_rng(2024)
+        for trial in range(24):
+            k = int(rng.choice([2, 5, 10]))
+            cfg = _random_cfg(rng, k)
+            expert = teacher_two_channel(cfg)
+            student = TwoChannelParams(
+                w_n=expert.w_n + 0.3 * rng.normal(size=(k, k)),
+                w_g=expert.w_g + 0.3 * rng.normal(size=(k, k)),
+            )
+            b, t_max = 7, 15
+            streams = [CrnStream(500 + trial, tau) for tau in range(b)]
+            w = np.stack([sample_task(st, k, cfg.tau_w) for st in streams])
+            uniforms = np.stack([st.uniforms(t_max) for st in streams])
+            noise = np.stack([st.normals(t_max) for st in streams])
+            shock = None if trial % 2 else (int(rng.integers(1, t_max + 1)), rng.normal(size=b))
+            ops = np.stack([student.stacked, expert_two_channel(cfg).stacked])
+            rounds = list(closed_loop(ops, w, uniforms, noise, cfg, shock))
+            for i in range(b):
+                driven, scored, actions = _scalar_loop(
+                    lambda h: two_channel_logits(h, student),
+                    lambda h: teacher_logits(h, cfg),
+                    w[i],
+                    cfg,
+                    uniforms[i],
+                    noise[i],
+                    None if shock is None else (shock[0], shock[1][i]),
+                )
+                assert np.array_equal([rnd.actions[i] for rnd in rounds], actions)
+                assert np.abs(np.stack([rnd.policies[0, i] for rnd in rounds]) - driven).max() <= 1e-12
+                assert np.abs(np.stack([rnd.policies[1, i] for rnd in rounds]) - scored).max() <= 1e-12
+
+    def test_rows_do_not_depend_on_block(self):
+        """B=3 equals the first three of B=1100, and rows either side of a
+        block boundary equal their own one-row rollout, bit for bit."""
+        cfg = _cfg(k=10, c=0.7, gamma=0.3, sigma_xi=0.5, h=np.diag(np.linspace(0.5, 3.0, 10)))
+        n = 6
+        small = generate_dataset(cfg, b=3, n=n, seed=31)
+        large = generate_dataset(cfg, b=1100, n=n, seed=31)
+        for t1, t2 in zip(small.trajectories, large.trajectories):
+            for field in ("w", "actions", "rewards", "logits", "policies"):
+                assert np.array_equal(getattr(t1, field), getattr(t2, field))
+        expert = expert_two_channel(cfg)
+        for tau in (0, BLOCK_ROWS - 1, BLOCK_ROWS, 1099):
+            traj = large.trajectories[tau]
+            single = rollout(expert, traj.w, cfg, n, CrnStream(31, tau))
+            assert np.array_equal(single.actions, traj.actions)
+            assert np.array_equal(single.rewards, traj.rewards)
+            assert np.array_equal(single.policies[: n - 1], traj.policies)
 
 
 class TestRollout:
@@ -39,10 +131,9 @@ class TestRollout:
 
     def test_expert_channels_reproduce_expert_rollout(self):
         cfg = _cfg()
-        tc = teacher_two_channel(cfg)
         w = sample_task(CrnStream(5, 0), cfg.k, cfg.tau_w)
-        student = rollout(tc, w, cfg, 12, CrnStream(9, 0))
-        expert = teacher_rollout(w, cfg, 12, CrnStream(9, 0))
+        student = rollout(teacher_two_channel(cfg), w, cfg, 12, CrnStream(9, 0))
+        expert = rollout(expert_two_channel(cfg), w, cfg, 12, CrnStream(9, 0))
         assert np.array_equal(student.actions, expert.actions)
         assert np.abs(student.policies - expert.policies).max() <= 1e-10
 
@@ -87,14 +178,6 @@ class TestMatchingExperiment:
         assert rep.mean.max() <= 1e-10
         assert rep.rounds.tolist() == list(range(1, 9))
         assert np.all(rep.mean >= 0)
-
-    def test_threads_do_not_change_results(self):
-        cfg = _cfg(k=3)
-        tc = teacher_two_channel(cfg)
-        seq = matching_experiment(cfg, tc, b_test=5, n=6, seed=11, threads=1)
-        par = matching_experiment(cfg, tc, b_test=5, n=6, seed=11, threads=3)
-        assert np.array_equal(seq.mean, par.mean)
-        assert np.array_equal(seq.std, par.std)
 
 
 class TestShockConstants:
@@ -164,14 +247,6 @@ class TestShockExperiment:
         cfg = _cfg(k=3)
         rep = shock_experiment(cfg, teacher_two_channel(cfg), b_test=6, n=6, s=2, delta_r=0.0, seed=5)
         assert np.array_equal(rep.mean, np.zeros(6))
-
-    def test_threads_do_not_change_results(self):
-        cfg = _cfg(k=3)
-        tc = teacher_two_channel(cfg)
-        seq = shock_experiment(cfg, tc, b_test=8, n=6, s=2, delta_r=1.0, seed=7, threads=1)
-        par = shock_experiment(cfg, tc, b_test=8, n=6, s=2, delta_r=1.0, seed=7, threads=4)
-        assert np.array_equal(seq.mean, par.mean)
-        assert np.array_equal(seq.bound, par.bound)
 
     def test_shock_round_out_of_range(self):
         cfg = _cfg(k=3)

@@ -113,15 +113,6 @@ class TestGenerateDataset:
             assert np.array_equal(t1.logits, t2.logits)
             assert np.array_equal(t1.policies, t2.policies)
 
-    def test_parallel_generation_matches_sequential(self):
-        cfg = _small_cfg()
-        seq = generate_dataset(cfg, b=6, n=5, seed=13, threads=1)
-        par = generate_dataset(cfg, b=6, n=5, seed=13, threads=3)
-        for t1, t2 in zip(seq.trajectories, par.trajectories):
-            assert np.array_equal(t1.actions, t2.actions)
-            assert np.array_equal(t1.rewards, t2.rewards)
-            assert np.array_equal(t1.logits, t2.logits)
-
     def test_manifest_identical_across_reruns(self, tmp_path):
         ds = generate_dataset(_small_cfg(), b=3, n=4, seed=2)
         save_dataset(ds, tmp_path / "a")
@@ -171,6 +162,24 @@ class TestDatasetIntegrity:
         blob[40] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(InvalidConfigError, match="traj_00002.bin"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("field, value", [("version", 42), ("k", 99), ("b", 3), ("n", 7), ("seed", 12345)])
+    def test_manifest_provenance_must_match_config(self, tmp_path, field, value):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest[field] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidConfigError, match=f"manifest.json has {field} = {value}"):
+            load_dataset(tmp_path)
+
+    def test_format_version_1_rejected_for_its_stream_layout(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=2, n=3, seed=12), tmp_path)
+        for name in ("config.json", "manifest.json"):
+            record = json.loads((tmp_path / name).read_text())
+            record["version"] = 1
+            (tmp_path / name).write_text(json.dumps(record))
+        with pytest.raises(InvalidConfigError, match="stream layout"):
             load_dataset(tmp_path)
 
 
