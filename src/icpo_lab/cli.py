@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import run_lemma_suite
+from .atomic import write_atomic
 from .errors import IcpoError, InvalidConfigError
 from .loop import matching_experiment, shock_experiment
 from .lsa import TwoChannelParams
@@ -157,7 +158,7 @@ def teacher_from_config(parser: configparser.ConfigParser) -> TeacherConfig:
 def save_params(tc: TwoChannelParams, path: str | Path) -> None:
     header = struct.pack("<II", tc.k, PARAMS_FORMAT_VERSION)
     body = np.concatenate([tc.w_n.ravel(), tc.w_g.ravel()]).astype("<f8").tobytes()
-    Path(path).write_bytes(header + body)
+    write_atomic(path, header + body)
 
 
 def load_params(path: str | Path) -> TwoChannelParams:
@@ -182,11 +183,11 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: Path, header: str, rounds: np.ndarray, *columns: np.ndarray) -> None:
     rows = [",".join([str(r), *(_fmt(col[i]) for col in columns)]) for i, r in enumerate(rounds)]
-    path.write_text("\n".join([header, *rows]) + "\n")
+    write_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(parser: configparser.ConfigParser, override: str | None) -> Path:
@@ -239,7 +240,7 @@ def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) ->
         raise InvalidConfigError(f"unknown solver {solver!r}; expected 'ls' or 'gd'")
     params_path = out / "params.bin"
     save_params(tc, params_path)
-    (out / "train_log.csv").write_text("\n".join(log_lines) + "\n")
+    write_atomic(out / "train_log.csv", "\n".join(log_lines) + "\n")
     _write_json(
         {
             "teacher": ds.cfg.to_dict(),
@@ -278,6 +279,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     sidecar = {"teacher": cfg.to_dict(), "experiment": dict(sec), "seed": seed}
 
     if kind == "lemma-suite":
+        if "dataset" not in parser:
+            raise InvalidConfigError("config is missing the [dataset] section")
         dsec = parser["dataset"]
         ds = generate_dataset(cfg, b=dsec.getint("b"), n=dsec.getint("n"), seed=dsec.getint("seed"))
         report = run_lemma_suite(

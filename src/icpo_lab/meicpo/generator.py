@@ -4,11 +4,16 @@ Two deterministic mocks cover the test surface (a strict FIFO script and a
 pure function of the request, which also backs the offline demo generator);
 the HTTP client speaks the common JSON chat-completion shape with bearer
 auth, timeouts, and retries.
+
+`generate_many` answers a wave of independent requests, `responses[i]` for
+`requests[i]`.  The mocks serve a wave in order; the HTTP client sends it
+concurrently, so results never depend on completion order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -65,6 +70,10 @@ class GeneratorResponse:
 class Generator(Protocol):
     def generate(self, request: GeneratorRequest) -> GeneratorResponse: ...
 
+    def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
+        """Answer each request in turn; `responses[i]` answers `requests[i]`."""
+        return [self.generate(request) for request in requests]
+
 
 def _as_response(request: GeneratorRequest, texts: Sequence[str]) -> GeneratorResponse:
     texts = list(texts)
@@ -77,7 +86,7 @@ def _as_response(request: GeneratorRequest, texts: Sequence[str]) -> GeneratorRe
     )
 
 
-class ScriptedGenerator:
+class ScriptedGenerator(Generator):
     """Pops pre-scripted response batches in FIFO order.
 
     Each script entry is the list of texts for one request.  Requests are
@@ -98,7 +107,7 @@ class ScriptedGenerator:
         return _as_response(request, batch)
 
 
-class FunctionGenerator:
+class FunctionGenerator(Generator):
     """Delegates to a pure function of the request; deterministic by construction."""
 
     def __init__(self, fn: Callable[[GeneratorRequest], Sequence[str]]):
@@ -135,14 +144,29 @@ def demo_generator() -> FunctionGenerator:
 
     return FunctionGenerator(respond)
 
-class HttpGenerator:
+
+def _retry_after_s(value: str | None) -> float:
+    """Seconds from a delta-seconds `Retry-After`; 0 when absent, an HTTP date, or junk."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return 0.0
+    return seconds if math.isfinite(seconds) and seconds >= 0 else 0.0
+
+
+class HttpGenerator(Generator):
     """JSON-over-HTTP chat-completion client with bearer auth and retries.
 
     The API key is read from the environment variable named by
     `api_key_env`.  Transport errors (connection failures and timeouts),
     HTTP 5xx, and 429 are retried with linear backoff up to `max_retries`
-    times, then surfaced.  Any other 4xx, and a body that is not JSON or
+    times, then surfaced; a 429 or 5xx carrying `Retry-After` in seconds
+    waits at least that long.  Any other 4xx, and a body that is not JSON or
     lacks the chat-completion fields, raise `GeneratorError` at once.
+
+    `generate_many` posts a whole wave at once from a thread pool as wide as
+    the wave.  A session built here grows its keep-alive pool to the widest
+    wave; a session passed in is used as given.
     """
 
     def __init__(
@@ -161,7 +185,9 @@ class HttpGenerator:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
+        self._owns_session = session is None
         self._session = session or requests.Session()
+        self._pool_size = requests.adapters.DEFAULT_POOLSIZE
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -180,11 +206,37 @@ class HttpGenerator:
             "n": request.n,
         }
 
+    def _fit_pool(self, width: int) -> None:
+        """Keep `width` pooled connections per host, so no wave reconnects."""
+        if not self._owns_session or width <= self._pool_size:
+            return
+        for prefix in ("https://", "http://"):
+            self._session.adapters[prefix].close()
+            self._session.mount(prefix, requests.adapters.HTTPAdapter(pool_maxsize=width))
+        self._pool_size = width
+
+    def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
+        """Post the whole wave concurrently and wait for all of it.
+
+        If any request fails, the error of the lowest-index failure is raised
+        once every request in the wave has finished.
+        """
+        if len(requests) <= 1:
+            return super().generate_many(requests)
+        from concurrent.futures import ThreadPoolExecutor
+
+        self._fit_pool(len(requests))
+        with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+            futures = [pool.submit(self.generate, request) for request in requests]
+        return [future.result() for future in futures]
+
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * attempt)
+                time.sleep(max(self.backoff * attempt, retry_after))
+                retry_after = 0.0
             try:
                 resp = self._session.post(
                     self.endpoint,
@@ -199,6 +251,7 @@ class HttpGenerator:
                 raise GeneratorError(f"request failed: {exc}") from exc
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = GeneratorError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
                 continue
             if resp.status_code >= 400:
                 raise GeneratorError(f"HTTP {resp.status_code}: {resp.text[:200]}")

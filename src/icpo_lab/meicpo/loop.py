@@ -5,6 +5,10 @@ their extracted answers, summarize each, tentatively append each (summary,
 reward) pair to the running context, and commit the candidate whose tentative
 context yields the lowest predictive answer entropy.  After the final round a
 single response is sampled from the accumulated context.
+
+The k summaries of a round go to the generator as one `generate_many` wave,
+and so do the k entropy look-aheads; results are assembled by candidate
+index, so the outcome does not depend on the order in which calls finish.
 """
 
 from __future__ import annotations
@@ -16,9 +20,17 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+from ..atomic import write_atomic
 from ..errors import InvalidConfigError
 from .answers import canonicalize, extract_answer, majority_vote
-from .generator import CallAccounting, Generator, GeneratorRequest, Message, count_tokens
+from .generator import (
+    CallAccounting,
+    Generator,
+    GeneratorRequest,
+    GeneratorResponse,
+    Message,
+    count_tokens,
+)
 from .prompts import MODES, summarization_prompt, system_prompt
 
 
@@ -138,7 +150,25 @@ class MeIcpoResult:
 
 def write_trace_jsonl(result: MeIcpoResult, path: str | Path) -> None:
     lines = [json.dumps(rec, sort_keys=True) for rec in result.trace_records()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _summary_request(text: str, mode: str, cap_tokens: int) -> GeneratorRequest:
+    return GeneratorRequest(
+        messages=(Message("user", summarization_prompt(mode, text)),),
+        temperature=0.0,
+        top_p=1.0,
+        max_tokens=cap_tokens,
+        n=1,
+    )
+
+
+def _summary_of(response: GeneratorResponse, cap_tokens: int) -> tuple[str, bool]:
+    summary = response.texts[0].strip()
+    words = summary.split()
+    if len(words) > cap_tokens:
+        return " ".join(words[:cap_tokens]), True
+    return summary, False
 
 
 def summarize(
@@ -153,21 +183,34 @@ def summarize(
     Returns (summary, truncated).  The cap is enforced locally on whitespace
     tokens even if the backend ignored max_tokens.
     """
-    request = GeneratorRequest(
-        messages=(Message("user", summarization_prompt(mode, text)),),
-        temperature=0.0,
-        top_p=1.0,
-        max_tokens=cap_tokens,
-        n=1,
-    )
-    response = generator.generate(request)
+    response = generator.generate(_summary_request(text, mode, cap_tokens))
     if accounting is not None:
         accounting.add("summarize", response)
-    summary = response.texts[0].strip()
-    words = summary.split()
-    if len(words) > cap_tokens:
-        return " ".join(words[:cap_tokens]), True
-    return summary, False
+    return _summary_of(response, cap_tokens)
+
+
+def _lookahead_request(
+    history: IcpoHistory, m: int, temperature: float, max_tokens: int, include_reward_tags: bool
+) -> GeneratorRequest:
+    if m < 1:
+        raise InvalidConfigError(f"need at least one lookahead sample, got m={m}")
+    return GeneratorRequest(
+        messages=history.render_messages(include_reward_tags),
+        temperature=temperature,
+        top_p=1.0,
+        max_tokens=max_tokens,
+        n=m,
+    )
+
+
+def _entropy_of(response: GeneratorResponse, mode: str) -> float:
+    buckets: dict[str, int] = {}
+    for text in response.texts:
+        answer = canonicalize(extract_answer(text, mode), mode)
+        key = answer if answer is not None else "<no-answer>"
+        buckets[key] = buckets.get(key, 0) + 1
+    total = sum(buckets.values())
+    return -sum((c / total) * math.log(c / total) for c in buckets.values())
 
 
 def estimate_entropy(
@@ -186,25 +229,21 @@ def estimate_entropy(
     form with all absent answers sharing one bucket, so a context that
     derails the generator scores high.
     """
-    if m < 1:
-        raise InvalidConfigError(f"need at least one lookahead sample, got m={m}")
-    request = GeneratorRequest(
-        messages=history.render_messages(include_reward_tags),
-        temperature=temperature,
-        top_p=1.0,
-        max_tokens=max_tokens,
-        n=m,
-    )
+    request = _lookahead_request(history, m, temperature, max_tokens, include_reward_tags)
     response = generator.generate(request)
     if accounting is not None:
         accounting.add("entropy", response)
-    buckets: dict[str, int] = {}
-    for text in response.texts:
-        answer = canonicalize(extract_answer(text, mode), mode)
-        key = answer if answer is not None else "<no-answer>"
-        buckets[key] = buckets.get(key, 0) + 1
-    total = sum(buckets.values())
-    return -sum((c / total) * math.log(c / total) for c in buckets.values())
+    return _entropy_of(response, mode)
+
+
+def _wave(
+    generator: Generator, requests: list[GeneratorRequest], purpose: str, accounting: CallAccounting
+) -> list[GeneratorResponse]:
+    """Send independent requests as one wave; account in request order."""
+    responses = generator.generate_many(requests)
+    for response in responses:
+        accounting.add(purpose, response)
+    return responses
 
 
 def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcpoResult:
@@ -239,25 +278,34 @@ def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcp
         vote = majority_vote([c.answer for c in candidates], cfg.mode)
         trace.vote_answer = vote.answer
         trace.vote_tie = vote.tie
-        for cand, reward in zip(candidates, vote.rewards):
+        summaries = _wave(
+            generator,
+            [_summary_request(c.text, cfg.mode, cfg.summary_cap_tokens) for c in candidates],
+            "summarize",
+            accounting,
+        )
+        for cand, reward, response in zip(candidates, vote.rewards, summaries):
             cand.reward = reward
-            cand.summary, cand.summary_truncated = summarize(
-                cand.text, generator, cfg.mode, cfg.summary_cap_tokens, accounting
-            )
+            cand.summary, cand.summary_truncated = _summary_of(response, cfg.summary_cap_tokens)
 
         if cfg.selection == "entropy":
-            for cand in candidates:
-                tentative = history.extended(cand.summary, cand.reward)
-                cand.entropy = estimate_entropy(
-                    tentative,
-                    generator,
-                    cfg.m,
-                    cfg.entropy_temperature,
-                    cfg.mode,
-                    cfg.lookahead_max_tokens,
-                    cfg.include_reward_tags,
-                    accounting,
-                )
+            lookaheads = _wave(
+                generator,
+                [
+                    _lookahead_request(
+                        history.extended(c.summary, c.reward),
+                        cfg.m,
+                        cfg.entropy_temperature,
+                        cfg.lookahead_max_tokens,
+                        cfg.include_reward_tags,
+                    )
+                    for c in candidates
+                ],
+                "entropy",
+                accounting,
+            )
+            for cand, response in zip(candidates, lookaheads):
+                cand.entropy = _entropy_of(response, cfg.mode)
             best = min(range(len(candidates)), key=lambda j: (candidates[j].entropy, j))
         else:
             best = max(range(len(candidates)), key=lambda j: (candidates[j].reward, -j))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from icpo_lab import atomic
 from icpo_lab.cli import load_config, load_params, main, save_params, teacher_from_config
 from icpo_lab.errors import InvalidConfigError
 from icpo_lab.lsa import TwoChannelParams
@@ -163,6 +164,72 @@ class TestPipeline:
         path = tmp_path / "bad.ini"
         path.write_text("[teacher]\nk = 3\n\n[dataset]\nb = 0\nn = 5\nseed = 1\n")
         assert main(["generate", "--config", str(path)]) == 2
+
+    def test_lemma_suite_without_dataset_section_is_clear_error(self, tmp_path, capsys):
+        path = tmp_path / "lemma.ini"
+        path.write_text(
+            f"[teacher]\nk = 3\n\n[experiment]\nkind = lemma-suite\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert "error: config is missing the [dataset] section" in capsys.readouterr().err
+
+
+class _HalfWriter:
+    """Stands in for the temp file: writes half of the bytes, then fails."""
+
+    def __init__(self, path, mode):
+        self._f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, blob):
+        self._f.write(blob[: len(blob) // 2])
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicWrites:
+    def _fail_writes(self, monkeypatch):
+        monkeypatch.setattr(atomic, "open", _HalfWriter, raising=False)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "params.bin"
+        save_params(TwoChannelParams(np.eye(3), np.zeros((3, 3))), path)
+        before = path.read_bytes()
+        self._fail_writes(monkeypatch)
+        with pytest.raises(OSError):
+            save_params(TwoChannelParams(np.ones((3, 3)), np.ones((3, 3))), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["params.bin"]
+
+    def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(atomic.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic.write_atomic(tmp_path / "a.json", "{}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_cli_write_leaves_no_partial_artifact(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(
+            "[me-icpo]\ngenerator = mock\nrounds = 1\nk = 2\nm = 2\nmode = numeric\n"
+            f"question = What is 6 times 7?\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        self._fail_writes(monkeypatch)
+        assert main(["me-icpo", "--config", str(cfg)]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_same_bytes_as_a_plain_write(self, tmp_path):
+        text = "round,mean\n1,0.5\n"
+        atomic.write_atomic(tmp_path / "a.csv", text)
+        (tmp_path / "b.csv").write_text(text)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestMeIcpoCommand:

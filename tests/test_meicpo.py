@@ -2,7 +2,12 @@
 
 import json
 import math
+import random
+import sys
+import threading
+import time
 from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -207,6 +212,11 @@ def _loop_generator(entropy_map):
     lookahead batches answer according to which candidate's marker is in the
     tentative context, with per-candidate answer diversity from entropy_map.
     """
+    return FunctionGenerator(_loop_responder(entropy_map))
+
+
+def _loop_responder(entropy_map):
+    """The pure response function behind `_loop_generator`."""
 
     def respond(req: GeneratorRequest):
         text = "\n".join(m.text for m in req.messages)
@@ -226,7 +236,7 @@ def _loop_generator(entropy_map):
         texts.append(f"CAND{k - 1} boxed{{8}}")
         return texts
 
-    return FunctionGenerator(respond)
+    return respond
 
 
 class TestRunMeIcpo:
@@ -411,10 +421,11 @@ class TestComputeMetrics:
 
 
 class _FakeResponse:
-    def __init__(self, status_code=200, body=None):
+    def __init__(self, status_code=200, body=None, headers=None):
         self.status_code = status_code
         self._body = body or {}
         self.text = json.dumps(self._body)
+        self.headers = headers or {}
 
     def json(self):
         return self._body
@@ -516,6 +527,198 @@ class TestHttpGenerator:
         gen = HttpGenerator("http://x", "m", session=session, max_retries=1, backoff=0.0)
         with pytest.raises(GeneratorError):
             gen.generate(self._request(n=2))
+
+
+class TestRetryAfter:
+    """A retried 429/5xx waits max(backoff * attempt, Retry-After seconds)."""
+
+    def _run(self, monkeypatch, statuses_and_headers, backoff=1.0):
+        slept = []
+        monkeypatch.setattr("icpo_lab.meicpo.generator.time.sleep", slept.append)
+        ok = _FakeResponse(200, {"choices": [{"text": "a"}]})
+        session = _FakeSession([_FakeResponse(code, headers=h) for code, h in statuses_and_headers] + [ok])
+        retries = len(statuses_and_headers)
+        gen = HttpGenerator("http://x", "m", session=session, max_retries=retries, backoff=backoff)
+        assert gen.generate(GeneratorRequest(messages=(Message("user", "hi"),), n=1)).texts == ["a"]
+        return slept
+
+    def test_seconds_value_extends_the_backoff(self, monkeypatch):
+        slept = self._run(monkeypatch, [(429, {"Retry-After": "3"}), (503, {"Retry-After": "2.5"})])
+        assert slept == [3.0, 2.5]
+
+    def test_backoff_wins_when_longer(self, monkeypatch):
+        slept = self._run(monkeypatch, [(500, {"Retry-After": "0"}), (429, {"Retry-After": "1.5"})])
+        assert slept == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "value", ["Wed, 21 Oct 2015 07:28:00 GMT", "soon", "-1", "nan", "inf", ""]
+    )
+    def test_unusable_value_falls_back_to_linear_backoff(self, monkeypatch, value):
+        slept = self._run(monkeypatch, [(429, {"Retry-After": value}), (500, {})], backoff=0.25)
+        assert slept == [0.25, 0.5]
+
+    def test_header_is_not_carried_to_a_later_attempt(self, monkeypatch):
+        slept = self._run(monkeypatch, [(429, {"Retry-After": "4"}), (500, {})], backoff=0.5)
+        assert slept == [4.0, 1.0]
+
+
+class _KeyedSession:
+    """Thread-safe fake session answering each post from its payload alone.
+
+    `respond(request)` gives the texts (or an int HTTP status), `delay(request)`
+    a wait in seconds, and an optional barrier makes every post wait for the
+    rest of the wave.
+    """
+
+    def __init__(self, respond, delay=None, barrier=None):
+        self.respond = respond
+        self.delay = delay
+        self.barrier = barrier
+        self.posts = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        request = GeneratorRequest(
+            messages=tuple(Message(m["role"], m["content"]) for m in json["messages"]),
+            temperature=json["temperature"],
+            top_p=json["top_p"],
+            max_tokens=json["max_tokens"],
+            n=json["n"],
+        )
+        self.posts.append(request)
+        if self.barrier is not None:
+            self.barrier.wait()
+        if self.delay is not None:
+            time.sleep(self.delay(request))
+        out = self.respond(request)
+        if isinstance(out, int):
+            return _FakeResponse(out, {"error": request.messages[0].text})
+        return _FakeResponse(200, {"choices": [{"text": t} for t in out]})
+
+
+def _seeded_delay(seed, scale=0.004):
+    """A different, reproducible delay per distinct request."""
+
+    def delay(request):
+        key = "\n".join(m.text for m in request.messages) + f"|{request.n}|{request.temperature}"
+        return scale * random.Random(f"{seed}:{key}").random()
+
+    return delay
+
+
+def _wave(k):
+    return [GeneratorRequest(messages=(Message("user", f"request {i}"),), n=1) for i in range(k)]
+
+
+class TestConcurrentWaves:
+    def test_wave_is_sent_concurrently(self):
+        k = 8
+        session = _KeyedSession(lambda r: [r.messages[0].text], barrier=threading.Barrier(k, timeout=5))
+        gen = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        responses = gen.generate_many(_wave(k))
+        assert [r.texts for r in responses] == [[f"request {i}"] for i in range(k)]
+
+    def test_responses_come_back_by_index(self):
+        k = 12
+        order = random.Random(5).sample(range(k), k)
+        finished = []
+
+        def respond(request):
+            finished.append(request.messages[0].text)
+            return [request.messages[0].text.upper()]
+
+        session = _KeyedSession(respond, delay=lambda r: 0.003 * order[int(r.messages[0].text.split()[1])])
+        gen = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        responses = gen.generate_many(_wave(k))
+        assert [r.texts for r in responses] == [[f"REQUEST {i}"] for i in range(k)]
+        assert finished != [f"request {i}" for i in range(k)]  # completion order differed
+
+    def test_lowest_index_failure_is_raised_after_the_whole_wave(self):
+        k = 6
+
+        def respond(request):
+            index = int(request.messages[0].text.split()[1])
+            return 404 if index in (2, 4) else [request.messages[0].text]
+
+        # Request 2 fails last in time, yet its error is the one raised.
+        session = _KeyedSession(respond, delay=lambda r: 0.05 if r.messages[0].text == "request 2" else 0.0)
+        gen = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        with pytest.raises(GeneratorError, match="request 2"):
+            gen.generate_many(_wave(k))
+        assert len(session.posts) == k
+
+    def test_empty_and_single_waves(self):
+        session = _KeyedSession(lambda r: ["x"])
+        gen = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        assert gen.generate_many([]) == []
+        assert [r.texts for r in gen.generate_many(_wave(1))] == [["x"]]
+
+    @pytest.mark.parametrize("selection", ["entropy", "reward"])
+    def test_concurrent_run_equals_sequential_run(self, selection):
+        entropy_map = {0: 2, 1: 3, 2: 1, 3: 2, 4: 1}
+        cfg = MeIcpoConfig(rounds=3, k=5, m=4, mode="numeric", selection=selection)
+        sequential = run_me_icpo("Q?", cfg, FunctionGenerator(_loop_responder(entropy_map)))
+        session = _KeyedSession(_loop_responder(entropy_map), delay=_seeded_delay(3))
+        http = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches than cores, to shake out ordering bugs
+        try:
+            concurrent = run_me_icpo("Q?", cfg, http)
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent.trace_records() == sequential.trace_records()
+        assert concurrent.accounting.to_dict() == sequential.accounting.to_dict()
+        assert concurrent.history == sequential.history
+        assert concurrent.final_text == sequential.final_text
+
+    def test_scripted_waves_keep_fifo_order(self):
+        gen = ScriptedGenerator([["a"], ["b"], ["c"]])
+        responses = gen.generate_many(_wave(3))
+        assert [r.texts for r in responses] == [["a"], ["b"], ["c"]]
+        assert gen.requests == _wave(3)
+
+
+class _WaveHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.peers.add(self.client_address)
+        self.server.barrier.wait()
+        data = json.dumps({"choices": [{"text": body["messages"][0]["content"]}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_own_session_keeps_a_connection_per_wave_slot():
+    """Two 16-wide waves over loopback open 16 connections, not 16 + 6.
+
+    The default keep-alive pool holds 10; a session the generator builds
+    itself must keep every connection of the widest wave for the next one.
+    """
+    k = 16
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _WaveHandler)
+    server.daemon_threads = True
+    server.peers = set()
+    server.barrier = threading.Barrier(k, timeout=5)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    gen = HttpGenerator(f"http://127.0.0.1:{server.server_address[1]}/", "m", max_retries=0, backoff=0.0)
+    try:
+        for _ in range(2):
+            assert [r.texts for r in gen.generate_many(_wave(k))] == [[f"request {i}"] for i in range(k)]
+    finally:
+        gen._session.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert len(server.peers) == k
 
 
 class TestScriptedGenerator:
