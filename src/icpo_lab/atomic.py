@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Sequence
 from pathlib import Path
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Replace `path` with `data` (str is UTF-8 encoded) in one rename."""
+def write_atomic(path: str | Path, data: str | bytes | Sequence[bytes | memoryview]) -> None:
+    """Replace `path` with `data` in one rename.  A str is UTF-8 encoded; a
+    sequence of buffers, such as contiguous arrays, is written in order."""
     path = Path(path)
-    blob = data.encode("utf-8") if isinstance(data, str) else data
+    data = data.encode("utf-8") if isinstance(data, str) else data
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(blob)
+            for buf in [data] if isinstance(data, bytes) else data:
+                f.write(buf)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

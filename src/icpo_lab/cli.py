@@ -131,10 +131,17 @@ def load_config(path: str | Path) -> configparser.ConfigParser:
     return parser
 
 
+def _section(parser: configparser.ConfigParser, name: str, *required: str) -> configparser.SectionProxy:
+    """The [name] section, which must exist and set each key in `required`."""
+    if name not in parser:
+        raise InvalidConfigError(f"config is missing the [{name}] section")
+    if missing := [key for key in required if key not in parser[name]]:
+        raise InvalidConfigError(f"[{name}] is missing required key(s): {', '.join(missing)}")
+    return parser[name]
+
+
 def teacher_from_config(parser: configparser.ConfigParser) -> TeacherConfig:
-    if "teacher" not in parser:
-        raise InvalidConfigError("config is missing the [teacher] section")
-    sec = parser["teacher"]
+    sec = _section(parser, "teacher", "k")
     h_text = sec.get("h", "identity").strip()
     k = sec.getint("k")
     if h_text == "identity":
@@ -204,9 +211,7 @@ def _out_dir(parser: configparser.ConfigParser, override: str | None) -> Path:
 def cmd_generate(args: argparse.Namespace) -> int:
     parser = load_config(args.config)
     cfg = teacher_from_config(parser)
-    if "dataset" not in parser:
-        raise InvalidConfigError("config is missing the [dataset] section")
-    sec = parser["dataset"]
+    sec = _section(parser, "dataset", "b", "n", *(("seed",) if args.seed_override is None else ()))
     b, n = sec.getint("b"), sec.getint("n")
     seed = args.seed_override if args.seed_override is not None else sec.getint("seed")
     ds = generate_dataset(cfg, b=b, n=n, seed=seed)
@@ -247,6 +252,7 @@ def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) ->
             "dataset": {"b": ds.b, "n": ds.n, "seed": ds.seed},
             "training": dict(sec),
             "params_sha256": hashlib.sha256(params_path.read_bytes()).hexdigest(),
+            "dataset_sha256": ds.sha256,
         },
         out / "params.json",
     )
@@ -255,10 +261,7 @@ def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) ->
 
 def cmd_train(args: argparse.Namespace) -> int:
     parser = load_config(args.config)
-    dataset_dir = Path(args.dataset)
-    if not dataset_dir.exists():
-        raise InvalidConfigError(f"dataset directory not found: {dataset_dir}")
-    ds = load_dataset(dataset_dir)
+    ds = load_dataset(args.dataset)
     out = _out_dir(parser, args.out)
     params_path = _train(parser, ds, out)
     print(f"wrote {params_path}")
@@ -267,9 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     parser = load_config(args.config)
-    if "experiment" not in parser:
-        raise InvalidConfigError("config is missing the [experiment] section")
-    sec = parser["experiment"]
+    sec = _section(parser, "experiment")
     kind = sec.get("kind")
     if kind not in ("lemma-suite", "matching", "shock"):
         raise InvalidConfigError(f"unknown experiment kind {kind!r}")
@@ -279,9 +280,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     sidecar = {"teacher": cfg.to_dict(), "experiment": dict(sec), "seed": seed}
 
     if kind == "lemma-suite":
-        if "dataset" not in parser:
-            raise InvalidConfigError("config is missing the [dataset] section")
-        dsec = parser["dataset"]
+        dsec = _section(parser, "dataset", "b", "n", "seed")
         ds = generate_dataset(cfg, b=dsec.getint("b"), n=dsec.getint("n"), seed=dsec.getint("seed"))
         report = run_lemma_suite(
             ds,
@@ -297,9 +296,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"lemma suite {'passed' if report['passed'] else 'FAILED'}; wrote {out}")
         return 0 if report["passed"] else 1
 
+    _section(parser, "experiment", "b_test", "n", *(("s", "delta_r") if kind == "shock" else ()))
     if args.params is None:
         raise InvalidConfigError(f"experiment kind {kind!r} needs --params")
     tc = load_params(args.params)
+    if tc.k != cfg.k:
+        raise InvalidConfigError(f"{args.params} holds K={tc.k} operators but [teacher] k = {cfg.k}")
     if kind == "matching":
         report = matching_experiment(cfg, tc, b_test=sec.getint("b_test"), n=sec.getint("n"), seed=seed)
         _write_csv(out / "matching.csv", "round,mean,std", report.rounds, report.mean, report.std)
@@ -330,9 +332,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_me_icpo(args: argparse.Namespace) -> int:
     parser = load_config(args.config)
     out = _out_dir(parser, args.out)
-    if "me-icpo" not in parser:
-        raise InvalidConfigError("config is missing the [me-icpo] section")
-    sec = parser["me-icpo"]
+    sec = _section(parser, "me-icpo")
     question = sec.get("question")
     if not question:
         raise InvalidConfigError("[me-icpo] needs a question")

@@ -10,47 +10,71 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
 from .loop import closed_loop, task_blocks
 from .lsa import TwoChannelParams, expert_two_channel
-from .subspace import paired_helmert_basis, restricted_eigenvalues
+from .subspace import paired_helmert_basis
 from .teacher import TeacherConfig
 
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
+DATASET_FILE = "dataset.bin"
 
 
-@dataclass
-class Trajectory:
-    """One expert rollout: the raw steps plus per-prefix labels.
-
-    `logits[t-1]` holds the expert's next-step logits after prefix t and
-    `policies[t-1]` the mixed policy that chose action t, for t = 1..N-1.
-    """
-
-    w: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    logits: np.ndarray
-    policies: np.ndarray
+def _layout(b: int, n: int, k: int) -> list[list]:
+    """The stored arrays in file order as [name, little-endian dtype, shape],
+    the form in which the file header records them."""
+    return [
+        ["w", "<f8", [b, k]],
+        ["actions", "<i8", [b, n]],
+        ["rewards", "<f8", [b, n]],
+        ["logits", "<f8", [b, n - 1, k]],
+        ["policies", "<f8", [b, n - 1, k]],
+    ]
 
 
 @dataclass
 class PretrainDataset:
+    """B expert rollouts of N rounds, one row per task in stream-id order.
+
+    `logits[i, t-1]` holds the expert's next-step logits after prefix t of
+    task i and `policies[i, t-1]` the mixed policy that chose action t, for
+    t = 1..N-1.  `sha256` is the stored digest of the file the dataset was
+    loaded from, and None for a dataset built in memory.
+    """
+
     cfg: TeacherConfig
     b: int
     n: int
     seed: int
-    trajectories: list[Trajectory] = field(default_factory=list)
+    w: np.ndarray  # (B, K)
+    actions: np.ndarray  # (B, N) int64
+    rewards: np.ndarray  # (B, N)
+    logits: np.ndarray  # (B, N-1, K)
+    policies: np.ndarray  # (B, N-1, K)
+    sha256: str | None = None
 
     @property
     def m(self) -> int:
         """Number of training pairs, B * (N - 1)."""
         return self.b * (self.n - 1)
+
+    def _validate(self) -> None:
+        """Raise `InvalidConfigError` unless the arrays fit B, N and K and every action is in [0, K)."""
+        k = self.cfg.k
+        for name, _, shape in _layout(self.b, self.n, k):
+            if (got := np.shape(getattr(self, name))) != tuple(shape):
+                want = f"{tuple(shape)} for B={self.b}, N={self.n}"
+                raise InvalidConfigError(f"{name} has shape {got}, expected {want}")
+        bad = np.flatnonzero(((self.actions < 0) | (self.actions >= k)).any(axis=1))
+        if bad.size:
+            raise InvalidConfigError(f"trajectory {bad[0]} has an action outside [0, {k})")
 
     def pair_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Assemble (Z, Y, P): normalized statistics, projected labels, policies.
@@ -59,21 +83,12 @@ class PretrainDataset:
         the summation order of every moment estimate.  Prefix statistics are
         running sums over one-hot actions, accumulated left to right.  Raises
         `InvalidConfigError` unless there are exactly B trajectories, each of
-        shape (N, K) with actions in [0, K).
+        shape (N, K) with actions in [0, K).  P is a view of `policies`.
         """
+        self._validate()
         k, n = self.cfg.k, self.n
-        if len(self.trajectories) != self.b:
-            raise InvalidConfigError(f"dataset has {len(self.trajectories)} trajectories, expected B={self.b}")
-        for i, traj in enumerate(self.trajectories):
-            shapes = (traj.actions.shape, traj.rewards.shape, traj.logits.shape, traj.policies.shape)
-            if shapes != ((n,), (n,), (n - 1, k), (n - 1, k)):
-                raise InvalidConfigError(f"trajectory {i} has shapes {shapes}, expected N={n}, K={k}")
-            if traj.actions.min() < 0 or traj.actions.max() >= k:
-                raise InvalidConfigError(f"trajectory {i} has an action outside [0, {k})")
-        # Everything is built in place and the index arrays are dropped before
-        # y and p exist, so peak memory stays at the size of (Z, Y, P) itself.
-        actions = np.stack([traj.actions[: n - 1] for traj in self.trajectories])
-        rewards = np.stack([traj.rewards[: n - 1] for traj in self.trajectories])
+        # Z is built in place and the mask freed before Y exists: peak memory stays at (Z, Y).
+        actions, rewards = self.actions[:, : n - 1], self.rewards[:, : n - 1]
         onehot = actions[..., np.newaxis] == np.arange(k)
         z = np.zeros((self.b, n - 1, 2 * k))
         counts, sums = z[..., :k], z[..., k:]
@@ -83,12 +98,11 @@ class PretrainDataset:
         t = np.arange(1, n)[:, np.newaxis]
         counts /= t
         sums /= t
-        del actions, rewards, onehot
+        del onehot
         z = z.reshape(self.m, 2 * k)
-        y = np.concatenate([traj.logits for traj in self.trajectories])
-        y -= y.mean(axis=-1, keepdims=True)  # project(), in place
-        p = np.concatenate([traj.policies for traj in self.trajectories])
-        return z, y, p
+        y = self.logits.reshape(self.m, k)
+        y = y - y.mean(axis=-1, keepdims=True)  # project()
+        return z, y, self.policies.reshape(self.m, k)
 
 
 def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainDataset:
@@ -101,20 +115,17 @@ def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainD
         raise InvalidConfigError(f"need at least one trajectory, got B={b}")
     if n < 2:
         raise InvalidConfigError(f"need at least two rounds, got N={n}")
-    ds = PretrainDataset(cfg=cfg, b=b, n=n, seed=seed)
+    arrays = {name: np.zeros(shape, dtype) for name, dtype, shape in _layout(b, n, cfg.k)}
+    ds = PretrainDataset(cfg, b, n, seed, **arrays)
     expert = expert_two_channel(cfg).stacked[np.newaxis]
-    for _, w, uniforms, noise in task_blocks(cfg, b, n, seed):
-        actions = np.zeros((len(w), n), dtype=np.int64)
-        rewards = np.zeros((len(w), n))
-        logits = np.zeros((len(w), n - 1, cfg.k))
-        policies = np.zeros((len(w), n - 1, cfg.k))
+    for rows, w, uniforms, noise in task_blocks(cfg, b, n, seed):
+        ds.w[rows] = w
         for rnd in closed_loop(expert, w, uniforms, noise, cfg):
-            actions[:, rnd.t - 1] = rnd.actions
-            rewards[:, rnd.t - 1] = rnd.rewards
+            ds.actions[rows, rnd.t - 1] = rnd.actions
+            ds.rewards[rows, rnd.t - 1] = rnd.rewards
             if rnd.t < n:
-                policies[:, rnd.t - 1] = rnd.policies[0]
-                logits[:, rnd.t - 1] = rnd.logits[0]
-        ds.trajectories.extend(map(Trajectory, w, actions, rewards, logits, policies))
+                ds.policies[rows, rnd.t - 1] = rnd.policies[0]
+                ds.logits[rows, rnd.t - 1] = rnd.logits[0]
     return ds
 
 
@@ -302,88 +313,73 @@ def solve_ls(fs: FisherStats, min_eigenvalue: float = 1e-10) -> TwoChannelParams
     return TwoChannelParams.from_stacked(w)
 
 
-# --- on-disk form: config snapshot + manifest + per-trajectory binaries ---
+# --- on-disk form: one file, DATASET_FILE, inside the dataset directory ---
 #
-# Each trajectory file is a flat little-endian float64 sequence:
-#   w (K), actions (N, stored as floats), rewards (N),
-#   logits ((N-1)*K, row-major), policies ((N-1)*K, row-major).
+#   SHA-256 digest (32 bytes) of everything after it
+#   header length (uint64, little-endian)
+#   JSON header: version, teacher constants, b, n, seed and `_layout`; padded
+#     with spaces so that the arrays start at a multiple of 8 bytes
+#   the arrays of `_layout`, in order, C-ordered
 
 
 def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
+    """Write `ds` to DATASET_FILE in `directory` with one atomic rename.
+
+    The bytes depend on the dataset alone.  The arrays are hashed and
+    written from their own buffers, with no concatenated copy.
+    """
+    ds._validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    config = {
-        "version": DATASET_FORMAT_VERSION,
-        "teacher": ds.cfg.to_dict(),
-        "b": ds.b,
-        "n": ds.n,
-        "seed": ds.seed,
-    }
-    (directory / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True))
-    names = []
-    hashes = []
-    for i, traj in enumerate(ds.trajectories):
-        name = f"traj_{i:05d}.bin"
-        blob = _trajectory_bytes(traj)
-        (directory / name).write_bytes(blob)
-        names.append(name)
-        hashes.append(hashlib.sha256(blob).hexdigest())
-    manifest = {
-        "version": DATASET_FORMAT_VERSION,
-        "k": ds.cfg.k,
-        "b": ds.b,
-        "n": ds.n,
-        "seed": ds.seed,
-        "pairs": ds.m,
-        "trajectories": names,
-        "sha256": hashes,
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    layout = _layout(ds.b, ds.n, ds.cfg.k)
+    header = dict(
+        version=DATASET_FORMAT_VERSION, teacher=ds.cfg.to_dict(), b=ds.b, n=ds.n, seed=ds.seed, arrays=layout
+    )
+    text = json.dumps(header, sort_keys=True).encode()
+    text += b" " * (-(40 + len(text)) % 8)
+    buffers = [struct.pack("<Q", len(text)), text]
+    buffers += [np.ascontiguousarray(getattr(ds, name), dtype) for name, dtype, _ in layout]
+    digest = hashlib.sha256()
+    for buf in buffers:
+        digest.update(buf)
+    write_atomic(directory / DATASET_FILE, [digest.digest(), *buffers])
     return directory
 
 
 def load_dataset(directory: str | Path) -> PretrainDataset:
+    """Read a dataset written by `save_dataset`, trusting nothing unchecked.
+
+    The stored digest is verified before anything else is parsed.  Then the
+    version, and each array's dtype and shape against B, N and K, must match,
+    and the file must end where the last array does.  The arrays are
+    read-only views of the file's bytes.
+    """
     directory = Path(directory)
-    config = json.loads((directory / "config.json").read_text())
-    if config["version"] == 1:
-        raise InvalidConfigError(
-            "dataset format version 1 was drawn with an older CRN stream layout, "
-            f"which changed in version {DATASET_FORMAT_VERSION}; regenerate the dataset"
-        )
-    if config["version"] != DATASET_FORMAT_VERSION:
-        raise InvalidConfigError(f"unsupported dataset version {config['version']}")
-    cfg = TeacherConfig.from_dict(config["teacher"])
-    manifest = json.loads((directory / "manifest.json").read_text())
-    provenance = {key: config[key] for key in ("version", "b", "n", "seed")}
-    provenance["k"] = cfg.k
-    for key, want in provenance.items():
-        if manifest.get(key) != want:
+    path = directory / DATASET_FILE
+    if not path.exists():
+        if (directory / "manifest.json").exists():
             raise InvalidConfigError(
-                f"manifest.json has {key} = {manifest.get(key)!r} but config.json has {want!r}"
+                f"{directory} holds a format 1 or 2 dataset (manifest.json, one file per trajectory); "
+                f"format {DATASET_FORMAT_VERSION} is a single file, so regenerate the dataset"
             )
-    ds = PretrainDataset(cfg=cfg, b=int(config["b"]), n=int(config["n"]), seed=int(config["seed"]))
-    names, hashes = manifest["trajectories"], manifest["sha256"]
-    if len(names) != ds.b or len(hashes) != ds.b:
-        raise InvalidConfigError(
-            f"manifest lists {len(names)} trajectories and {len(hashes)} hashes, expected B={ds.b}"
-        )
-    for name, digest in zip(names, hashes):
-        blob = (directory / name).read_bytes()
-        if hashlib.sha256(blob).hexdigest() != digest:
-            raise InvalidConfigError(f"{name}: SHA-256 does not match the manifest")
-        ds.trajectories.append(_trajectory_from_bytes(blob, cfg.k, ds.n))
-    return ds
-
-
-def _trajectory_bytes(traj: Trajectory) -> bytes:
-    parts = [traj.w, traj.actions.astype(float), traj.rewards, traj.logits.ravel(), traj.policies.ravel()]
-    return np.concatenate(parts).astype("<f8").tobytes()
-
-
-def _trajectory_from_bytes(blob: bytes, k: int, n: int) -> Trajectory:
-    flat = np.frombuffer(blob, dtype="<f8")
-    expected = k + 2 * n + 2 * (n - 1) * k
-    if flat.size != expected:
-        raise InvalidConfigError(f"trajectory record has {flat.size} floats, expected {expected}")
-    w, actions, rewards, logits, policies = np.split(flat.astype(float), np.cumsum([k, n, n, (n - 1) * k]))
-    return Trajectory(w, actions.astype(np.int64), rewards, logits.reshape(n - 1, k), policies.reshape(n - 1, k))
+        raise InvalidConfigError(f"dataset not found: {path}")
+    blob = path.read_bytes()
+    if len(blob) < 40 or hashlib.sha256(memoryview(blob)[32:]).digest() != blob[:32]:
+        raise InvalidConfigError(f"{path}: SHA-256 does not match the stored digest (file damaged or edited)")
+    (size,) = struct.unpack_from("<Q", blob, 32)
+    try:
+        header = json.loads(blob[40 : 40 + size])
+        if header["version"] != DATASET_FORMAT_VERSION:
+            raise InvalidConfigError(f"{path}: unsupported dataset version {header['version']!r}")
+        cfg = TeacherConfig.from_dict(header["teacher"])
+        b, n, seed = int(header["b"]), int(header["n"]), int(header["seed"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"{path}: malformed header: {exc}") from exc
+    if header.get("arrays") != (layout := _layout(b, n, cfg.k)):
+        raise InvalidConfigError(f"{path}: header lists arrays {header.get('arrays')}, expected {layout}")
+    arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])
+    if len(blob) != 40 + size + arrays.itemsize:
+        raise InvalidConfigError(f"{path}: {len(blob)} bytes, expected {40 + size + arrays.itemsize}")
+    record = np.frombuffer(blob, arrays, count=1, offset=40 + size)[0]
+    views = {name: record[name] for name in arrays.names}
+    return PretrainDataset(cfg, b, n, seed, **views, sha256=blob[:32].hex())

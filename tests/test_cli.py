@@ -9,6 +9,7 @@ from icpo_lab import atomic
 from icpo_lab.cli import load_config, load_params, main, save_params, teacher_from_config
 from icpo_lab.errors import InvalidConfigError
 from icpo_lab.lsa import TwoChannelParams
+from icpo_lab.pretrain import DATASET_FILE, load_dataset
 
 SMALL_CONFIG = """\
 [teacher]
@@ -108,7 +109,7 @@ class TestPipeline:
         cfg = _write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["generate", "--config", str(cfg)]) == 0
-        assert (out / "dataset/manifest.json").exists()
+        assert [p.name for p in (out / "dataset").iterdir()] == [DATASET_FILE]
         assert main(["train", "--config", str(cfg), "--dataset", str(out / "dataset")]) == 0
         log = (out / "train_log.csv").read_text().splitlines()
         assert log[0] == "iteration,loss,grad_norm"
@@ -148,11 +149,11 @@ class TestPipeline:
         cfg = _write_config(tmp_path)
         out = tmp_path / "out"
         main(["generate", "--config", str(cfg)])
-        first = (out / "dataset/manifest.json").read_text()
+        first = (out / "dataset" / DATASET_FILE).read_bytes()
         main(["generate", "--config", str(cfg), "--seed-override", "99"])
-        second = (out / "dataset/manifest.json").read_text()
+        second = (out / "dataset" / DATASET_FILE).read_bytes()
         assert first != second
-        assert json.loads(second)["seed"] == 99
+        assert load_dataset(out / "dataset").seed == 99
 
     def test_missing_dataset_is_clear_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -172,6 +173,81 @@ class TestPipeline:
         )
         assert main(["experiment", "--config", str(path)]) == 2
         assert "error: config is missing the [dataset] section" in capsys.readouterr().err
+
+    def test_params_json_records_dataset_digest(self, tmp_path):
+        """params.json names the dataset file's stored digest: the same for a
+        regenerated dataset, different for another seed."""
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        sidecars, stored = [], []
+        for extra in ([], [], ["--seed-override", "99"]):
+            main(["generate", "--config", str(cfg), *extra])
+            main(["train", "--config", str(cfg), "--dataset", str(out / "dataset")])
+            sidecars.append((out / "params.json").read_bytes())
+            stored.append((out / "dataset" / DATASET_FILE).read_bytes()[:32].hex())
+        digests = [json.loads(sidecar)["dataset_sha256"] for sidecar in sidecars]
+        assert digests == stored
+        assert sidecars[0] == sidecars[1]
+        assert digests[0] == digests[1] != digests[2]
+
+    def test_params_k_must_match_teacher_k(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["generate", "--config", str(cfg)])
+        main(["train", "--config", str(cfg), "--dataset", str(out / "dataset")])
+        other = tmp_path / "k4.ini"
+        other.write_text(cfg.read_text().replace("k = 3", "k = 4"))
+        capsys.readouterr()
+        assert main(["experiment", "--config", str(other), "--params", str(out / "params.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{out / 'params.bin'} holds K=3 operators but [teacher] k = 4" in err
+
+    @pytest.mark.parametrize(
+        "kind, drop",
+        [
+            ("matching", "b_test"),
+            ("matching", "n"),
+            ("shock", "b_test"),
+            ("shock", "n"),
+            ("shock", "s"),
+            ("shock", "delta_r"),
+        ],
+    )
+    def test_missing_experiment_key_is_clear_error(self, tmp_path, capsys, kind, drop):
+        keys = {"kind": kind, "b_test": "4", "n": "6", "seed": "21", "s": "2", "delta_r": "0.5"}
+        if kind == "matching":
+            del keys["s"], keys["delta_r"]
+        del keys[drop]
+        experiment = "".join(f"{key} = {value}\n" for key, value in keys.items())
+        path = tmp_path / "exp.ini"
+        out = tmp_path / "out"
+        path.write_text(f"[teacher]\nk = 3\n\n[experiment]\n{experiment}\n[output]\ndir = {out}\n")
+        params = tmp_path / "params.bin"
+        save_params(TwoChannelParams(np.zeros((3, 3)), np.zeros((3, 3))), params)
+        assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
+        assert f"error: [experiment] is missing required key(s): {drop}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, drop", [("experiment", "n"), ("experiment", "seed"), ("generate", "b")]
+    )
+    def test_missing_dataset_key_is_clear_error(self, tmp_path, capsys, command, drop):
+        keys = {"b": 20, "n": 5, "seed": 7}
+        dataset = "".join(f"{key} = {value}\n" for key, value in keys.items() if key != drop)
+        path = tmp_path / "lemma.ini"
+        path.write_text(
+            f"[teacher]\nk = 3\n\n[dataset]\n{dataset}\n[experiment]\nkind = lemma-suite\n\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main([command, "--config", str(path)]) == 2
+        assert f"error: [dataset] is missing required key(s): {drop}" in capsys.readouterr().err
+
+    def test_generate_seed_comes_from_the_override_when_unset(self, tmp_path):
+        path = tmp_path / "gen.ini"
+        out = tmp_path / "out"
+        path.write_text(f"[teacher]\nk = 3\n\n[dataset]\nb = 4\nn = 3\n\n[output]\ndir = {out}\n")
+        assert main(["generate", "--config", str(path), "--seed-override", "5"]) == 0
+        assert load_dataset(out / "dataset").seed == 5
 
 
 class _HalfWriter:

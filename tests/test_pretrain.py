@@ -1,11 +1,14 @@
 """Pretraining tests: dataset generation, moments, losses, solvers, persistence."""
 
 import dataclasses
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from icpo_lab import atomic
 from icpo_lab.errors import (
     InvalidConfigError,
     InvalidDistributionError,
@@ -14,6 +17,7 @@ from icpo_lab.errors import (
 )
 from icpo_lab.lsa import TwoChannelParams, project, teacher_two_channel
 from icpo_lab.pretrain import (
+    DATASET_FILE,
     empirical_stats,
     fisher_matrix,
     generate_dataset,
@@ -36,21 +40,46 @@ def _small_cfg(**kwargs):
     return TeacherConfig(**defaults)
 
 
+ARRAY_FIELDS = ("w", "actions", "rewards", "logits", "policies")
+
+
+def _assert_same_arrays(d1, d2):
+    for field in ARRAY_FIELDS:
+        assert np.array_equal(getattr(d1, field), getattr(d2, field)), field
+
+
+def _header(blob):
+    """(header length, parsed header) of a dataset file's bytes."""
+    (size,) = struct.unpack_from("<Q", blob, 32)
+    return size, json.loads(blob[40 : 40 + size])
+
+
+def _rewrite(path, header=None, body=None):
+    """Rewrite a dataset file with a new header and/or array bytes and a
+    freshly computed digest, so that only the checks after the digest see it."""
+    blob = path.read_bytes()
+    size, old = _header(blob)
+    text = json.dumps(old if header is None else header).encode()
+    text += b" " * (-(40 + len(text)) % 8)
+    rest = struct.pack("<Q", len(text)) + text + (blob[40 + size :] if body is None else body)
+    path.write_bytes(hashlib.sha256(rest).digest() + rest)
+
+
 def _reference_pair_matrices(ds):
     """Prefix statistics accumulated one step at a time."""
     k = ds.cfg.k
     z, y, p = np.zeros((ds.m, 2 * k)), np.zeros((ds.m, k)), np.zeros((ds.m, k))
     row = 0
-    for traj in ds.trajectories:
+    for i in range(ds.b):
         n_vec, g_vec = np.zeros(k), np.zeros(k)
         for t in range(1, ds.n):
-            a = int(traj.actions[t - 1])
+            a = int(ds.actions[i, t - 1])
             n_vec[a] += 1.0
-            g_vec[a] += traj.rewards[t - 1]
+            g_vec[a] += ds.rewards[i, t - 1]
             z[row, :k] = n_vec / t
             z[row, k:] = g_vec / t
-            y[row] = project(traj.logits[t - 1])
-            p[row] = traj.policies[t - 1]
+            y[row] = project(ds.logits[i, t - 1])
+            p[row] = ds.policies[i, t - 1]
             row += 1
     return z, y, p
 
@@ -60,16 +89,11 @@ class TestGenerateDataset:
         cfg = _small_cfg()
         d1 = generate_dataset(cfg, b=5, n=6, seed=9)
         d2 = generate_dataset(cfg, b=5, n=6, seed=9)
-        for t1, t2 in zip(d1.trajectories, d2.trajectories):
-            assert np.array_equal(t1.w, t2.w)
-            assert np.array_equal(t1.actions, t2.actions)
-            assert np.array_equal(t1.rewards, t2.rewards)
-            assert np.array_equal(t1.logits, t2.logits)
-            assert np.array_equal(t1.policies, t2.policies)
+        _assert_same_arrays(d1, d2)
 
     def test_full_exploration_policies_are_uniform(self):
         ds = generate_dataset(_small_cfg(gamma=1.0), b=1, n=3, seed=0)
-        assert np.array_equal(ds.trajectories[0].policies, np.full((2, 4), 0.25))
+        assert np.array_equal(ds.policies[0], np.full((2, 4), 0.25))
 
     def test_pair_count(self):
         ds = generate_dataset(_small_cfg(), b=7, n=5, seed=1)
@@ -89,14 +113,14 @@ class TestGenerateDataset:
         ds = generate_dataset(cfg, b=3, n=6, seed=4)
         z, y, _ = ds.pair_matrices()
         row = 0
-        for traj in ds.trajectories:
+        for actions, rewards, logits in zip(ds.actions, ds.rewards, ds.logits):
             for t in range(1, ds.n):
-                n_vec = np.bincount(traj.actions[:t], minlength=cfg.k).astype(float)
+                n_vec = np.bincount(actions[:t], minlength=cfg.k).astype(float)
                 g_vec = np.zeros(cfg.k)
-                for a, r in zip(traj.actions[:t], traj.rewards[:t]):
+                for a, r in zip(actions[:t], rewards[:t]):
                     g_vec[a] += r
                 s = (cfg.c / t) * (cfg.u @ g_vec + cfg.v @ n_vec)
-                assert np.allclose(traj.logits[t - 1], s, atol=1e-12)
+                assert np.allclose(logits[t - 1], s, atol=1e-12)
                 assert np.allclose(z[row, : cfg.k], n_vec / t, atol=1e-15)
                 assert np.allclose(y[row], project(s), atol=1e-12)
                 row += 1
@@ -106,18 +130,18 @@ class TestGenerateDataset:
         save_dataset(ds, tmp_path / "ds")
         back = load_dataset(tmp_path / "ds")
         assert back.b == ds.b and back.n == ds.n and back.seed == ds.seed
-        for t1, t2 in zip(ds.trajectories, back.trajectories):
-            assert np.array_equal(t1.w, t2.w)
-            assert np.array_equal(t1.actions, t2.actions)
-            assert np.array_equal(t1.rewards, t2.rewards)
-            assert np.array_equal(t1.logits, t2.logits)
-            assert np.array_equal(t1.policies, t2.policies)
+        assert back.cfg.to_dict() == ds.cfg.to_dict()
+        _assert_same_arrays(ds, back)
+        assert [p.name for p in (tmp_path / "ds").iterdir()] == [DATASET_FILE]
 
-    def test_manifest_identical_across_reruns(self, tmp_path):
+    def test_dataset_file_identical_across_reruns(self, tmp_path):
         ds = generate_dataset(_small_cfg(), b=3, n=4, seed=2)
         save_dataset(ds, tmp_path / "a")
         save_dataset(generate_dataset(_small_cfg(), b=3, n=4, seed=2), tmp_path / "b")
-        assert (tmp_path / "a/manifest.json").read_bytes() == (tmp_path / "b/manifest.json").read_bytes()
+        assert (tmp_path / "a" / DATASET_FILE).read_bytes() == (tmp_path / "b" / DATASET_FILE).read_bytes()
+        assert load_dataset(tmp_path / "a").sha256 == load_dataset(tmp_path / "b").sha256
+        save_dataset(load_dataset(tmp_path / "a"), tmp_path / "c")
+        assert (tmp_path / "c" / DATASET_FILE).read_bytes() == (tmp_path / "a" / DATASET_FILE).read_bytes()
 
 
 class TestPairMatrices:
@@ -128,59 +152,178 @@ class TestPairMatrices:
 
     def test_missing_trajectory_rejected(self):
         ds = generate_dataset(_small_cfg(), b=4, n=5, seed=2)
-        ds.trajectories.pop()
-        with pytest.raises(InvalidConfigError, match="3 trajectories"):
-            ds.pair_matrices()
+        for field in ARRAY_FIELDS:
+            short = dataclasses.replace(ds, **{field: getattr(ds, field)[:-1]})
+            with pytest.raises(InvalidConfigError, match=rf"{field} has shape \(3, .*for B=4"):
+                short.pair_matrices()
 
     def test_wrong_shape_rejected(self):
         ds = generate_dataset(_small_cfg(), b=4, n=5, seed=2)
-        ds.trajectories[1] = dataclasses.replace(ds.trajectories[1], logits=ds.trajectories[1].logits[:-1])
-        with pytest.raises(InvalidConfigError, match="trajectory 1"):
+        ds = dataclasses.replace(ds, logits=ds.logits[:, :-1])
+        with pytest.raises(InvalidConfigError, match=r"logits has shape \(4, 3, 4\), expected \(4, 4, 4\)"):
             ds.pair_matrices()
 
     def test_action_out_of_range_rejected(self):
         ds = generate_dataset(_small_cfg(), b=2, n=5, seed=2)
-        ds.trajectories[0].actions[2] = 4
-        with pytest.raises(InvalidConfigError, match="action"):
+        ds.actions[1, 2] = 4
+        with pytest.raises(InvalidConfigError, match="trajectory 1 has an action"):
             ds.pair_matrices()
 
 
 class TestDatasetIntegrity:
     def test_dropped_trajectory_rejected(self, tmp_path):
+        """A file cut short by one trajectory's bytes is rejected."""
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        (tmp_path / manifest["trajectories"].pop()).unlink()
-        manifest["sha256"].pop()
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(InvalidConfigError, match="expected B=4"):
+        path = tmp_path / DATASET_FILE
+        blob = path.read_bytes()
+        path.write_bytes(blob[: -8 * (4 + 5 + 5 + 2 * 4 * 4)])
+        with pytest.raises(InvalidConfigError, match="SHA-256"):
             load_dataset(tmp_path)
 
     def test_flipped_byte_rejected(self, tmp_path):
+        """A flipped bit in the digest, the header or the arrays is rejected."""
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
-        path = tmp_path / "traj_00002.bin"
-        blob = bytearray(path.read_bytes())
-        blob[40] ^= 0x01
-        path.write_bytes(bytes(blob))
-        with pytest.raises(InvalidConfigError, match="traj_00002.bin"):
-            load_dataset(tmp_path)
+        path = tmp_path / DATASET_FILE
+        original = path.read_bytes()
+        for position in (0, 40, len(original) // 2, -1):
+            blob = bytearray(original)
+            blob[position] ^= 0x01
+            path.write_bytes(bytes(blob))
+            with pytest.raises(InvalidConfigError, match=f"{DATASET_FILE}: SHA-256"):
+                load_dataset(tmp_path)
 
     @pytest.mark.parametrize("field, value", [("version", 42), ("k", 99), ("b", 3), ("n", 7), ("seed", 12345)])
     def test_manifest_provenance_must_match_config(self, tmp_path, field, value):
+        """The header now carries what the manifest and config.json did; an
+        edit to any of its fields fails the digest."""
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest[field] = value
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(InvalidConfigError, match=f"manifest.json has {field} = {value}"):
+        path = tmp_path / DATASET_FILE
+        blob = path.read_bytes()
+        size, header = _header(blob)
+        (header["teacher"] if field == "k" else header)[field] = value
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:32] + struct.pack("<Q", len(text)) + text + blob[40 + size :])
+        with pytest.raises(InvalidConfigError, match="SHA-256"):
             load_dataset(tmp_path)
 
-    def test_format_version_1_rejected_for_its_stream_layout(self, tmp_path):
-        save_dataset(generate_dataset(_small_cfg(), b=2, n=3, seed=12), tmp_path)
-        for name in ("config.json", "manifest.json"):
-            record = json.loads((tmp_path / name).read_text())
-            record["version"] = 1
-            (tmp_path / name).write_text(json.dumps(record))
-        with pytest.raises(InvalidConfigError, match="stream layout"):
+    def test_edited_teacher_constant_rejected(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        blob = path.read_bytes()
+        assert blob.count(b'"c": 1.0,') == 1
+        path.write_bytes(blob.replace(b'"c": 1.0,', b'"c": 5.0,'))
+        with pytest.raises(InvalidConfigError, match="SHA-256"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("extra", [b"\x00" * 8, b"\x00"])
+    def test_trailing_bytes_rejected_behind_a_valid_digest(self, tmp_path, extra):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        size, _ = _header(path.read_bytes())
+        _rewrite(path, body=path.read_bytes()[40 + size :] + extra)
+        with pytest.raises(InvalidConfigError, match="bytes, expected"):
+            load_dataset(tmp_path)
+
+    def test_short_arrays_rejected_behind_a_valid_digest(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        size, _ = _header(path.read_bytes())
+        _rewrite(path, body=path.read_bytes()[40 + size : -8])
+        with pytest.raises(InvalidConfigError, match="bytes, expected"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h.update(b=3), "header lists arrays"),
+            (lambda h: h["arrays"][1].__setitem__(1, "<f8"), "header lists arrays"),
+            (lambda h: h["arrays"][3][2].__setitem__(1, 5), "header lists arrays"),
+            (lambda h: h.update(version=2), "unsupported dataset version 2"),
+            (lambda h: h.pop("seed"), "malformed header"),
+        ],
+        ids=["b", "dtype", "shape", "version", "no-seed"],
+    )
+    def test_header_must_agree_with_its_arrays(self, tmp_path, edit, message):
+        """Behind a valid digest, the header's dtypes and shapes must match B, N and K."""
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        _, header = _header(path.read_bytes())
+        edit(header)
+        _rewrite(path, header=header)
+        with pytest.raises(InvalidConfigError, match=message):
+            load_dataset(tmp_path)
+
+    def test_loaded_arrays_are_read_only_views(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        ds = load_dataset(tmp_path)
+        for field in ARRAY_FIELDS:
+            array = getattr(ds, field)
+            assert not array.flags.writeable and array.base is not None
+        assert ds.actions.dtype == np.int64
+        assert ds.sha256 == (tmp_path / DATASET_FILE).read_bytes()[:32].hex()
+
+    def test_different_seed_gives_different_digest(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path / "a")
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=13), tmp_path / "b")
+        assert load_dataset(tmp_path / "a").sha256 != load_dataset(tmp_path / "b").sha256
+
+    def test_format_version_1_rejected_for_its_stream_layout(self, tmp_path):
+        for name in ("config.json", "manifest.json"):
+            (tmp_path / name).write_text(json.dumps({"version": 1, "k": 4, "b": 2, "n": 3, "seed": 12}))
+        (tmp_path / "traj_00000.bin").write_bytes(b"\x00" * 8)
+        with pytest.raises(InvalidConfigError, match="regenerate the dataset"):
+            load_dataset(tmp_path)
+
+    def test_format_version_2_directory_rejected(self, tmp_path):
+        """A directory the per-trajectory writer left behind names the fix."""
+        manifest = {"version": 2, "k": 4, "b": 1, "n": 3, "seed": 12, "trajectories": ["traj_00000.bin"]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "config.json").write_text(json.dumps({"version": 2}))
+        (tmp_path / "traj_00000.bin").write_bytes(b"\x00" * 8)
+        with pytest.raises(InvalidConfigError, match="format 1 or 2 dataset .*regenerate the dataset"):
+            load_dataset(tmp_path)
+
+    def test_missing_dataset_names_the_file(self, tmp_path):
+        with pytest.raises(InvalidConfigError, match=f"dataset not found: .*{DATASET_FILE}"):
+            load_dataset(tmp_path)
+
+    def test_interrupted_write_keeps_the_previous_dataset(self, tmp_path, monkeypatch):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        before = (tmp_path / DATASET_FILE).read_bytes()
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(atomic.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=99), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [DATASET_FILE]
+        assert (tmp_path / DATASET_FILE).read_bytes() == before
+        assert load_dataset(tmp_path).seed == 12
+
+    def test_interrupted_first_write_leaves_no_dataset(self, tmp_path, monkeypatch):
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(atomic.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path / "ds")
+        assert list((tmp_path / "ds").iterdir()) == []
+
+    def test_save_streams_buffers_without_a_joined_copy(self, tmp_path, monkeypatch):
+        """Each array reaches the file as its own buffer, none larger than it."""
+        ds = generate_dataset(_small_cfg(), b=4, n=5, seed=12)
+        sizes = []
+        real = atomic.write_atomic
+
+        def spy(path, data):
+            sizes.extend(memoryview(buf).nbytes for buf in data)
+            real(path, data)
+
+        monkeypatch.setattr("icpo_lab.pretrain.write_atomic", spy)
+        save_dataset(ds, tmp_path)
+        assert sizes[-5:] == [getattr(ds, field).nbytes for field in ARRAY_FIELDS]
+        assert sum(sizes) == (tmp_path / DATASET_FILE).stat().st_size
 
 
 class TestFisherMatrix:
