@@ -374,7 +374,10 @@ def cmd_me_icpo(args: argparse.Namespace) -> int:
     else:
         raise InvalidConfigError(f"unknown generator {backend!r}; expected 'mock' or 'http'")
 
-    result = run_me_icpo(question, cfg, generator)
+    try:
+        result = run_me_icpo(question, cfg, generator)
+    finally:
+        generator.close()
     payload = {
         "question": question,
         "final_answer": result.final_answer,

@@ -13,15 +13,15 @@ concurrently, so results never depend on completion order.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
-import requests
-
-from ..errors import GeneratorError
+from ..errors import GeneratorError, InvalidConfigError
 
 
 def count_tokens(text: str) -> int:
@@ -46,8 +46,10 @@ class GeneratorRequest:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.top_p <= 1:
+            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -73,6 +75,9 @@ class Generator(Protocol):
     def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
         """Answer each request in turn; `responses[i]` answers `requests[i]`."""
         return [self.generate(request) for request in requests]
+
+    def close(self) -> None:
+        """Release what the generator holds open; the mocks hold nothing."""
 
 
 def _as_response(request: GeneratorRequest, texts: Sequence[str]) -> GeneratorResponse:
@@ -158,15 +163,20 @@ class HttpGenerator(Generator):
     """JSON-over-HTTP chat-completion client with bearer auth and retries.
 
     The API key is read from the environment variable named by
-    `api_key_env`.  Transport errors (connection failures and timeouts),
-    HTTP 5xx, and 429 are retried with linear backoff up to `max_retries`
-    times, then surfaced; a 429 or 5xx carrying `Retry-After` in seconds
-    waits at least that long.  Any other 4xx, and a body that is not JSON or
-    lacks the chat-completion fields, raise `GeneratorError` at once.
+    `api_key_env`.  Transport errors (`OSError`, including timeouts, and
+    `http.client.HTTPException`), HTTP 5xx, and 429 are retried with linear
+    backoff up to `max_retries` times, then surfaced; a 429 or 5xx carrying
+    `Retry-After` in seconds waits at least that long.  A failed certificate
+    check, a 3xx (redirects are not followed), any other 4xx, and a body that
+    is not JSON or lacks the chat-completion fields raise `GeneratorError` at
+    once.  `timeout` bounds each socket operation.  Proxy variables are not
+    honoured.
 
+    Idle keep-alive connections wait in a queue: a post takes one, or opens
+    one when none is idle, and puts it back unless the response says the
+    server will close it.  The queue so grows to the widest wave sent.
     `generate_many` posts a whole wave at once from a thread pool as wide as
-    the wave.  A session built here grows its keep-alive pool to the widest
-    wave; a session passed in is used as given.
+    the wave.  `close` closes the idle connections.
     """
 
     def __init__(
@@ -177,20 +187,29 @@ class HttpGenerator(Generator):
         timeout: float = 120.0,
         max_retries: int = 3,
         backoff: float = 1.0,
-        session: requests.Session | None = None,
     ):
+        from urllib.parse import urlsplit
+
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise InvalidConfigError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._owns_session = session is None
-        self._session = session or requests.Session()
-        self._pool_size = requests.adapters.DEFAULT_POOLSIZE
+        self._host, self._port = url.hostname, url.port
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._tls = None
+        if url.scheme == "https":
+            import ssl
+
+            self._tls = ssl.create_default_context()
+        self._idle: deque = deque()  # append and pop are atomic, so threads share it unlocked
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": "icpo-lab"}
         key = os.environ.get(self.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
@@ -206,14 +225,57 @@ class HttpGenerator(Generator):
             "n": request.n,
         }
 
-    def _fit_pool(self, width: int) -> None:
-        """Keep `width` pooled connections per host, so no wave reconnects."""
-        if not self._owns_session or width <= self._pool_size:
-            return
-        for prefix in ("https://", "http://"):
-            self._session.adapters[prefix].close()
-            self._session.mount(prefix, requests.adapters.HTTPAdapter(pool_maxsize=width))
-        self._pool_size = width
+    def _connection(self):
+        """An idle keep-alive connection the peer has not closed, else a new one.
+
+        A socket the peer closed polls readable (end of file), as does one
+        holding bytes no request asked for; either is discarded before a
+        request is spent on it.
+        """
+        import http.client
+        import select
+
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                break
+            poll = select.poll()
+            poll.register(conn.sock, select.POLLIN)
+            if not poll.poll(0):
+                return conn
+            conn.close()
+        if self._tls is not None:
+            return http.client.HTTPSConnection(self._host, self._port, timeout=self.timeout, context=self._tls)
+        return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, Mapping, bytes]:
+        """One POST of `body`: (status, response headers, response body), or raises.
+
+        The headers need only a case-insensitive `get`.
+        """
+        conn = self._connection()
+        try:
+            conn.request("POST", self._path, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return resp.status, resp.headers, data
+
+    def close(self) -> None:
+        """Close the idle connections; a later post opens new ones."""
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                return
+            conn.close()
 
     def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
         """Post the whole wave concurrently and wait for all of it.
@@ -225,12 +287,16 @@ class HttpGenerator(Generator):
             return super().generate_many(requests)
         from concurrent.futures import ThreadPoolExecutor
 
-        self._fit_pool(len(requests))
         with ThreadPoolExecutor(max_workers=len(requests)) as pool:
             futures = [pool.submit(self.generate, request) for request in requests]
         return [future.result() for future in futures]
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
+        import http.client
+        import ssl
+
+        body = json.dumps(self._payload(request), allow_nan=False).encode()
+        headers = self._headers()
         last_error: Exception | None = None
         retry_after = 0.0
         for attempt in range(self.max_retries + 1):
@@ -238,25 +304,24 @@ class HttpGenerator(Generator):
                 time.sleep(max(self.backoff * attempt, retry_after))
                 retry_after = 0.0
             try:
-                resp = self._session.post(
-                    self.endpoint,
-                    json=self._payload(request),
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                status, resp_headers, data = self._post(body, headers)
+            except ssl.SSLCertVerificationError as exc:
+                raise GeneratorError(f"TLS certificate check failed: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            except requests.RequestException as exc:
-                raise GeneratorError(f"request failed: {exc}") from exc
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = GeneratorError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+            text = data[:200].decode("utf-8", "replace")
+            if status == 429 or status >= 500:
+                last_error = GeneratorError(f"HTTP {status}: {text}")
+                retry_after = _retry_after_s(resp_headers.get("Retry-After"))
                 continue
-            if resp.status_code >= 400:
-                raise GeneratorError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            if 300 <= status < 400:
+                location = resp_headers.get("Location")
+                raise GeneratorError(f"HTTP {status} redirect to {location!r}; redirects are not followed")
+            if status >= 400:
+                raise GeneratorError(f"HTTP {status}: {text}")
             try:
-                return self._parse(request, resp.json())
+                return self._parse(request, json.loads(data))
             except (ValueError, KeyError, TypeError) as exc:
                 raise GeneratorError(f"malformed response body: {exc!r}") from exc
         raise GeneratorError(f"request failed after {self.max_retries + 1} attempts: {last_error}")

@@ -113,6 +113,12 @@ class MeIcpoConfig:
             raise InvalidConfigError(f"unknown answer mode {self.mode!r}")
         if self.selection not in ("entropy", "reward"):
             raise InvalidConfigError(f"selection must be 'entropy' or 'reward', got {self.selection!r}")
+        for name in ("temperature", "entropy_temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.top_p <= 1:
+            raise InvalidConfigError(f"top_p must be in (0, 1], got {self.top_p}")
 
 
 @dataclass

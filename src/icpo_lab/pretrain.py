@@ -326,7 +326,9 @@ def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
     """Write `ds` to DATASET_FILE in `directory` with one atomic rename.
 
     The bytes depend on the dataset alone.  The arrays are hashed and
-    written from their own buffers, with no concatenated copy.
+    written from their own buffers, with no concatenated copy.  Once the
+    file is in place, the files of a format 1 or 2 dataset in `directory`
+    (`manifest.json`, `config.json`, `traj_*.bin`) are removed.
     """
     ds._validate()
     directory = Path(directory)
@@ -343,6 +345,9 @@ def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
     for buf in buffers:
         digest.update(buf)
     write_atomic(directory / DATASET_FILE, [digest.digest(), *buffers])
+    if (directory / "manifest.json").exists():  # a format 1 or 2 dataset this one replaces
+        for stale in [directory / "manifest.json", directory / "config.json", *directory.glob("traj_*.bin")]:
+            stale.unlink(missing_ok=True)
     return directory
 
 

@@ -1,10 +1,15 @@
 """CLI tests: config validation, parameter file format, end-to-end commands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icpo_lab
 from icpo_lab import atomic
 from icpo_lab.cli import load_config, load_params, main, save_params, teacher_from_config
 from icpo_lab.errors import InvalidConfigError
@@ -357,6 +362,17 @@ class TestMeIcpoCommand:
         result = json.loads((tmp_path / "out/result.json").read_text())
         assert result["question"] == "What is 50% of 10?"
 
+    @pytest.mark.parametrize("line", ["temperature = nan", "top_p = 7", "entropy_temperature = -1"])
+    def test_out_of_range_sampling_value_is_clear_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(
+            "[me-icpo]\ngenerator = mock\nrounds = 1\nk = 2\nm = 2\nmode = numeric\n"
+            f"{line}\nquestion = Anything?\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["me-icpo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
+        assert not (tmp_path / "out/result.json").exists()
+
     def test_experiment_kind_me_icpo_rejected(self, tmp_path, capsys):
         """The refinement loop runs through the `me-icpo` command only."""
         cfg = tmp_path / "m.ini"
@@ -368,3 +384,14 @@ class TestMeIcpoCommand:
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert "unknown experiment kind 'me-icpo'" in capsys.readouterr().err
         assert not (tmp_path / "out/result.json").exists()
+
+
+def test_cli_import_loads_no_http_stack():
+    """Only `me-icpo` with `generator = http` needs HTTP; no command pays for it at startup."""
+    probe = "import sys, icpo_lab.cli; print(sorted({'requests', 'urllib3', 'http.client', 'ssl'} & set(sys.modules)))"
+    src = str(Path(icpo_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,11 @@
 """Refinement-loop tests: extraction, voting, entropy selection, metrics, HTTP client."""
 
+import contextlib
+import http.client
 import json
 import math
 import random
+import ssl
 import sys
 import threading
 import time
@@ -11,7 +14,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-import requests
 
 from icpo_lab.errors import GeneratorError, InvalidConfigError, NoConsensusError
 from icpo_lab.meicpo import (
@@ -364,6 +366,25 @@ class TestRunMeIcpo:
         with pytest.raises(InvalidConfigError):
             MeIcpoConfig(mode="roman")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("temperature", math.nan),
+            ("temperature", math.inf),
+            ("temperature", -0.1),
+            ("entropy_temperature", math.nan),
+            ("top_p", 7.0),
+            ("top_p", 0.0),
+            ("top_p", math.nan),
+        ],
+    )
+    def test_sampling_values_out_of_range_rejected(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field):
+            MeIcpoConfig(**{field: value})
+        if field != "entropy_temperature":
+            with pytest.raises(ValueError, match=field):
+                GeneratorRequest(messages=(Message("user", "hi"),), **{field: value})
+
     def test_system_prompt_defaults_by_mode(self):
         gen = ScriptedGenerator([["boxed{1}"], ["s"], ["boxed{1}"], ["boxed{1}"]])
         run_me_icpo("Q?", MeIcpoConfig(rounds=1, k=1, m=1, mode="letter"), gen)
@@ -420,41 +441,30 @@ class TestComputeMetrics:
             compute_metrics([["1"], ["1", "2"]], golds=["1", "2"], mode="numeric")
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, body=None, headers=None):
-        self.status_code = status_code
-        self._body = body or {}
-        self.text = json.dumps(self._body)
-        self.headers = headers or {}
-
-    def json(self):
-        return self._body
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise GeneratorError(f"HTTP {self.status_code}")
+def _reply(status=200, body=None, headers=None):
+    """What `HttpGenerator._post` returns: (status, response headers, body bytes)."""
+    return status, headers or {}, json.dumps(body or {}).encode()
 
 
-class _FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
+class _FakeTransport:
+    """Stands in for `HttpGenerator._post`: pops scripted replies, raising exceptions."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
         self.posts = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        response = self.responses.pop(0)
-        if isinstance(response, Exception):
-            raise response
-        return response
+    def __call__(self, body, headers):
+        self.posts.append({"json": json.loads(body), "headers": headers})
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
 
-class _NotJsonResponse(_FakeResponse):
-    def __init__(self):
-        super().__init__(200)
-        self.text = "<html>gateway</html>"
-
-    def json(self):
-        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+def _http(transport, endpoint="http://x", model="m", **kwargs):
+    gen = HttpGenerator(endpoint, model, **kwargs)
+    gen._post = transport
+    return gen
 
 
 class TestHttpGenerator:
@@ -466,67 +476,81 @@ class TestHttpGenerator:
             "choices": [{"message": {"content": "a"}}, {"message": {"content": "b"}}],
             "usage": {"prompt_tokens": 11, "completion_tokens": 7},
         }
-        session = _FakeSession([_FakeResponse(200, body)])
-        gen = HttpGenerator("http://x/v1/chat", "m", session=session, max_retries=0, backoff=0.0)
+        gen = _http(_FakeTransport([_reply(200, body)]), "http://x/v1/chat", max_retries=0, backoff=0.0)
         resp = gen.generate(self._request())
         assert resp.texts == ["a", "b"]
         assert resp.prompt_tokens == 11 and resp.completion_tokens == 7
 
     def test_payload_shape_and_bearer_header(self, monkeypatch):
         monkeypatch.setenv("ICPO_API_KEY", "sekret")
-        session = _FakeSession([_FakeResponse(200, {"choices": [{"text": "a"}, {"text": "b"}]})])
-        gen = HttpGenerator("http://x/v1/chat", "my-model", session=session, max_retries=0, backoff=0.0)
+        transport = _FakeTransport([_reply(200, {"choices": [{"text": "a"}, {"text": "b"}]})])
+        gen = _http(transport, "http://x/v1/chat", "my-model", max_retries=0, backoff=0.0)
         gen.generate(self._request())
-        post = session.posts[0]
+        post = transport.posts[0]
         assert post["json"]["model"] == "my-model"
         assert post["json"]["n"] == 2
         assert post["json"]["messages"] == [{"role": "user", "content": "hi"}]
         assert post["headers"]["Authorization"] == "Bearer sekret"
 
     def test_retries_server_errors_then_succeeds(self):
-        ok = _FakeResponse(200, {"choices": [{"text": "a"}, {"text": "b"}]})
-        session = _FakeSession([_FakeResponse(500), _FakeResponse(429), ok])
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
+        ok = _reply(200, {"choices": [{"text": "a"}, {"text": "b"}]})
+        transport = _FakeTransport([_reply(500), _reply(429), ok])
+        gen = _http(transport, max_retries=2, backoff=0.0)
         assert gen.generate(self._request()).texts == ["a", "b"]
-        assert len(session.posts) == 3
+        assert len(transport.posts) == 3
 
     def test_surfaces_after_retry_budget(self):
-        session = _FakeSession([_FakeResponse(500)] * 3)
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
+        gen = _http(_FakeTransport([_reply(500)] * 3), max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError):
             gen.generate(self._request())
 
     def test_client_error_is_not_retried(self):
-        session = _FakeSession([_FakeResponse(404)] * 3)
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
+        transport = _FakeTransport([_reply(404)] * 3)
+        gen = _http(transport, max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError, match="HTTP 404"):
             gen.generate(self._request())
-        assert len(session.posts) == 1
+        assert len(transport.posts) == 1
 
     @pytest.mark.parametrize(
         "bad",
-        [lambda: _FakeResponse(200, {"error": "no choices"}), _NotJsonResponse],
+        [_reply(200, {"error": "no choices"}), (200, {}, b"<html>gateway</html>")],
         ids=["missing-choices", "not-json"],
     )
     def test_malformed_body_is_not_retried(self, bad):
-        session = _FakeSession([bad() for _ in range(3)])
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
+        transport = _FakeTransport([bad] * 3)
+        gen = _http(transport, max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError, match="malformed"):
             gen.generate(self._request())
-        assert len(session.posts) == 1
+        assert len(transport.posts) == 1
 
     def test_retries_transport_errors_then_succeeds(self):
-        ok = _FakeResponse(200, {"choices": [{"text": "a"}, {"text": "b"}]})
-        session = _FakeSession([requests.ConnectionError("reset"), requests.Timeout("slow"), ok])
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=2, backoff=0.0)
+        ok = _reply(200, {"choices": [{"text": "a"}, {"text": "b"}]})
+        errors = [ConnectionResetError("reset"), TimeoutError("slow"), http.client.IncompleteRead(b"")]
+        transport = _FakeTransport([*errors, ok])
+        gen = _http(transport, max_retries=3, backoff=0.0)
         assert gen.generate(self._request()).texts == ["a", "b"]
-        assert len(session.posts) == 3
+        assert len(transport.posts) == 4
 
     def test_choice_count_mismatch_is_error(self):
-        session = _FakeSession([_FakeResponse(200, {"choices": [{"text": "only one"}]})] * 2)
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=1, backoff=0.0)
+        gen = _http(_FakeTransport([_reply(200, {"choices": [{"text": "only one"}]})] * 2), max_retries=1, backoff=0.0)
         with pytest.raises(GeneratorError):
             gen.generate(self._request(n=2))
+
+
+    @pytest.mark.parametrize("endpoint", ["ftp://x/v1", "localhost:8000/v1", "http:///v1"])
+    def test_endpoint_must_be_an_http_url(self, endpoint):
+        with pytest.raises(InvalidConfigError, match="http:// or https://"):
+            HttpGenerator(endpoint, "m")
+
+    def test_certificate_error_is_not_retried(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("icpo_lab.meicpo.generator.time.sleep", slept.append)
+        ok = _reply(200, {"choices": [{"text": "a"}, {"text": "b"}]})
+        transport = _FakeTransport([ssl.SSLCertVerificationError("certificate verify failed"), ok])
+        gen = _http(transport, "https://x", max_retries=2, backoff=1.0)
+        with pytest.raises(GeneratorError, match="certificate"):
+            gen.generate(self._request())
+        assert len(transport.posts) == 1 and slept == []
 
 
 class TestRetryAfter:
@@ -535,10 +559,9 @@ class TestRetryAfter:
     def _run(self, monkeypatch, statuses_and_headers, backoff=1.0):
         slept = []
         monkeypatch.setattr("icpo_lab.meicpo.generator.time.sleep", slept.append)
-        ok = _FakeResponse(200, {"choices": [{"text": "a"}]})
-        session = _FakeSession([_FakeResponse(code, headers=h) for code, h in statuses_and_headers] + [ok])
-        retries = len(statuses_and_headers)
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=retries, backoff=backoff)
+        ok = _reply(200, {"choices": [{"text": "a"}]})
+        transport = _FakeTransport([_reply(code, headers=h) for code, h in statuses_and_headers] + [ok])
+        gen = _http(transport, max_retries=len(statuses_and_headers), backoff=backoff)
         assert gen.generate(GeneratorRequest(messages=(Message("user", "hi"),), n=1)).texts == ["a"]
         return slept
 
@@ -562,8 +585,8 @@ class TestRetryAfter:
         assert slept == [4.0, 1.0]
 
 
-class _KeyedSession:
-    """Thread-safe fake session answering each post from its payload alone.
+class _KeyedTransport:
+    """Thread-safe fake transport answering each post from its payload alone.
 
     `respond(request)` gives the texts (or an int HTTP status), `delay(request)`
     a wait in seconds, and an optional barrier makes every post wait for the
@@ -576,13 +599,14 @@ class _KeyedSession:
         self.barrier = barrier
         self.posts = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def __call__(self, body, headers):
+        payload = json.loads(body)
         request = GeneratorRequest(
-            messages=tuple(Message(m["role"], m["content"]) for m in json["messages"]),
-            temperature=json["temperature"],
-            top_p=json["top_p"],
-            max_tokens=json["max_tokens"],
-            n=json["n"],
+            messages=tuple(Message(m["role"], m["content"]) for m in payload["messages"]),
+            temperature=payload["temperature"],
+            top_p=payload["top_p"],
+            max_tokens=payload["max_tokens"],
+            n=payload["n"],
         )
         self.posts.append(request)
         if self.barrier is not None:
@@ -591,8 +615,8 @@ class _KeyedSession:
             time.sleep(self.delay(request))
         out = self.respond(request)
         if isinstance(out, int):
-            return _FakeResponse(out, {"error": request.messages[0].text})
-        return _FakeResponse(200, {"choices": [{"text": t} for t in out]})
+            return _reply(out, {"error": request.messages[0].text})
+        return _reply(200, {"choices": [{"text": t} for t in out]})
 
 
 def _seeded_delay(seed, scale=0.004):
@@ -612,8 +636,8 @@ def _wave(k):
 class TestConcurrentWaves:
     def test_wave_is_sent_concurrently(self):
         k = 8
-        session = _KeyedSession(lambda r: [r.messages[0].text], barrier=threading.Barrier(k, timeout=5))
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        transport = _KeyedTransport(lambda r: [r.messages[0].text], barrier=threading.Barrier(k, timeout=5))
+        gen = _http(transport, max_retries=0, backoff=0.0)
         responses = gen.generate_many(_wave(k))
         assert [r.texts for r in responses] == [[f"request {i}"] for i in range(k)]
 
@@ -626,8 +650,8 @@ class TestConcurrentWaves:
             finished.append(request.messages[0].text)
             return [request.messages[0].text.upper()]
 
-        session = _KeyedSession(respond, delay=lambda r: 0.003 * order[int(r.messages[0].text.split()[1])])
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        transport = _KeyedTransport(respond, delay=lambda r: 0.003 * order[int(r.messages[0].text.split()[1])])
+        gen = _http(transport, max_retries=0, backoff=0.0)
         responses = gen.generate_many(_wave(k))
         assert [r.texts for r in responses] == [[f"REQUEST {i}"] for i in range(k)]
         assert finished != [f"request {i}" for i in range(k)]  # completion order differed
@@ -640,15 +664,14 @@ class TestConcurrentWaves:
             return 404 if index in (2, 4) else [request.messages[0].text]
 
         # Request 2 fails last in time, yet its error is the one raised.
-        session = _KeyedSession(respond, delay=lambda r: 0.05 if r.messages[0].text == "request 2" else 0.0)
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        transport = _KeyedTransport(respond, delay=lambda r: 0.05 if r.messages[0].text == "request 2" else 0.0)
+        gen = _http(transport, max_retries=0, backoff=0.0)
         with pytest.raises(GeneratorError, match="request 2"):
             gen.generate_many(_wave(k))
-        assert len(session.posts) == k
+        assert len(transport.posts) == k
 
     def test_empty_and_single_waves(self):
-        session = _KeyedSession(lambda r: ["x"])
-        gen = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        gen = _http(_KeyedTransport(lambda r: ["x"]), max_retries=0, backoff=0.0)
         assert gen.generate_many([]) == []
         assert [r.texts for r in gen.generate_many(_wave(1))] == [["x"]]
 
@@ -657,12 +680,12 @@ class TestConcurrentWaves:
         entropy_map = {0: 2, 1: 3, 2: 1, 3: 2, 4: 1}
         cfg = MeIcpoConfig(rounds=3, k=5, m=4, mode="numeric", selection=selection)
         sequential = run_me_icpo("Q?", cfg, FunctionGenerator(_loop_responder(entropy_map)))
-        session = _KeyedSession(_loop_responder(entropy_map), delay=_seeded_delay(3))
-        http = HttpGenerator("http://x", "m", session=session, max_retries=0, backoff=0.0)
+        transport = _KeyedTransport(_loop_responder(entropy_map), delay=_seeded_delay(3))
+        client = _http(transport, max_retries=0, backoff=0.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more thread switches than cores, to shake out ordering bugs
         try:
-            concurrent = run_me_icpo("Q?", cfg, http)
+            concurrent = run_me_icpo("Q?", cfg, client)
         finally:
             sys.setswitchinterval(interval)
         assert concurrent.trace_records() == sequential.trace_records()
@@ -677,13 +700,38 @@ class TestConcurrentWaves:
         assert gen.requests == _wave(3)
 
 
-class _WaveHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive
+@contextlib.contextmanager
+def _loopback(handler, server_class=ThreadingHTTPServer, **attrs):
+    """A threaded HTTP server on 127.0.0.1 with `attrs` set on it, shut down on exit."""
+    server = server_class(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    for name, value in attrs.items():
+        setattr(server, name, value)
+    # A short poll interval lets `shutdown` return promptly.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _endpoint(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+
+
+class _EchoHandler(BaseHTTPRequestHandler):
+    """Keep-alive HTTP/1.1 server answering each post with its first message."""
+
+    protocol_version = "HTTP/1.1"
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        self.server.peers.add(self.client_address)
-        self.server.barrier.wait()
+        self.server.peers.append(self.client_address)
+        self.on_post()
         data = json.dumps({"choices": [{"text": body["messages"][0]["content"]}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -691,34 +739,80 @@ class _WaveHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    def on_post(self):
+        pass
+
     def log_message(self, *args):
         pass
 
 
-def test_own_session_keeps_a_connection_per_wave_slot():
-    """Two 16-wide waves over loopback open 16 connections, not 16 + 6.
+class _WaveHandler(_EchoHandler):
+    def on_post(self):
+        self.server.barrier.wait()
 
-    The default keep-alive pool holds 10; a session the generator builds
-    itself must keep every connection of the widest wave for the next one.
+
+class _ClosingHandler(_EchoHandler):
+    def on_post(self):
+        self.close_connection = True  # closed after the reply, with no `Connection: close` header
+
+
+class _ClosingServer(ThreadingHTTPServer):
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+class _RedirectHandler(_EchoHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.peers.append(self.client_address)
+        self.send_response(302)
+        self.send_header("Location", "/v2/chat")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+def test_own_session_keeps_a_connection_per_wave_slot():
+    """Two 16-wide waves over loopback open 16 connections, not more.
+
+    The idle queue keeps every connection of the widest wave for the next one.
     """
     k = 16
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _WaveHandler)
-    server.daemon_threads = True
-    server.peers = set()
-    server.barrier = threading.Barrier(k, timeout=5)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    gen = HttpGenerator(f"http://127.0.0.1:{server.server_address[1]}/", "m", max_retries=0, backoff=0.0)
-    try:
-        for _ in range(2):
-            assert [r.texts for r in gen.generate_many(_wave(k))] == [[f"request {i}"] for i in range(k)]
-    finally:
-        gen._session.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
-    assert len(server.peers) == k
+    with _loopback(_WaveHandler, peers=[], barrier=threading.Barrier(k, timeout=5)) as server:
+        gen = HttpGenerator(_endpoint(server), "m", max_retries=0, backoff=0.0)
+        try:
+            for _ in range(2):
+                assert [r.texts for r in gen.generate_many(_wave(k))] == [[f"request {i}"] for i in range(k)]
+        finally:
+            gen.close()
+    assert len(server.peers) == 2 * k and len(set(server.peers)) == k
+
+
+def test_connection_closed_by_the_server_is_replaced_without_a_retry(monkeypatch):
+    """An idle connection the server closed is found before it is used."""
+    slept = []
+    monkeypatch.setattr("icpo_lab.meicpo.generator.time.sleep", slept.append)
+    with _loopback(_ClosingHandler, _ClosingServer, peers=[], closed=threading.Semaphore(0)) as server:
+        gen = HttpGenerator(_endpoint(server), "m", max_retries=2, backoff=1.0)
+        try:
+            for i in range(3):
+                assert gen.generate(_wave(3)[i]).texts == [f"request {i}"]
+                assert server.closed.acquire(timeout=5)  # the server has closed this connection
+        finally:
+            gen.close()
+    assert len(server.peers) == 3 and len(set(server.peers)) == 3
+    assert slept == []
+
+
+def test_redirect_is_surfaced_not_followed():
+    with _loopback(_RedirectHandler, peers=[]) as server:
+        gen = HttpGenerator(_endpoint(server), "m", max_retries=2, backoff=0.0)
+        try:
+            with pytest.raises(GeneratorError, match="HTTP 302 redirect to '/v2/chat'"):
+                gen.generate(_wave(1)[0])
+        finally:
+            gen.close()
+    assert len(server.peers) == 1
 
 
 class TestScriptedGenerator:

@@ -283,6 +283,16 @@ class TestDatasetIntegrity:
         with pytest.raises(InvalidConfigError, match="format 1 or 2 dataset .*regenerate the dataset"):
             load_dataset(tmp_path)
 
+    def test_save_over_a_format_2_directory_removes_its_files(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"version": 2}))
+        (tmp_path / "config.json").write_text(json.dumps({"version": 2}))
+        for i in range(3):
+            (tmp_path / f"traj_{i:05d}.bin").write_bytes(b"\x00" * 8)
+        (tmp_path / "notes.txt").write_text("kept")
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [DATASET_FILE, "notes.txt"]
+        assert load_dataset(tmp_path).b == 4
+
     def test_missing_dataset_names_the_file(self, tmp_path):
         with pytest.raises(InvalidConfigError, match=f"dataset not found: .*{DATASET_FILE}"):
             load_dataset(tmp_path)
