@@ -8,6 +8,7 @@ perturbed) runs structural rather than a matter of careful call ordering.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +18,52 @@ from .errors import InvalidConfigError, InvalidDistributionError
 SIMPLEX_ATOL = 1e-12
 
 # Purpose tags for the counter-based generator.  Each purpose owns an
-# independent substream.
-_PURPOSE_ACTION = 0
-_PURPOSE_NOISE = 1
-_PURPOSE_TASK = 2
+# independent substream, drawn as uniforms (action) or standard normals.
+PURPOSE_ACTION = 0
+PURPOSE_NOISE = 1
+PURPOSE_TASK = 2
+
+_WORD = 0xFFFFFFFFFFFFFFFF
+
+
+def _stream_generators(seed: int, stream_ids: Iterable[int], purpose: int) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the start of each stream's purpose.
+
+    The Philox key is (seed, stream id), both masked to 64 bits.  Philox
+    advances counter word 0 on every block, so the purpose sits in word 3,
+    which no draw reaches: purposes never share a block.  The buffer starts
+    empty, as in a freshly built Philox.  Seeding with a constant reads no
+    OS entropy; the state set per stream replaces it before any draw.
+    """
+    gen = np.random.Generator(np.random.Philox(0))
+    state = gen.bit_generator.state
+    state["state"]["counter"] = np.array([0, 0, 0, purpose], dtype=np.uint64)
+    state["state"]["key"] = key = np.array([int(seed) & _WORD, 0], dtype=np.uint64)
+    state["buffer"] = np.zeros(4, dtype=np.uint64)
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    for stream_id in stream_ids:
+        key[1] = int(stream_id) & _WORD
+        gen.bit_generator.state = state
+        yield gen
+
+
+def crn_draws(seed: int, stream_ids: Iterable[int], purpose: int, n: int) -> np.ndarray:
+    """The first n draws of `purpose` for each stream, as (len(stream_ids), n).
+
+    Row i is what a Philox built for stream `stream_ids[i]` alone would draw:
+    uniforms in [0, 1) for `PURPOSE_ACTION`, standard normals otherwise.
+    Holds no state between calls, so threads may call it concurrently.
+    """
+    stream_ids = list(stream_ids)
+    out = np.empty((len(stream_ids), n))
+    if n == 0:
+        return out
+    for row, gen in zip(out, _stream_generators(seed, stream_ids, purpose)):
+        if purpose == PURPOSE_ACTION:
+            gen.random(out=row)
+        else:
+            gen.standard_normal(out=row)
+    return out
 
 
 class CrnStream:
@@ -29,33 +72,24 @@ class CrnStream:
     Backed by Philox, a counter-based generator keyed by (seed, stream_id).
     A purpose's draws form one sequence, with round t at position t-1, so a
     value never depends on the horizon or on draws made for other purposes.
+    This is the one-stream form of `crn_draws`.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self._key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
-
-    def _generator(self, purpose: int) -> np.random.Generator:
-        # Philox advances counter word 0 on every block, so the purpose sits
-        # in word 3, which no draw reaches: purposes never share a block.
-        counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=self._key, counter=counter))
 
     def uniforms(self, n: int) -> np.ndarray:
         """Action-selection uniforms in [0, 1) for rounds 1..n."""
-        return self._generator(_PURPOSE_ACTION).random(n)
+        return crn_draws(self.seed, [self.stream_id], PURPOSE_ACTION, n)[0]
 
     def normals(self, n: int) -> np.ndarray:
         """Standard-normal reward-noise draws for rounds 1..n."""
-        return self._generator(_PURPOSE_NOISE).standard_normal(n)
+        return crn_draws(self.seed, [self.stream_id], PURPOSE_NOISE, n)[0]
 
     def task_normals(self, k: int) -> np.ndarray:
         """K standard normals for sampling the task vector."""
-        return self._generator(_PURPOSE_TASK).standard_normal(k)
+        return crn_draws(self.seed, [self.stream_id], PURPOSE_TASK, k)[0]
 
 
 def sample_task(rng: CrnStream, k: int, tau_w: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit import CrnStream, coupled_sample, draw_reward, sample_task
+from .bandit import PURPOSE_ACTION, PURPOSE_NOISE, PURPOSE_TASK, CrnStream, coupled_sample, crn_draws, draw_reward
 from .errors import InvalidConfigError
 from .lsa import TwoChannelParams, expert_two_channel
 from .teacher import TeacherConfig, mix_policy
@@ -86,12 +86,12 @@ def task_blocks(
     """
     size = BLOCK_ROWS // rows_per_task
     for start in range(0, b, size):
-        streams = [CrnStream(seed, stream_id=tau) for tau in range(start, min(b, start + size))]
+        ids = range(start, min(b, start + size))
         yield (
-            slice(start, start + len(streams)),
-            np.stack([sample_task(stream, cfg.k, cfg.tau_w) for stream in streams]),
-            np.stack([stream.uniforms(t_max) for stream in streams]),
-            np.stack([stream.normals(t_max) for stream in streams]),
+            slice(ids.start, ids.stop),
+            cfg.tau_w * crn_draws(seed, ids, PURPOSE_TASK, cfg.k),  # as `sample_task` scales them
+            crn_draws(seed, ids, PURPOSE_ACTION, t_max),
+            crn_draws(seed, ids, PURPOSE_NOISE, t_max),
         )
 
 
@@ -181,18 +181,21 @@ def matching_experiment(
     )
 
 
-def shock_constants(cfg: TeacherConfig, w: np.ndarray) -> tuple[float, float]:
-    """Drift-envelope constants for one task.
+def shock_constants(cfg: TeacherConfig, w: np.ndarray) -> tuple[float, float | np.ndarray]:
+    """Drift-envelope constants for a task (K,), or for each row of (..., K).
 
-    a scales the direct effect of the bumped reward; b collects the
-    task-dependent feedback strength through re-sampled actions and noise.
+    a scales the direct effect of the bumped reward and is the same for every
+    task; b collects the task-dependent feedback strength through re-sampled
+    actions and noise, one value per task (a float for a single task).
     """
     u_norm = float(np.linalg.norm(cfg.u, ord=2))
     lead = cfg.c * (1.0 - cfg.gamma) / 2.0
     a = lead * u_norm
-    vw_norm = float(np.linalg.norm(cfg.v + cfg.u @ np.diag(np.asarray(w, dtype=float)), ord=2))
+    # V + U diag(w) for every task at once: column j of U scaled by w_j.
+    vw = cfg.v + cfg.u * np.asarray(w, dtype=float)[..., np.newaxis, :]
+    vw_norm = np.linalg.norm(vw, ord=2, axis=(-2, -1))
     b = lead * math.sqrt(cfg.k / 2.0) * (vw_norm + math.sqrt(2.0 / math.pi) * cfg.sigma_xi * u_norm)
-    return a, b
+    return a, float(b) if b.ndim == 0 else b
 
 
 def default_c_b(b: float) -> float:
@@ -209,8 +212,8 @@ def shock_bound(a: float, b: float, c_b: float, s: int, t: int, delta_r: float) 
 
 def sample_b_distribution(cfg: TeacherConfig, n_tasks: int, seed: int) -> np.ndarray:
     """Per-task envelope exponents b over freshly sampled tasks."""
-    draws = task_blocks(cfg, n_tasks, 0, seed)
-    return np.array([shock_constants(cfg, w)[1] for _, block, _, _ in draws for w in block])
+    blocks = [shock_constants(cfg, w)[1] for _, w, _, _ in task_blocks(cfg, n_tasks, 0, seed)]
+    return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
 @dataclass
@@ -270,8 +273,10 @@ def shock_experiment(
         for rnd in closed_loop(ops, *pair, cfg, shock=(s, bump)):
             p = rnd.policies[0]
             deltas[tasks, rnd.t - 1] = np.linalg.norm(p[m:] - p[:m], axis=-1)
-        for tau, task in zip(range(tasks.start, tasks.stop), w):
-            a_const, b_val = shock_constants(cfg, task)
+        a_const, b_block = shock_constants(cfg, w)
+        # C_b and the envelope stay scalar `math.exp` and `**`: numpy's SIMD
+        # exp and power can differ from them in the last bit.
+        for tau, b_val in zip(range(tasks.start, tasks.stop), b_block.tolist()):
             c_b = default_c_b(b_val) if c_b_override is None else c_b_override
             b_values[tau] = b_val
             c_b_values[tau] = c_b

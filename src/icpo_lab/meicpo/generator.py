@@ -150,6 +150,12 @@ def demo_generator() -> FunctionGenerator:
     return FunctionGenerator(respond)
 
 
+# Most requests one `HttpGenerator` has in flight: the width of its thread
+# pool, and so also of its idle-connection queue.  A wider wave queues behind
+# the first `MAX_IN_FLIGHT`.
+MAX_IN_FLIGHT = 32
+
+
 def _retry_after_s(value: str | None) -> float:
     """Seconds from a delta-seconds `Retry-After`; 0 when absent, an HTTP date, or junk."""
     try:
@@ -174,9 +180,10 @@ class HttpGenerator(Generator):
 
     Idle keep-alive connections wait in a queue: a post takes one, or opens
     one when none is idle, and puts it back unless the response says the
-    server will close it.  The queue so grows to the widest wave sent.
-    `generate_many` posts a whole wave at once from a thread pool as wide as
-    the wave.  `close` closes the idle connections.
+    server will close it.  The queue so grows to the most posts in flight at once.
+    `generate_many` posts a wave from one thread pool of at most
+    `MAX_IN_FLIGHT` workers, built on the first wave and kept for the next.
+    `close` shuts the pool down and closes the idle connections.
     """
 
     def __init__(
@@ -207,6 +214,7 @@ class HttpGenerator(Generator):
 
             self._tls = ssl.create_default_context()
         self._idle: deque = deque()  # append and pop are atomic, so threads share it unlocked
+        self._pool = None  # built on the first wave of two or more
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json", "User-Agent": "icpo-lab"}
@@ -269,7 +277,13 @@ class HttpGenerator(Generator):
         return resp.status, resp.headers, data
 
     def close(self) -> None:
-        """Close the idle connections; a later post opens new ones."""
+        """Stop the pool's threads and close the idle connections.
+
+        A later wave builds a new pool and a later post opens new connections.
+        """
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
         while True:
             try:
                 conn = self._idle.pop()
@@ -278,17 +292,19 @@ class HttpGenerator(Generator):
             conn.close()
 
     def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
-        """Post the whole wave concurrently and wait for all of it.
+        """Post the wave concurrently, at most `MAX_IN_FLIGHT` at once, and wait for all of it.
 
         If any request fails, the error of the lowest-index failure is raised
         once every request in the wave has finished.
         """
         if len(requests) <= 1:
             return super().generate_many(requests)
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor, wait
 
-        with ThreadPoolExecutor(max_workers=len(requests)) as pool:
-            futures = [pool.submit(self.generate, request) for request in requests]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="icpo-http")
+        futures = [self._pool.submit(self.generate, request) for request in requests]
+        wait(futures)
         return [future.result() for future in futures]
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:

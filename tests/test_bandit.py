@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icpo_lab.bandit import CrnStream, History, coupled_sample, draw_reward, sample_task
+from icpo_lab.bandit import (
+    PURPOSE_ACTION,
+    PURPOSE_NOISE,
+    PURPOSE_TASK,
+    CrnStream,
+    History,
+    _stream_generators,
+    coupled_sample,
+    crn_draws,
+    draw_reward,
+    sample_task,
+)
 from icpo_lab.errors import InvalidConfigError, InvalidDistributionError
 
 
@@ -35,8 +46,10 @@ class TestCrnStream:
 
     def test_purposes_share_no_philox_word(self):
         """Purposes sit where the counter never advances, so no output block repeats."""
-        s = CrnStream(seed=1, stream_id=4)
-        words = [set(s._generator(purpose).bit_generator.random_raw(1024).tolist()) for purpose in range(3)]
+        words = [
+            set(next(_stream_generators(1, [4], purpose)).bit_generator.random_raw(1024).tolist())
+            for purpose in range(3)
+        ]
         assert all(len(w) == 1024 for w in words)
         assert not words[0] & words[1] and not words[0] & words[2] and not words[1] & words[2]
 
@@ -47,6 +60,41 @@ class TestCrnStream:
     def test_uniform_range(self):
         us = CrnStream(seed=7).uniforms(200)
         assert np.all((0.0 <= us) & (us < 1.0))
+
+
+class TestCrnDraws:
+    IDS = [0, 1, 511, 512, 19_999]
+
+    @staticmethod
+    def _reference(seed, stream_id, purpose, n):
+        """A freshly built Philox per stream, keyed and countered by hand."""
+        mask = 0xFFFFFFFFFFFFFFFF
+        bit_gen = np.random.Philox(
+            key=np.array([seed & mask, stream_id & mask], dtype=np.uint64),
+            counter=np.array([0, 0, 0, purpose], dtype=np.uint64),
+        )
+        gen = np.random.Generator(bit_gen)
+        return gen.random(n) if purpose == PURPOSE_ACTION else gen.standard_normal(n)
+
+    @pytest.mark.parametrize("seed", [7, -3])
+    @pytest.mark.parametrize("purpose", [PURPOSE_ACTION, PURPOSE_NOISE, PURPOSE_TASK])
+    def test_rows_match_per_stream_philox(self, seed, purpose):
+        for n in (3, 40):
+            got = crn_draws(seed, self.IDS, purpose, n)
+            assert got.shape == (len(self.IDS), n)
+            for row, stream_id in zip(got, self.IDS):
+                assert np.array_equal(row, self._reference(seed, stream_id, purpose, n))
+        assert np.array_equal(crn_draws(seed, self.IDS, purpose, 40)[:, :3], crn_draws(seed, self.IDS, purpose, 3))
+
+    def test_stream_form_is_one_row(self):
+        s = CrnStream(seed=-3, stream_id=512)
+        assert np.array_equal(s.uniforms(9), crn_draws(-3, [512], PURPOSE_ACTION, 9)[0])
+        assert np.array_equal(s.normals(9), crn_draws(-3, [512], PURPOSE_NOISE, 9)[0])
+        assert np.array_equal(s.task_normals(4), crn_draws(-3, [512], PURPOSE_TASK, 4)[0])
+
+    def test_empty_shapes(self):
+        assert crn_draws(1, range(3), PURPOSE_ACTION, 0).shape == (3, 0)
+        assert crn_draws(1, [], PURPOSE_NOISE, 5).shape == (0, 5)
 
 
 class TestSampleTask:
@@ -68,7 +116,7 @@ class TestSampleTask:
     def test_monte_carlo_variance(self):
         """Per-coordinate sample variance within 5% of tau_w^2 at 1e5 draws."""
         k, n = 10, 100_000
-        draws = np.stack([sample_task(CrnStream(123, i), k, 1.0) for i in range(n)])
+        draws = 1.0 * crn_draws(123, range(n), PURPOSE_TASK, k)  # tau_w = 1, as `sample_task` scales
         var = draws.var(axis=0)
         assert np.all(np.abs(var - 1.0) < 0.05)
 

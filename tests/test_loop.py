@@ -16,6 +16,7 @@ from icpo_lab.loop import (
     shock_bound,
     shock_constants,
     shock_experiment,
+    task_blocks,
 )
 from icpo_lab.lsa import TwoChannelParams, expert_two_channel, teacher_two_channel, two_channel_logits
 from icpo_lab.pretrain import generate_dataset
@@ -208,6 +209,30 @@ class TestShockConstants:
         cfg = _cfg()
         bs = sample_b_distribution(cfg, 64, seed=1)
         assert np.all(bs >= 0.0)
+
+    @pytest.mark.parametrize("h", ["identity", "spd"])
+    def test_batch_matches_per_task_calls(self, h):
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(5, 5))
+        cfg = _cfg(lam=0.3, h=None if h == "identity" else m @ m.T + np.eye(5))
+        w = rng.normal(size=(20, cfg.k))
+        a, b = shock_constants(cfg, w)
+        assert b.shape == (20,)
+        for row, b_row in zip(w, b):
+            a_row, want = shock_constants(cfg, row)
+            assert isinstance(want, float) and a_row == a and b_row == want
+            # The per-task form it replaced: V + U diag(w) built as a matrix product.
+            vw_norm = float(np.linalg.norm(cfg.v + cfg.u @ np.diag(row), ord=2))
+            lead = cfg.c * (1.0 - cfg.gamma) / 2.0
+            u_norm = float(np.linalg.norm(cfg.u, ord=2))
+            assert want == lead * math.sqrt(cfg.k / 2.0) * (vw_norm + math.sqrt(2.0 / math.pi) * cfg.sigma_xi * u_norm)
+
+    def test_distribution_matches_per_task_loop(self):
+        """600 tasks span two blocks; each task's b is its own one-task call."""
+        cfg = _cfg()
+        want = [shock_constants(cfg, task)[1] for _, w, _, _ in task_blocks(cfg, 600, 0, 11) for task in w]
+        assert len(want) == 600 and BLOCK_ROWS < 600
+        assert np.array_equal(sample_b_distribution(cfg, 600, seed=11), want)
 
 
 class TestShockBound:

@@ -33,6 +33,7 @@ from icpo_lab.meicpo import (
     summarize,
     system_prompt,
 )
+from icpo_lab.meicpo.generator import MAX_IN_FLIGHT
 
 
 class TestExtractAnswer:
@@ -633,6 +634,28 @@ def _wave(k):
     return [GeneratorRequest(messages=(Message("user", f"request {i}"),), n=1) for i in range(k)]
 
 
+class _InFlightTransport:
+    """Stands in for `HttpGenerator._post`: echoes, and records peak concurrency and threads."""
+
+    def __init__(self):
+        self.lock = threading.Condition()
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.threads = set()
+
+    def __call__(self, body, headers):
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            self.threads.add(threading.current_thread())
+            self.lock.notify_all()
+            # Held until more than the cap are in flight, or briefly: a pool
+            # wider than the cap gets to show its width.
+            self.lock.wait_for(lambda: self.in_flight > MAX_IN_FLIGHT, timeout=0.05)
+            self.in_flight -= 1
+        return _reply(200, {"choices": [{"text": json.loads(body)["messages"][0]["content"]}]})
+
+
 class TestConcurrentWaves:
     def test_wave_is_sent_concurrently(self):
         k = 8
@@ -692,6 +715,39 @@ class TestConcurrentWaves:
         assert concurrent.accounting.to_dict() == sequential.accounting.to_dict()
         assert concurrent.history == sequential.history
         assert concurrent.final_text == sequential.final_text
+
+    def test_wide_wave_is_capped_and_answered_by_index(self):
+        k = 64
+        transport = _InFlightTransport()
+        gen = _http(transport, max_retries=0, backoff=0.0)
+        try:
+            responses = gen.generate_many(_wave(k))
+        finally:
+            gen.close()
+        assert [r.texts for r in responses] == [[f"request {i}"] for i in range(k)]
+        assert transport.max_in_flight <= MAX_IN_FLIGHT < k
+
+    def test_waves_share_one_capped_pool(self):
+        transport = _InFlightTransport()
+        gen = _http(transport, max_retries=0, backoff=0.0)
+        try:
+            for _ in range(2):
+                gen.generate_many(_wave(64))
+        finally:
+            gen.close()
+        assert len(transport.threads) <= MAX_IN_FLIGHT
+
+    def test_close_stops_the_pool_threads(self):
+        transport = _InFlightTransport()
+        gen = _http(transport, max_retries=0, backoff=0.0)
+        gen.generate_many(_wave(8))
+        gen.close()
+        assert transport.threads and threading.current_thread() not in transport.threads
+        for thread in transport.threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert [r.texts for r in gen.generate_many(_wave(2))] == [["request 0"], ["request 1"]]
+        gen.close()
 
     def test_scripted_waves_keep_fifo_order(self):
         gen = ScriptedGenerator([["a"], ["b"], ["c"]])
