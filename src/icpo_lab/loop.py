@@ -152,6 +152,11 @@ class MatchingReport:
     cfg: TeacherConfig
 
 
+def _check_run_size(b_test: int, n: int) -> None:
+    if b_test < 1 or n < 1:
+        raise InvalidConfigError(f"need b_test >= 1 test tasks and n >= 1 rounds, got b_test={b_test}, n={n}")
+
+
 def matching_experiment(
     cfg: TeacherConfig,
     tc: TwoChannelParams,
@@ -165,6 +170,7 @@ def matching_experiment(
     are computed on it, their L2 gap recorded, and the loop continues with
     the student's policy.
     """
+    _check_run_size(b_test, n)
     ops = np.stack([tc.stacked, expert_two_channel(cfg).stacked])
     gaps = np.zeros((b_test, n))
     for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed):
@@ -258,6 +264,7 @@ def shock_experiment(
     itself (where the measured drift is identically zero by coupling) carries
     the envelope's peak value.
     """
+    _check_run_size(b_test, n)
     if not 1 <= s <= n:
         raise InvalidConfigError(f"shock round {s} outside horizon [1, {n}]")
     deltas = np.zeros((b_test, n))

@@ -6,8 +6,8 @@ the HTTP client speaks the common JSON chat-completion shape with bearer
 auth, timeouts, and retries.
 
 `generate_many` answers a wave of independent requests, `responses[i]` for
-`requests[i]`.  The mocks serve a wave in order; the HTTP client sends it
-concurrently, so results never depend on completion order.
+`requests[i]`.  The mocks serve a wave in order; the HTTP client writes every
+request of a wave before it reads the responses, in the calling thread.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -150,9 +149,7 @@ def demo_generator() -> FunctionGenerator:
     return FunctionGenerator(respond)
 
 
-# Most requests one `HttpGenerator` has in flight: the width of its thread
-# pool, and so also of its idle-connection queue.  A wider wave queues behind
-# the first `MAX_IN_FLIGHT`.
+# Most requests one `HttpGenerator` has written and not yet read; a wider wave goes in chunks.
 MAX_IN_FLIGHT = 32
 
 
@@ -174,16 +171,13 @@ class HttpGenerator(Generator):
     backoff up to `max_retries` times, then surfaced; a 429 or 5xx carrying
     `Retry-After` in seconds waits at least that long.  A failed certificate
     check, a 3xx (redirects are not followed), any other 4xx, and a body that
-    is not JSON or lacks the chat-completion fields raise `GeneratorError` at
-    once.  `timeout` bounds each socket operation.  Proxy variables are not
-    honoured.
+    is not JSON or lacks the chat-completion fields raise `GeneratorError`
+    without a retry.  `timeout` bounds each socket operation.  Proxy
+    variables are not honoured.
 
-    Idle keep-alive connections wait in a queue: a post takes one, or opens
-    one when none is idle, and puts it back unless the response says the
-    server will close it.  The queue so grows to the most posts in flight at once.
-    `generate_many` posts a wave from one thread pool of at most
-    `MAX_IN_FLIGHT` workers, built on the first wave and kept for the next.
-    `close` shuts the pool down and closes the idle connections.
+    Everything runs in the calling thread.  A request takes an idle keep-alive
+    connection, or opens one, and its response puts the connection back in the
+    idle queue unless the server will close it; `close` closes the idle ones.
     """
 
     def __init__(
@@ -213,8 +207,7 @@ class HttpGenerator(Generator):
             import ssl
 
             self._tls = ssl.create_default_context()
-        self._idle: deque = deque()  # append and pop are atomic, so threads share it unlocked
-        self._pool = None  # built on the first wave of two or more
+        self._idle: list = []
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json", "User-Agent": "icpo-lab"}
@@ -243,11 +236,8 @@ class HttpGenerator(Generator):
         import http.client
         import select
 
-        while True:
-            try:
-                conn = self._idle.pop()
-            except IndexError:
-                break
+        while self._idle:
+            conn = self._idle.pop()
             poll = select.poll()
             poll.register(conn.sock, select.POLLIN)
             if not poll.poll(0):
@@ -257,14 +247,19 @@ class HttpGenerator(Generator):
             return http.client.HTTPSConnection(self._host, self._port, timeout=self.timeout, context=self._tls)
         return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
 
-    def _post(self, body: bytes, headers: dict) -> tuple[int, Mapping, bytes]:
-        """One POST of `body`: (status, response headers, response body), or raises.
-
-        The headers need only a case-insensitive `get`.
-        """
+    def _send(self, body: bytes, headers: dict):
+        """Write one POST of `body` and return its connection, for `_receive`; or raise."""
         conn = self._connection()
         try:
             conn.request("POST", self._path, body=body, headers=headers)
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def _receive(self, conn) -> tuple[int, Mapping, bytes]:
+        """Read (status, headers, body) from `conn`, then queue it as idle unless the server closes it."""
+        try:
             resp = conn.getresponse()
             data = resp.read()
         except BaseException:
@@ -277,89 +272,92 @@ class HttpGenerator(Generator):
         return resp.status, resp.headers, data
 
     def close(self) -> None:
-        """Stop the pool's threads and close the idle connections.
-
-        A later wave builds a new pool and a later post opens new connections.
-        """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        while True:
-            try:
-                conn = self._idle.pop()
-            except IndexError:
-                return
-            conn.close()
-
-    def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
-        """Post the wave concurrently, at most `MAX_IN_FLIGHT` at once, and wait for all of it.
-
-        If any request fails, the error of the lowest-index failure is raised
-        once every request in the wave has finished.
-        """
-        if len(requests) <= 1:
-            return super().generate_many(requests)
-        from concurrent.futures import ThreadPoolExecutor, wait
-
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="icpo-http")
-        futures = [self._pool.submit(self.generate, request) for request in requests]
-        wait(futures)
-        return [future.result() for future in futures]
+        """Close the idle connections; a later request opens new ones."""
+        while self._idle:
+            self._idle.pop().close()
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
+        return self.generate_many([request])[0]
+
+    def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
+        """Answer a wave from the calling thread; `responses[i]` answers `requests[i]`.
+
+        Each chunk of at most `MAX_IN_FLIGHT` requests is written in full before its
+        responses are read, in request order.  A pass's transient failures are resent
+        together after one wait.  Once every request is done, the lowest-index error is raised.
+        """
         import http.client
+
+        headers = self._headers()
+        bodies = [json.dumps(self._payload(r), allow_nan=False).encode() for r in requests]
+        outcomes: list = [None] * len(requests)  # a response, or the latest error
+        pending = list(range(len(requests)))
+        for attempt in range(1, self.max_retries + 2):
+            waits = {}  # index -> Retry-After seconds if the request is to be resent, else None
+            for start in range(0, len(pending), MAX_IN_FLIGHT):
+                replies, sent = {}, {}  # sent: index -> connection written and not yet read
+                try:
+                    for i in pending[start : start + MAX_IN_FLIGHT]:
+                        try:
+                            sent[i] = self._send(bodies[i], headers)
+                        except (OSError, http.client.HTTPException) as exc:
+                            replies[i] = exc
+                    for i in list(sent):
+                        try:
+                            replies[i] = self._receive(sent[i])
+                        except (OSError, http.client.HTTPException) as exc:
+                            replies[i] = exc
+                        del sent[i]
+                finally:
+                    for conn in sent.values():
+                        conn.close()
+                for i, reply in replies.items():
+                    outcomes[i], waits[i] = self._judge(requests[i], reply)
+            pending = [i for i in pending if waits[i] is not None]
+            if not pending or attempt > self.max_retries:
+                break
+            time.sleep(max(self.backoff * attempt, *(waits[i] for i in pending)))
+        for i in pending:
+            outcomes[i] = GeneratorError(f"request failed after {self.max_retries + 1} attempts: {outcomes[i]}")
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return outcomes
+
+    def _judge(self, request: GeneratorRequest, reply) -> tuple[GeneratorResponse | Exception, float | None]:
+        """One attempt's outcome, and the `Retry-After` seconds if it is to be resent, else None."""
         import ssl
 
-        body = json.dumps(self._payload(request), allow_nan=False).encode()
-        headers = self._headers()
-        last_error: Exception | None = None
-        retry_after = 0.0
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(max(self.backoff * attempt, retry_after))
-                retry_after = 0.0
-            try:
-                status, resp_headers, data = self._post(body, headers)
-            except ssl.SSLCertVerificationError as exc:
-                raise GeneratorError(f"TLS certificate check failed: {exc}") from exc
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
-                continue
-            text = data[:200].decode("utf-8", "replace")
-            if status == 429 or status >= 500:
-                last_error = GeneratorError(f"HTTP {status}: {text}")
-                retry_after = _retry_after_s(resp_headers.get("Retry-After"))
-                continue
-            if 300 <= status < 400:
-                location = resp_headers.get("Location")
-                raise GeneratorError(f"HTTP {status} redirect to {location!r}; redirects are not followed")
-            if status >= 400:
-                raise GeneratorError(f"HTTP {status}: {text}")
-            try:
-                return self._parse(request, json.loads(data))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise GeneratorError(f"malformed response body: {exc!r}") from exc
-        raise GeneratorError(f"request failed after {self.max_retries + 1} attempts: {last_error}")
+        if isinstance(reply, ssl.SSLCertVerificationError):
+            return GeneratorError(f"TLS certificate check failed: {reply}"), None
+        if isinstance(reply, Exception):
+            return reply, 0.0
+        status, resp_headers, data = reply
+        text = data[:200].decode("utf-8", "replace")
+        if status == 429 or status >= 500:
+            return GeneratorError(f"HTTP {status}: {text}"), _retry_after_s(resp_headers.get("Retry-After"))
+        if 300 <= status < 400:
+            location = resp_headers.get("Location")
+            return GeneratorError(f"HTTP {status} redirect to {location!r}; redirects are not followed"), None
+        if status >= 400:
+            return GeneratorError(f"HTTP {status}: {text}"), None
+        try:
+            response = self._parse(request, json.loads(data))
+        except (ValueError, KeyError, TypeError) as exc:
+            return GeneratorError(f"malformed response body: {exc!r}"), None
+        if len(response.texts) != request.n:
+            return GeneratorError(f"endpoint returned {len(response.texts)} choices for n={request.n}"), None
+        return response, None
 
     @staticmethod
     def _parse(request: GeneratorRequest, body: dict) -> GeneratorResponse:
-        choices = body["choices"]
-        texts = []
-        for choice in choices:
-            if "message" in choice:
-                texts.append(choice["message"]["content"])
-            else:
-                texts.append(choice["text"])
+        texts = [c["message"]["content"] if "message" in c else c["text"] for c in body["choices"]]
         usage = body.get("usage", {})
-        response = GeneratorResponse(
+        return GeneratorResponse(
             texts=texts,
             prompt_tokens=int(usage.get("prompt_tokens", request.prompt_tokens())),
             completion_tokens=int(usage.get("completion_tokens", sum(count_tokens(t) for t in texts))),
         )
-        if len(response.texts) != request.n:
-            raise GeneratorError(f"endpoint returned {len(response.texts)} choices for n={request.n}")
-        return response
 
 
 @dataclass

@@ -7,11 +7,13 @@ choice A-D), "freeform" (anything goes).  Summarization templates carry an
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 MODES = ("numeric", "letter", "freeform")
 
 
+@functools.cache
 def _load(name: str) -> str:
     return resources.files(__package__).joinpath("prompts", name).read_text()
 

@@ -234,6 +234,21 @@ class TestPipeline:
         assert f"error: [experiment] is missing required key(s): {drop}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "kind, key", [("matching", "b_test"), ("matching", "n"), ("shock", "b_test"), ("shock", "n")]
+    )
+    def test_empty_experiment_is_clear_error(self, tmp_path, capsys, kind, key):
+        keys = {"kind": kind, "b_test": "4", "n": "6", "seed": "21", "s": "1", "delta_r": "0.5", key: "0"}
+        if kind == "matching":
+            del keys["s"], keys["delta_r"]
+        experiment = "".join(f"{name} = {value}\n" for name, value in keys.items())
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[teacher]\nk = 3\n\n[experiment]\n{experiment}\n[output]\ndir = {tmp_path / 'out'}\n")
+        params = tmp_path / "params.bin"
+        save_params(TwoChannelParams(np.zeros((3, 3)), np.zeros((3, 3))), params)
+        assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
+        assert "error: need b_test >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, drop", [("experiment", "n"), ("experiment", "seed"), ("generate", "b")]
     )
     def test_missing_dataset_key_is_clear_error(self, tmp_path, capsys, command, drop):

@@ -178,6 +178,12 @@ class TestMatchingExperiment:
         assert rep.rounds.tolist() == list(range(1, 9))
         assert np.all(rep.mean >= 0)
 
+    @pytest.mark.parametrize("b_test, n", [(0, 6), (-2, 6), (4, 0)])
+    def test_empty_run_is_rejected(self, b_test, n):
+        cfg = _cfg(k=3)
+        with pytest.raises(InvalidConfigError, match="need b_test >= 1"):
+            matching_experiment(cfg, teacher_two_channel(cfg), b_test=b_test, n=n, seed=3)
+
 
 class TestShockConstants:
     def test_full_exploration_kills_both(self):
@@ -275,6 +281,12 @@ class TestShockExperiment:
         cfg = _cfg(k=3)
         with pytest.raises(InvalidConfigError):
             shock_experiment(cfg, teacher_two_channel(cfg), b_test=2, n=4, s=5, delta_r=1.0, seed=0)
+
+    @pytest.mark.parametrize("b_test, n", [(0, 6), (-2, 6), (4, 0)])
+    def test_empty_run_is_rejected(self, b_test, n):
+        cfg = _cfg(k=3)
+        with pytest.raises(InvalidConfigError, match="need b_test >= 1"):
+            shock_experiment(cfg, teacher_two_channel(cfg), b_test=b_test, n=n, s=1, delta_r=1.0, seed=0)
 
     def test_c_b_override_scales_bound(self):
         cfg = _cfg(k=3)

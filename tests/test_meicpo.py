@@ -6,9 +6,7 @@ import json
 import math
 import random
 import ssl
-import sys
 import threading
-import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -443,12 +441,12 @@ class TestComputeMetrics:
 
 
 def _reply(status=200, body=None, headers=None):
-    """What `HttpGenerator._post` returns: (status, response headers, body bytes)."""
+    """What `HttpGenerator._receive` returns: (status, response headers, body bytes)."""
     return status, headers or {}, json.dumps(body or {}).encode()
 
 
 class _FakeTransport:
-    """Stands in for `HttpGenerator._post`: pops scripted replies, raising exceptions."""
+    """Answers one request's `_send`/`_receive`: pops scripted replies, raising exceptions."""
 
     def __init__(self, replies):
         self.replies = list(replies)
@@ -462,9 +460,29 @@ class _FakeTransport:
         return reply
 
 
-def _http(transport, endpoint="http://x", model="m", **kwargs):
+def _http(transport, endpoint="http://x", model="m", log=None, **kwargs):
+    """An `HttpGenerator` whose `_send` and `_receive` fakes call `transport` once per request.
+
+    `_send` hands back the body and headers in place of a connection and
+    `_receive` answers them with `transport(body, headers)`, so a scripted
+    exception surfaces as a failed read.  A `log` list gets one
+    (step, first message, thread) entry per `_send` and per `_receive`.
+    """
     gen = HttpGenerator(endpoint, model, **kwargs)
-    gen._post = transport
+
+    def note(step, body):
+        if log is not None:
+            log.append((step, json.loads(body)["messages"][0]["content"], threading.current_thread()))
+
+    def send(body, headers):
+        note("send", body)
+        return body, headers
+
+    def receive(sent):
+        note("receive", sent[0])
+        return transport(*sent)
+
+    gen._send, gen._receive = send, receive
     return gen
 
 
@@ -587,17 +605,13 @@ class TestRetryAfter:
 
 
 class _KeyedTransport:
-    """Thread-safe fake transport answering each post from its payload alone.
+    """Fake transport answering each post from its payload alone.
 
-    `respond(request)` gives the texts (or an int HTTP status), `delay(request)`
-    a wait in seconds, and an optional barrier makes every post wait for the
-    rest of the wave.
+    `respond(request)` gives the texts, or an int HTTP status.
     """
 
-    def __init__(self, respond, delay=None, barrier=None):
+    def __init__(self, respond):
         self.respond = respond
-        self.delay = delay
-        self.barrier = barrier
         self.posts = []
 
     def __call__(self, body, headers):
@@ -610,88 +624,85 @@ class _KeyedTransport:
             n=payload["n"],
         )
         self.posts.append(request)
-        if self.barrier is not None:
-            self.barrier.wait()
-        if self.delay is not None:
-            time.sleep(self.delay(request))
         out = self.respond(request)
         if isinstance(out, int):
             return _reply(out, {"error": request.messages[0].text})
         return _reply(200, {"choices": [{"text": t} for t in out]})
 
 
-def _seeded_delay(seed, scale=0.004):
-    """A different, reproducible delay per distinct request."""
-
-    def delay(request):
-        key = "\n".join(m.text for m in request.messages) + f"|{request.n}|{request.temperature}"
-        return scale * random.Random(f"{seed}:{key}").random()
-
-    return delay
-
-
 def _wave(k):
     return [GeneratorRequest(messages=(Message("user", f"request {i}"),), n=1) for i in range(k)]
 
 
-class _InFlightTransport:
-    """Stands in for `HttpGenerator._post`: echoes, and records peak concurrency and threads."""
-
-    def __init__(self):
-        self.lock = threading.Condition()
-        self.in_flight = 0
-        self.max_in_flight = 0
-        self.threads = set()
-
-    def __call__(self, body, headers):
-        with self.lock:
-            self.in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
-            self.threads.add(threading.current_thread())
-            self.lock.notify_all()
-            # Held until more than the cap are in flight, or briefly: a pool
-            # wider than the cap gets to show its width.
-            self.lock.wait_for(lambda: self.in_flight > MAX_IN_FLIGHT, timeout=0.05)
-            self.in_flight -= 1
-        return _reply(200, {"choices": [{"text": json.loads(body)["messages"][0]["content"]}]})
+def _index(text):
+    """The i of a `_wave` request's "request i"."""
+    return int(text.split()[1])
 
 
 class TestConcurrentWaves:
-    def test_wave_is_sent_concurrently(self):
-        k = 8
-        transport = _KeyedTransport(lambda r: [r.messages[0].text], barrier=threading.Barrier(k, timeout=5))
-        gen = _http(transport, max_retries=0, backoff=0.0)
+    def test_wave_is_written_before_any_response_is_read(self):
+        k, log = 8, []
+        gen = _http(_KeyedTransport(lambda r: [r.messages[0].text]), log=log, max_retries=0, backoff=0.0)
         responses = gen.generate_many(_wave(k))
         assert [r.texts for r in responses] == [[f"request {i}"] for i in range(k)]
+        expected = [("send", f"request {i}") for i in range(k)] + [("receive", f"request {i}") for i in range(k)]
+        assert [(step, text) for step, text, _ in log] == expected
 
     def test_responses_come_back_by_index(self):
         k = 12
-        order = random.Random(5).sample(range(k), k)
+        late = set(random.Random(5).sample(range(k), 4))  # a 503 first, so answered in the second pass
         finished = []
 
         def respond(request):
-            finished.append(request.messages[0].text)
-            return [request.messages[0].text.upper()]
+            text = request.messages[0].text
+            if _index(text) in late:
+                late.discard(_index(text))
+                return 503
+            finished.append(text)
+            return [text.upper()]
 
-        transport = _KeyedTransport(respond, delay=lambda r: 0.003 * order[int(r.messages[0].text.split()[1])])
-        gen = _http(transport, max_retries=0, backoff=0.0)
+        gen = _http(_KeyedTransport(respond), max_retries=1, backoff=0.0)
         responses = gen.generate_many(_wave(k))
         assert [r.texts for r in responses] == [[f"REQUEST {i}"] for i in range(k)]
         assert finished != [f"request {i}" for i in range(k)]  # completion order differed
 
     def test_lowest_index_failure_is_raised_after_the_whole_wave(self):
         k = 6
+        resent = set()
 
         def respond(request):
-            index = int(request.messages[0].text.split()[1])
+            index = _index(request.messages[0].text)
+            if index == 2 and index not in resent:
+                resent.add(index)
+                return 503
             return 404 if index in (2, 4) else [request.messages[0].text]
 
-        # Request 2 fails last in time, yet its error is the one raised.
-        transport = _KeyedTransport(respond, delay=lambda r: 0.05 if r.messages[0].text == "request 2" else 0.0)
-        gen = _http(transport, max_retries=0, backoff=0.0)
+        # Request 2 fails last in time, on its resend, yet its error is the one raised.
+        transport = _KeyedTransport(respond)
+        gen = _http(transport, max_retries=1, backoff=0.0)
         with pytest.raises(GeneratorError, match="request 2"):
             gen.generate_many(_wave(k))
-        assert len(transport.posts) == k
+        assert [_index(r.messages[0].text) for r in transport.posts] == [*range(k), 2]
+
+    def test_transient_failures_are_resent_together_after_one_wait(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("icpo_lab.meicpo.generator.time.sleep", slept.append)
+        first = {1: _reply(503, {"error": "busy"}, {"Retry-After": "2"}), 3: ConnectionResetError("reset")}
+        posts = Counter()
+
+        def transport(body, headers):
+            text = json.loads(body)["messages"][0]["content"]
+            posts[_index(text)] += 1
+            reply = first.pop(_index(text), None)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply or _reply(200, {"choices": [{"text": text.upper()}]})
+
+        gen = _http(transport, max_retries=2, backoff=1.0)
+        responses = gen.generate_many(_wave(4))
+        assert slept == [2.0]
+        assert [posts[i] for i in range(4)] == [1, 2, 1, 2]
+        assert [r.texts for r in responses] == [[f"REQUEST {i}"] for i in range(4)]
 
     def test_empty_and_single_waves(self):
         gen = _http(_KeyedTransport(lambda r: ["x"]), max_retries=0, backoff=0.0)
@@ -703,51 +714,32 @@ class TestConcurrentWaves:
         entropy_map = {0: 2, 1: 3, 2: 1, 3: 2, 4: 1}
         cfg = MeIcpoConfig(rounds=3, k=5, m=4, mode="numeric", selection=selection)
         sequential = run_me_icpo("Q?", cfg, FunctionGenerator(_loop_responder(entropy_map)))
-        transport = _KeyedTransport(_loop_responder(entropy_map), delay=_seeded_delay(3))
-        client = _http(transport, max_retries=0, backoff=0.0)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more thread switches than cores, to shake out ordering bugs
-        try:
-            concurrent = run_me_icpo("Q?", cfg, client)
-        finally:
-            sys.setswitchinterval(interval)
+        transport = _KeyedTransport(_loop_responder(entropy_map), )
+        concurrent = run_me_icpo("Q?", cfg, _http(transport, max_retries=0, backoff=0.0))
         assert concurrent.trace_records() == sequential.trace_records()
         assert concurrent.accounting.to_dict() == sequential.accounting.to_dict()
         assert concurrent.history == sequential.history
         assert concurrent.final_text == sequential.final_text
 
     def test_wide_wave_is_capped_and_answered_by_index(self):
-        k = 64
-        transport = _InFlightTransport()
-        gen = _http(transport, max_retries=0, backoff=0.0)
-        try:
-            responses = gen.generate_many(_wave(k))
-        finally:
-            gen.close()
+        k, log = 64, []
+        gen = _http(_KeyedTransport(lambda r: [r.messages[0].text]), log=log, max_retries=0, backoff=0.0)
+        responses = gen.generate_many(_wave(k))
         assert [r.texts for r in responses] == [[f"request {i}"] for i in range(k)]
-        assert transport.max_in_flight <= MAX_IN_FLIGHT < k
+        unread, most_unread = 0, 0
+        for step, _, _ in log:
+            unread += 1 if step == "send" else -1
+            most_unread = max(most_unread, unread)
+        assert most_unread == MAX_IN_FLIGHT < k
+        assert [text for step, text, _ in log if step == "receive"] == [f"request {i}" for i in range(k)]
 
-    def test_waves_share_one_capped_pool(self):
-        transport = _InFlightTransport()
-        gen = _http(transport, max_retries=0, backoff=0.0)
-        try:
-            for _ in range(2):
-                gen.generate_many(_wave(64))
-        finally:
-            gen.close()
-        assert len(transport.threads) <= MAX_IN_FLIGHT
-
-    def test_close_stops_the_pool_threads(self):
-        transport = _InFlightTransport()
-        gen = _http(transport, max_retries=0, backoff=0.0)
-        gen.generate_many(_wave(8))
-        gen.close()
-        assert transport.threads and threading.current_thread() not in transport.threads
-        for thread in transport.threads:
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        assert [r.texts for r in gen.generate_many(_wave(2))] == [["request 0"], ["request 1"]]
-        gen.close()
+    def test_wave_starts_no_thread(self):
+        log = []
+        before = threading.enumerate()
+        gen = _http(_KeyedTransport(lambda r: [r.messages[0].text]), log=log, max_retries=0, backoff=0.0)
+        gen.generate_many(_wave(16))
+        assert set(threading.enumerate()) <= set(before)  # none started, whatever else ended
+        assert {thread for _, _, thread in log} == {threading.current_thread()}
 
     def test_scripted_waves_keep_fifo_order(self):
         gen = ScriptedGenerator([["a"], ["b"], ["c"]])
@@ -780,7 +772,10 @@ def _endpoint(server) -> str:
 
 
 class _EchoHandler(BaseHTTPRequestHandler):
-    """Keep-alive HTTP/1.1 server answering each post with its first message."""
+    """Keep-alive HTTP/1.1 server answering each post with its first message.
+
+    A first message listed in the server's `missing` attribute gets a 404.
+    """
 
     protocol_version = "HTTP/1.1"
 
@@ -788,8 +783,9 @@ class _EchoHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.peers.append(self.client_address)
         self.on_post()
-        data = json.dumps({"choices": [{"text": body["messages"][0]["content"]}]}).encode()
-        self.send_response(200)
+        text = body["messages"][0]["content"]
+        data = json.dumps({"choices": [{"text": text}]}).encode()
+        self.send_response(404 if text in getattr(self.server, "missing", ()) else 200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -816,6 +812,11 @@ class _ClosingServer(ThreadingHTTPServer):
     def shutdown_request(self, request):
         super().shutdown_request(request)
         self.closed.release()
+
+
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a reply to a connection the client closed unread
 
 
 class _RedirectHandler(_EchoHandler):
@@ -871,6 +872,63 @@ def test_redirect_is_surfaced_not_followed():
     assert len(server.peers) == 1
 
 
+def test_client_error_mid_wave_leaves_every_connection_reusable():
+    """A 404 for one request of a wave is read in full, so the next wave opens no connection."""
+    k = 5
+    with _loopback(_EchoHandler, peers=[], missing={"request 2"}) as server:
+        gen = HttpGenerator(_endpoint(server), "m", max_retries=2, backoff=0.0)
+        try:
+            with pytest.raises(GeneratorError, match="HTTP 404"):
+                gen.generate_many(_wave(k))
+            server.missing = set()
+            assert [r.texts for r in gen.generate_many(_wave(k))] == [[f"request {i}"] for i in range(k)]
+        finally:
+            gen.close()
+    assert len(server.peers) == 2 * k and len(set(server.peers)) == k
+
+
+def test_interrupt_mid_wave_puts_no_unread_connection_back():
+    """A `KeyboardInterrupt` while reading closes every connection written and not yet read."""
+    k = 6
+    with _loopback(_EchoHandler, _QuietServer, peers=[]) as server:
+        gen = HttpGenerator(_endpoint(server), "m", max_retries=0, backoff=0.0)
+        send, receive, written, read = gen._send, gen._receive, [], []
+
+        def recorded_send(body, headers):
+            written.append(send(body, headers))
+            return written[-1]
+
+        def interrupted_receive(conn):
+            if len(read) == 2:
+                raise KeyboardInterrupt
+            read.append(conn)
+            return receive(conn)
+
+        gen._send, gen._receive = recorded_send, interrupted_receive
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                gen.generate_many(_wave(k))
+            assert gen._idle == read
+            assert len(written) == k and all(conn.sock is None for conn in written[2:])
+        finally:
+            gen.close()
+
+
+def test_close_closes_the_idle_connections():
+    k = 4
+    with _loopback(_EchoHandler, peers=[]) as server:
+        gen = HttpGenerator(_endpoint(server), "m", max_retries=0, backoff=0.0)
+        try:
+            gen.generate_many(_wave(k))
+            idle = list(gen._idle)
+            gen.close()
+            assert len(idle) == k and gen._idle == [] and all(conn.sock is None for conn in idle)
+            assert [r.texts for r in gen.generate_many(_wave(2))] == [["request 0"], ["request 1"]]
+        finally:
+            gen.close()
+    assert len(set(server.peers)) == k + 2
+
+
 class TestScriptedGenerator:
     def test_exhaustion_raises(self):
         gen = ScriptedGenerator([["a"]])
@@ -882,3 +940,16 @@ class TestScriptedGenerator:
         gen = ScriptedGenerator([["a", "b"]])
         with pytest.raises(GeneratorError):
             gen.generate(GeneratorRequest(messages=(Message("user", "x"),), n=3))
+
+
+class TestPromptTemplates:
+    def test_template_is_read_from_the_package_once(self, monkeypatch):
+        from icpo_lab.meicpo import prompts
+
+        prompts._load.cache_clear()
+        reads, files = [], prompts.resources.files
+        monkeypatch.setattr(prompts.resources, "files", lambda package: reads.append(package) or files(package))
+        first = prompts.summarization_prompt("numeric", "ANSWER-ONE")
+        second = prompts.summarization_prompt("numeric", "ANSWER-TWO")
+        assert len(reads) == 1 and prompts._load.cache_info().hits == 1
+        assert "ANSWER-ONE" in first and second == first.replace("ANSWER-ONE", "ANSWER-TWO")
