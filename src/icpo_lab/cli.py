@@ -108,12 +108,31 @@ def _find_line(path: Path, section: str, key: str | None = None) -> int:
     return 0
 
 
+class _ConfigParser(configparser.ConfigParser):
+    """A config whose typed getters name the file, line, section and key of a bad value."""
+
+    def __init__(self, path: Path):
+        # No interpolation: values may legitimately contain '%' (question text).
+        super().__init__(interpolation=None, inline_comment_prefixes=(";", "#"))
+        self.path = path
+
+    def _get(self, section, conv, option, **kwargs):
+        # getint, getfloat and getboolean, on the parser and on its sections,
+        # all convert through this one hook.
+        text = self.get(section, option, **kwargs)
+        try:
+            return conv(text)
+        except ValueError:
+            kind = {int: "an int", float: "a float"}.get(conv, "a boolean")
+            where = f"{self.path}:{_find_line(self.path, section, option)}"
+            raise InvalidConfigError(f"{where}: [{section}] {option} = {text!r} is not {kind}") from None
+
+
 def load_config(path: str | Path) -> configparser.ConfigParser:
     path = Path(path)
     if not path.exists():
         raise InvalidConfigError(f"config file not found: {path}")
-    # No interpolation: values may legitimately contain '%' (question text).
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    parser = _ConfigParser(path)
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -222,7 +241,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) -> Path:
-    sec = parser["training"] if "training" in parser else {}
+    # An absent [training] reads as the empty default section.
+    sec = parser["training" if "training" in parser else parser.default_section]
     solver = sec.get("solver", "ls")
     fs = empirical_stats(ds)
     log_lines = ["iteration,loss,grad_norm"]
@@ -230,13 +250,11 @@ def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) ->
         tc = solve_ls(fs)
         log_lines.append(f"0,{_fmt(loss_quadratic(tc, fs))},{_fmt(np.linalg.norm(gradient(tc, fs)))}")
     elif solver == "gd":
-        step_text = str(sec.get("step", "auto"))
-        step = None if step_text == "auto" else float(step_text)
         result = train_gd(
             fs,
-            step=step,
-            max_iters=int(sec.get("max_iters", 200_000)),
-            tol=float(sec.get("tol", 1e-10)),
+            step=None if sec.get("step", "auto") == "auto" else sec.getfloat("step"),
+            max_iters=sec.getint("max_iters", 200_000),
+            tol=sec.getfloat("tol", 1e-10),
         )
         tc = result.params
         for i, (loss, gnorm) in enumerate(zip(result.losses, result.grad_norms)):
@@ -308,7 +326,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         _write_json(sidecar, out / "matching.json")
         print(f"max mean policy gap {report.mean.max():.3e}; wrote {out}")
         return 0
-    c_b_text = sec.get("c_b", "auto")
     report = shock_experiment(
         cfg,
         tc,
@@ -317,7 +334,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         s=sec.getint("s"),
         delta_r=sec.getfloat("delta_r"),
         seed=seed,
-        c_b_override=None if c_b_text == "auto" else float(c_b_text),
+        c_b_override=None if sec.get("c_b", "auto") == "auto" else sec.getfloat("c_b"),
     )
     _write_csv(out / "shock.csv", "round,mean,std,bound", report.rounds, report.mean, report.std, report.bound)
     sidecar["a"] = report.a

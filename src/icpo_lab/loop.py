@@ -272,6 +272,7 @@ def shock_experiment(
     b_values = np.zeros(b_test)
     c_b_values = np.zeros(b_test)
     ops = tc.stacked[np.newaxis]
+    abs_delta_r = abs(delta_r)
     for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed, rows_per_task=2):
         # Rows [0, m) are the baselines and rows [m, 2m) their shocked copies.
         m = len(w)
@@ -281,14 +282,17 @@ def shock_experiment(
             p = rnd.policies[0]
             deltas[tasks, rnd.t - 1] = np.linalg.norm(p[m:] - p[:m], axis=-1)
         a_const, b_block = shock_constants(cfg, w)
-        # C_b and the envelope stay scalar `math.exp` and `**`: numpy's SIMD
-        # exp and power can differ from them in the last bit.
+        # Each row is `shock_bound` over u, evaluated in the same left-to-right
+        # order.  C_b and the envelope stay scalar `math.exp` and `**`: numpy's
+        # SIMD exp and power can differ from them in the last bit.
         for tau, b_val in zip(range(tasks.start, tasks.stop), b_block.tolist()):
             c_b = default_c_b(b_val) if c_b_override is None else c_b_override
             b_values[tau] = b_val
             c_b_values[tau] = c_b
-            for u in range(s, n + 1):
-                bounds[tau, u - 1] = shock_bound(a_const, b_val, c_b, s, max(u - 1, s), delta_r)
+            lead = a_const * (1.0 + c_b) / s
+            bounds[tau, s - 1 :] = [
+                lead * (max(u - 1, s) / s) ** (b_val - 1.0) * abs_delta_r for u in range(s, n + 1)
+            ]
     return ShockReport(
         rounds=np.arange(1, n + 1),
         mean=deltas.mean(axis=0),

@@ -81,10 +81,6 @@ class LsaParams:
         ]
         return max(defects)
 
-    @property
-    def is_normal_form(self) -> bool:
-        return self.normal_form_defect() <= NORMAL_FORM_ATOL
-
     def query_overlap_defect(self) -> float:
         """Size of the query self-attention term the two-channel form drops.
 

@@ -199,29 +199,9 @@ def gradient(tc: TwoChannelParams, fs: FisherStats) -> np.ndarray:
     return fs.gamma_hat @ (tc.stacked @ fs.sigma_bar - fs.sigma_yz)
 
 
-def operator_norm(m: np.ndarray, tol: float = 1e-10, max_iters: int = 100_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    The start vector mixes the ones direction with an index ramp so it is
-    never orthogonal to the leading eigenvector of the matrices used here
-    (whose kernels contain the constant direction).
-    """
-    m = np.asarray(m, dtype=float)
-    dim = m.shape[0]
-    v = np.ones(dim) + np.linspace(0.0, 1.0, dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iters):
-        mv = m @ v
-        norm = np.linalg.norm(mv)
-        if norm == 0.0:
-            return 0.0
-        v = mv / norm
-        lam_next = float(v @ m @ v)
-        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)):
-            return lam_next
-        lam = lam_next
-    return lam
+def operator_norm(m: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix."""
+    return float(np.linalg.eigvalsh(m)[-1])
 
 
 @dataclass

@@ -63,7 +63,7 @@ class TestCrnStream:
 
 
 class TestCrnDraws:
-    IDS = [0, 1, 511, 512, 19_999]
+    IDS = [0, 1, 511, 512, 19_999, 2**63, 2**64 - 1, -1]
 
     @staticmethod
     def _reference(seed, stream_id, purpose, n):

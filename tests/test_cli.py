@@ -14,7 +14,8 @@ from icpo_lab import atomic
 from icpo_lab.cli import load_config, load_params, main, save_params, teacher_from_config
 from icpo_lab.errors import InvalidConfigError
 from icpo_lab.lsa import TwoChannelParams
-from icpo_lab.pretrain import DATASET_FILE, load_dataset
+from icpo_lab.pretrain import DATASET_FILE, generate_dataset, load_dataset, save_dataset
+from icpo_lab.teacher import TeacherConfig
 
 SMALL_CONFIG = """\
 [teacher]
@@ -262,6 +263,29 @@ class TestPipeline:
         assert main([command, "--config", str(path)]) == 2
         assert f"error: [dataset] is missing required key(s): {drop}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, old, new, message",
+        [
+            ("generate", "k = 3", "k = abc", "[teacher] k = 'abc' is not an int"),
+            ("generate", "gamma = 0.3", "gamma = high", "[teacher] gamma = 'high' is not a float"),
+            ("experiment", "b_test = 4", "b_test = 4.5", "[experiment] b_test = '4.5' is not an int"),
+            ("train", "solver = gd", "solver = gd\nmax_iters = many", "[training] max_iters = 'many' is not an int"),
+            ("train", "solver = gd", "solver = gd\nstep = big", "[training] step = 'big' is not a float"),
+        ],
+    )
+    def test_mistyped_value_names_file_line_section_and_key(self, tmp_path, capsys, command, old, new, message):
+        path = _write_config(tmp_path, solver="gd")
+        text = path.read_text().replace(old, new)
+        path.write_text(text)
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        params = tmp_path / "params.bin"
+        save_params(TwoChannelParams(np.zeros((3, 3)), np.zeros((3, 3))), params)
+        dataset = tmp_path / "dataset"
+        save_dataset(generate_dataset(TeacherConfig(k=3), b=4, n=3, seed=0), dataset)
+        extra = {"generate": [], "train": ["--dataset", str(dataset)], "experiment": ["--params", str(params)]}
+        assert main([command, "--config", str(path), *extra[command]]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
     def test_generate_seed_comes_from_the_override_when_unset(self, tmp_path):
         path = tmp_path / "gen.ini"
         out = tmp_path / "out"
@@ -386,6 +410,16 @@ class TestMeIcpoCommand:
         )
         assert main(["me-icpo", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
+        assert not (tmp_path / "out/result.json").exists()
+
+    def test_mistyped_boolean_names_file_line_section_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(
+            "[me-icpo]\ngenerator = mock\nrounds = 1\nk = 2\nm = 2\nmode = numeric\n"
+            f"final_vote = maybe\nquestion = Anything?\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["me-icpo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:7: [me-icpo] final_vote = 'maybe' is not a boolean\n"
         assert not (tmp_path / "out/result.json").exists()
 
     def test_experiment_kind_me_icpo_rejected(self, tmp_path, capsys):

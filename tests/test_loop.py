@@ -288,6 +288,30 @@ class TestShockExperiment:
         with pytest.raises(InvalidConfigError, match="need b_test >= 1"):
             shock_experiment(cfg, teacher_two_channel(cfg), b_test=b_test, n=n, s=1, delta_r=1.0, seed=0)
 
+    @staticmethod
+    def _reference_bounds(rep, task):
+        """Task's envelope row from `shock_bound`, zero before the shock round."""
+        a, b, c_b, s = rep.a, float(rep.b_values[task]), float(rep.c_b_values[task]), rep.s
+        tail = [shock_bound(a, b, c_b, s, max(u - 1, s), rep.delta_r) for u in range(s, rep.n + 1)]
+        return np.array([0.0] * (s - 1) + tail)
+
+    @pytest.mark.parametrize("c_b_override", [None, 9.0])
+    @pytest.mark.parametrize("s", [1, 3, 6])
+    def test_bounds_are_shock_bound_bit_for_bit(self, c_b_override, s):
+        cfg = _cfg(k=3)
+        tc = teacher_two_channel(cfg)
+        for seed in range(4):
+            # One task: the averaged bound is that task's row.
+            rep = shock_experiment(cfg, tc, b_test=1, n=6, s=s, delta_r=-0.7, seed=seed, c_b_override=c_b_override)
+            assert np.array_equal(rep.bound, self._reference_bounds(rep, 0))
+            want_c_b = math.exp(rep.b_values[0]) if c_b_override is None else c_b_override
+            assert rep.c_b_values[0] == want_c_b
+        # Tasks in more than one block: the average of every task's row.
+        b_test = BLOCK_ROWS // 2 + 3
+        rep = shock_experiment(cfg, tc, b_test=b_test, n=6, s=s, delta_r=-0.7, seed=4, c_b_override=c_b_override)
+        want = np.stack([self._reference_bounds(rep, task) for task in range(b_test)])
+        assert np.array_equal(rep.bound, want.mean(axis=0))
+
     def test_c_b_override_scales_bound(self):
         cfg = _cfg(k=3)
         tc = teacher_two_channel(cfg)

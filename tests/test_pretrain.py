@@ -18,6 +18,7 @@ from icpo_lab.errors import (
 from icpo_lab.lsa import TwoChannelParams, project, teacher_two_channel
 from icpo_lab.pretrain import (
     DATASET_FILE,
+    default_step,
     empirical_stats,
     fisher_matrix,
     generate_dataset,
@@ -506,6 +507,18 @@ class TestOperatorNorm:
         # Kernel along the ones direction, like the Fisher weight.
         pi = np.eye(4) - np.ones((4, 4)) / 4
         assert operator_norm(2.5 * pi) == pytest.approx(2.5, rel=1e-9)
+
+    def test_exact_when_the_top_eigengap_is_tiny(self):
+        # Top eigengap ratio 0.999, which stalls a power iteration short of the top.
+        q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(6, 6)))
+        m = q @ np.diag([1.0, 0.999, 0.7, 0.3, 0.1, 0.0]) @ q.T
+        m = (m + m.T) / 2
+        assert np.linalg.eigvalsh(m)[-1] == pytest.approx(1.0, rel=1e-14)
+        assert operator_norm(m) == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-12, abs=0)
+
+    def test_default_step_is_the_exact_curvature_bound(self, matching_stats):
+        lip = np.linalg.eigvalsh(matching_stats.gamma_hat)[-1] * np.linalg.eigvalsh(matching_stats.sigma_bar)[-1]
+        assert default_step(matching_stats) == 0.9 / lip
 
 
 class TestTrainGd:
