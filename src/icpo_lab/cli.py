@@ -124,11 +124,14 @@ class _ConfigParser(configparser.ConfigParser):
             return conv(text)
         except ValueError:
             kind = {int: "an int", float: "a float"}.get(conv, "a boolean")
-            where = f"{self.path}:{_find_line(self.path, section, option)}"
-            raise InvalidConfigError(f"{where}: [{section}] {option} = {text!r} is not {kind}") from None
+            raise self.invalid(section, option, text, f"is not {kind}") from None
+
+    def invalid(self, section: str, option: str, text: str, problem: str) -> InvalidConfigError:
+        where = f"{self.path}:{_find_line(self.path, section, option)}"
+        return InvalidConfigError(f"{where}: [{section}] {option} = {text!r} {problem}")
 
 
-def load_config(path: str | Path) -> configparser.ConfigParser:
+def load_config(path: str | Path) -> _ConfigParser:
     path = Path(path)
     if not path.exists():
         raise InvalidConfigError(f"config file not found: {path}")
@@ -159,16 +162,19 @@ def _section(parser: configparser.ConfigParser, name: str, *required: str) -> co
     return parser[name]
 
 
-def teacher_from_config(parser: configparser.ConfigParser) -> TeacherConfig:
+def teacher_from_config(parser: _ConfigParser) -> TeacherConfig:
     sec = _section(parser, "teacher", "k")
     h_text = sec.get("h", "identity").strip()
     k = sec.getint("k")
     if h_text == "identity":
         h = None
     else:
-        diag = np.array([float(x) for x in h_text.split(",")])
-        if diag.size != k:
-            raise InvalidConfigError(f"h needs {k} diagonal entries, got {diag.size}")
+        try:
+            diag = [float(x) for x in h_text.split(",")]
+        except ValueError:
+            diag = []
+        if len(diag) != k or not np.all(np.isfinite(diag)):
+            raise parser.invalid("teacher", "h", h_text, f"is not 'identity' or {k} comma-separated finite floats")
         h = np.diag(diag)
     return TeacherConfig(
         k=k,
@@ -190,13 +196,17 @@ def save_params(tc: TwoChannelParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> TwoChannelParams:
     blob = Path(path).read_bytes()
     if len(blob) < 8:
-        raise InvalidConfigError(f"parameter file too short: {path}")
+        raise InvalidConfigError(f"{path}: parameter file too short")
     k, version = struct.unpack("<II", blob[:8])
     if version != PARAMS_FORMAT_VERSION:
-        raise InvalidConfigError(f"unsupported parameter format version {version}")
+        raise InvalidConfigError(f"{path}: unsupported parameter format version {version}")
+    if len(blob) - 8 != 16 * k * k:
+        raise InvalidConfigError(
+            f"{path}: expected {2 * k * k} float64 values for K={k} ({16 * k * k} bytes), got {len(blob) - 8} bytes"
+        )
     flat = np.frombuffer(blob[8:], dtype="<f8")
-    if flat.size != 2 * k * k:
-        raise InvalidConfigError(f"expected {2 * k * k} floats for K={k}, got {flat.size}")
+    if not np.all(np.isfinite(flat)):
+        raise InvalidConfigError(f"{path}: parameter values must be finite")
     return TwoChannelParams(
         w_n=flat[: k * k].reshape(k, k).copy(),
         w_g=flat[k * k :].reshape(k, k).copy(),

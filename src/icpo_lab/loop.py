@@ -5,7 +5,9 @@ serves every caller: the expert generating pretraining data, a single
 student rollout, the matching run (the student drives while the expert is
 scored on the same realized histories) and the shock run (baseline and
 perturbed copies of each task share one random-number stream, and a single
-observation-side reward bump lands on the perturbed copies only).
+observation-side reward bump lands on the perturbed copies only).  A round
+changes two of a row's 2K history statistics, so the kernel updates the
+logits by two operator columns per row instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -50,29 +52,27 @@ def closed_loop(
     `ops` stacks R operators [W_n  W_g] as (R, K, 2K).  Operator 0 drives;
     the others are scored on the state it produces.  Row i has task w[i]
     and, at round t, draws uniforms[i, t-1] and noise[i, t-1].  Its state is
-    [counts | reward sums], and each operator's logits are ops @ state / t.
+    [counts | reward sums] and each operator's logits are ops @ state / t,
+    with ops @ state kept as a running sum of two operator columns a round.
     With `shock = (s, bump)`, bump (a scalar or one value per row) is added
     to the reward observed at round s; the environment draw is untouched.
     """
     b, t_max = uniforms.shape
     k = w.shape[-1]
-    rows = np.arange(b)
-    state = np.zeros((b, 2 * k))
-    logits = np.zeros((ops.shape[0], b, k))
+    cols = ops.swapaxes(-2, -1)  # (R, 2K, K): column j of every operator
+    acc = np.zeros((ops.shape[0], b, k))  # ops @ state for every row
+    logits = acc
     for t in range(1, t_max + 1):
         policies = mix_policy(logits, cfg.gamma).p
         actions = coupled_sample(policies[0], uniforms[:, t - 1])
         rewards = draw_reward(w, actions, noise[:, t - 1], cfg.sigma_xi)
         if shock is not None and t == shock[0]:
             rewards = rewards + shock[1]
-        state[rows, actions] += 1.0
-        state[rows, k + actions] += rewards
-        # Summed column by column, left to right, so a row's logits do not
-        # depend on the size of its block or its place in it.
-        logits = np.zeros_like(logits)
-        for j in range(2 * k):
-            logits += ops[:, np.newaxis, :, j] * state[:, j, np.newaxis]
-        logits /= t
+        # Count `a` gains one and reward sum K+a gains r.  Each row is updated
+        # on its own, so its logits do not depend on its block size or place.
+        acc += cols[:, actions]
+        acc += cols[:, k + actions] * rewards[:, np.newaxis]
+        logits = acc / t
         yield Round(t=t, policies=policies, actions=actions, rewards=rewards, logits=logits)
 
 

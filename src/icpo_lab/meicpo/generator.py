@@ -353,11 +353,10 @@ class HttpGenerator(Generator):
     def _parse(request: GeneratorRequest, body: dict) -> GeneratorResponse:
         texts = [c["message"]["content"] if "message" in c else c["text"] for c in body["choices"]]
         usage = body.get("usage", {})
-        return GeneratorResponse(
-            texts=texts,
-            prompt_tokens=int(usage.get("prompt_tokens", request.prompt_tokens())),
-            completion_tokens=int(usage.get("completion_tokens", sum(count_tokens(t) for t in texts))),
-        )
+        # Counted only where the endpoint's usage block leaves a count out.
+        prompt = usage["prompt_tokens"] if "prompt_tokens" in usage else request.prompt_tokens()
+        completion = usage["completion_tokens"] if "completion_tokens" in usage else sum(map(count_tokens, texts))
+        return GeneratorResponse(texts=texts, prompt_tokens=int(prompt), completion_tokens=int(completion))
 
 
 @dataclass

@@ -84,6 +84,16 @@ class TestConfigParsing:
         assert np.allclose(cfg.h, np.diag([2.0, 4.0]))
         assert np.allclose(cfg.u, np.diag([0.5, 0.25]))
 
+    @pytest.mark.parametrize(
+        "h", ["1.0, abc, 2.0", "1.0, 2.0", "1.0, 2.0, 3.0, 4.0", "1.0,,2.0", "1.0, nan, 2.0", "inf, 1, 2"]
+    )
+    def test_bad_diagonal_names_file_and_line(self, tmp_path, capsys, h):
+        path = _write_config(tmp_path)
+        path.write_text(path.read_text().replace("h = identity", f"h = {h}"))
+        assert main(["generate", "--config", str(path)]) == 2
+        message = f"[teacher] h = {h!r} is not 'identity' or 3 comma-separated finite floats"
+        assert capsys.readouterr().err == f"error: {path}:8: {message}\n"
+
 
 class TestParamsFile:
     def test_round_trip_is_exact(self, tmp_path):
@@ -108,6 +118,25 @@ class TestParamsFile:
         path.write_bytes(b"\x02\x00\x00\x00\x09\x00\x00\x00" + b"\x00" * (2 * 4 * 8))
         with pytest.raises(InvalidConfigError):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (np.zeros(2 * 9).tobytes() + b"\x00" * 3, "expected 18 float64 values for K=3 (144 bytes), got 147 bytes"),
+            (np.zeros(2 * 9 - 1).tobytes(), "expected 18 float64 values for K=3 (144 bytes), got 136 bytes"),
+            (np.full(2 * 9, np.nan).tobytes(), "parameter values must be finite"),
+            (np.r_[np.zeros(17), np.inf].tobytes(), "parameter values must be finite"),
+        ],
+        ids=["3-byte tail", "short body", "nan", "inf"],
+    )
+    def test_malformed_body_names_the_file(self, tmp_path, capsys, body, message):
+        path = tmp_path / "p.bin"
+        path.write_bytes(b"\x03\x00\x00\x00\x01\x00\x00\x00" + body)
+        with pytest.raises(InvalidConfigError, match="must be finite|expected"):
+            load_params(path)
+        cfg = _write_config(tmp_path)
+        assert main(["experiment", "--config", str(cfg), "--params", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestPipeline:

@@ -116,6 +116,25 @@ class TestClosedLoopKernel:
             assert np.array_equal(single.rewards, large.rewards[tau])
             assert np.array_equal(single.policies[: n - 1], large.policies[tau])
 
+    def test_running_logits_equal_the_full_product(self):
+        """Every yielded logits array is ops @ [counts | reward sums] / t, rebuilt
+        from the yielded actions and rewards, and later rounds leave it as it was."""
+        rng = np.random.default_rng(41)
+        k, b, t_max = 6, 9, 40
+        cfg = _cfg(k=k, sigma_xi=0.5)
+        ops = rng.normal(size=(2, k, 2 * k))
+        w, uniforms, noise = rng.normal(size=(b, k)), rng.random((b, t_max)), rng.normal(size=(b, t_max))
+        rounds, copies = [], []
+        for rnd in closed_loop(ops, w, uniforms, noise, cfg, shock=(5, rng.normal(size=b))):
+            rounds.append(rnd)
+            copies.append(rnd.logits.copy())
+        state = np.zeros((b, 2 * k))
+        for rnd, logits in zip(rounds, copies):
+            state[np.arange(b), rnd.actions] += 1.0
+            state[np.arange(b), k + rnd.actions] += rnd.rewards
+            assert np.abs(rnd.logits - np.einsum("rkj,bj->rbk", ops, state) / rnd.t).max() <= 1e-12
+            assert np.array_equal(rnd.logits, logits)
+
 
 class TestRollout:
     def test_null_shock_is_identical_to_baseline(self):

@@ -500,6 +500,33 @@ class TestHttpGenerator:
         assert resp.texts == ["a", "b"]
         assert resp.prompt_tokens == 11 and resp.completion_tokens == 7
 
+    @pytest.mark.parametrize(
+        "usage, counted, expected",
+        [
+            ({"prompt_tokens": 11, "completion_tokens": 7}, [], (11, 7)),
+            ({"completion_tokens": 7}, ["hi"], (1, 7)),
+            ({"prompt_tokens": 11}, ["two words", "b"], (11, 3)),
+            (None, ["hi", "two words", "b"], (1, 3)),
+        ],
+    )
+    def test_counts_tokens_only_where_usage_lacks_them(self, monkeypatch, usage, counted, expected):
+        from icpo_lab.meicpo import generator
+
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return len(text.split())
+
+        monkeypatch.setattr(generator, "count_tokens", spy)
+        body = {"choices": [{"message": {"content": "two words"}}, {"message": {"content": "b"}}]}
+        if usage is not None:
+            body["usage"] = usage
+        gen = _http(_FakeTransport([_reply(200, body)]), "http://x/v1/chat", max_retries=0, backoff=0.0)
+        resp = gen.generate(self._request())
+        assert (resp.prompt_tokens, resp.completion_tokens) == expected
+        assert calls == counted
+
     def test_payload_shape_and_bearer_header(self, monkeypatch):
         monkeypatch.setenv("ICPO_API_KEY", "sekret")
         transport = _FakeTransport([_reply(200, {"choices": [{"text": "a"}, {"text": "b"}]})])
