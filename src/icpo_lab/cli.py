@@ -1,9 +1,11 @@
 """Command-line entry point: generate datasets, train, and run experiments.
 
-Configs are INI files (sections of key = value pairs); unknown sections or
-keys are rejected with the offending line number.  Every artifact written to
-disk carries the exact config and seed that produced it, and contains no
-timestamps, so reruns are byte-identical.
+Configs are INI files (sections of key = value pairs).  `_KEYS` names each
+section's keys and the type of each; an unknown section or key, or a value
+that does not parse as its type, is rejected at load with the offending line
+number.  Defaults and ranges belong to the code each value is passed to.
+Every artifact written to disk carries the exact config and seed that
+produced it, and contains no timestamps, so reruns are byte-identical.
 
 Parameter file format (version 1): an 8-byte little-endian header of two
 uint32 fields (K, format version), followed by the count-channel operator
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import struct
@@ -47,49 +50,40 @@ from .teacher import TeacherConfig
 
 PARAMS_FORMAT_VERSION = 1
 
-_ALLOWED_KEYS = {
-    "teacher": {"k", "c", "gamma", "lambda", "tau_w", "sigma_xi", "h"},
-    "dataset": {"b", "n", "seed"},
-    "training": {"solver", "step", "max_iters", "tol"},
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+def _float_or_auto(text: str) -> float | None:
+    """A float, or None for `auto`: the callee then derives the value."""
+    return None if text == "auto" else float(text)
+
+
+# Every key each section accepts, and the converter of its value.  No defaults
+# and no ranges: a command passes on only the keys the file sets, so both stay
+# with the constructor or function that takes them.
+_KEYS = {
+    "teacher": {"k": int, "c": float, "gamma": float, "lambda": float, "tau_w": float, "sigma_xi": float, "h": str},
+    "dataset": {"b": int, "n": int, "seed": int},
+    "training": {"solver": str, "step": _float_or_auto, "max_iters": int, "tol": float},
     "experiment": {
-        "kind",
-        "b_test",
-        "n",
-        "seed",
-        "s",
-        "delta_r",
-        "c_b",
-        "spectrum_samples",
-        "lipschitz_samples",
-        "sandwich_draws",
-        "sandwich_scale",
+        "kind": str, "b_test": int, "n": int, "seed": int, "s": int, "delta_r": float, "c_b": _float_or_auto,
+        "spectrum_samples": int, "lipschitz_samples": int, "sandwich_draws": int, "sandwich_scale": float,
     },
     "me-icpo": {
-        "generator",
-        "rounds",
-        "k",
-        "m",
-        "temperature",
-        "top_p",
-        "entropy_temperature",
-        "max_tokens",
-        "lookahead_max_tokens",
-        "summary_cap_tokens",
-        "mode",
-        "include_reward_tags",
-        "selection",
-        "final_vote",
-        "question",
-        "gold",
-        "script",
-        "endpoint",
-        "model",
-        "api_key_env",
-        "timeout",
-        "max_retries",
+        "generator": str, "rounds": int, "k": int, "m": int, "temperature": float, "top_p": float,
+        "entropy_temperature": float, "max_tokens": int, "lookahead_max_tokens": int, "summary_cap_tokens": int,
+        "mode": str, "include_reward_tags": _boolean, "selection": str, "final_vote": _boolean,
+        "question": str, "gold": str, "script": str,
+        "endpoint": str, "model": str, "api_key_env": str, "timeout": float, "max_retries": int,
     },
-    "output": {"dir"},
+    "output": {"dir": str},
 }
+_TYPE_NAMES = {int: "an int", float: "a float", _float_or_auto: "a float", _boolean: "a boolean"}
 
 
 def _find_line(path: Path, section: str, key: str | None = None) -> int:
@@ -108,83 +102,84 @@ def _find_line(path: Path, section: str, key: str | None = None) -> int:
     return 0
 
 
-class _ConfigParser(configparser.ConfigParser):
-    """A config whose typed getters name the file, line, section and key of a bad value."""
+def _pick(sec: dict, *names: str) -> dict:
+    """The keys among `names` that `sec` sets, as keyword arguments."""
+    return {name: sec[name] for name in names if name in sec}
 
-    def __init__(self, path: Path):
-        # No interpolation: values may legitimately contain '%' (question text).
-        super().__init__(interpolation=None, inline_comment_prefixes=(";", "#"))
+
+class Config:
+    """A loaded config: each section's values as written (`raw`) and as converted (`values`)."""
+
+    def __init__(self, path: Path, raw: dict[str, dict[str, str]]):
         self.path = path
+        self.raw = raw  # what the sidecars embed, so it is never rewritten
+        self.values = {
+            name: {key: self._convert(name, key, text) for key, text in sec.items()} for name, sec in raw.items()
+        }
 
-    def _get(self, section, conv, option, **kwargs):
-        # getint, getfloat and getboolean, on the parser and on its sections,
-        # all convert through this one hook.
-        text = self.get(section, option, **kwargs)
+    def _convert(self, section: str, key: str, text: str):
+        convert = _KEYS[section][key]
         try:
-            return conv(text)
+            return convert(text)
         except ValueError:
-            kind = {int: "an int", float: "a float"}.get(conv, "a boolean")
-            raise self.invalid(section, option, text, f"is not {kind}") from None
+            raise self.invalid(section, key, text, f"is not {_TYPE_NAMES[convert]}") from None
 
-    def invalid(self, section: str, option: str, text: str, problem: str) -> InvalidConfigError:
-        where = f"{self.path}:{_find_line(self.path, section, option)}"
-        return InvalidConfigError(f"{where}: [{section}] {option} = {text!r} {problem}")
+    def _where(self, section: str, key: str | None = None) -> str:
+        return f"{self.path}:{_find_line(self.path, section, key)}: [{section}]"
+
+    def invalid(self, section: str, key: str, text: str, problem: str) -> InvalidConfigError:
+        return InvalidConfigError(f"{self._where(section, key)} {key} = {text!r} {problem}")
+
+    def require(self, section: str, *keys: str) -> dict:
+        """The converted [section], which must exist and set each key in `keys`."""
+        if section not in self.values:
+            raise InvalidConfigError(f"config is missing the [{section}] section")
+        if missing := [key for key in keys if key not in self.values[section]]:
+            raise InvalidConfigError(f"[{section}] is missing required key(s): {', '.join(missing)}")
+        return self.values[section]
+
+    def build(self, section: str, factory, **kwargs):
+        """`factory(**kwargs)`; a range error it raises names the file and the [section] line."""
+        try:
+            return factory(**kwargs)
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"{self._where(section)} {exc}") from None
 
 
-def load_config(path: str | Path) -> _ConfigParser:
+def load_config(path: str | Path) -> Config:
     path = Path(path)
     if not path.exists():
         raise InvalidConfigError(f"config file not found: {path}")
-    parser = _ConfigParser(path)
+    # No interpolation: values may legitimately contain '%' (question text).
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise InvalidConfigError(f"{path}: {exc}") from exc
     for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
-            raise InvalidConfigError(
-                f"{path}:{_find_line(path, section)}: unknown section [{section}]"
-            )
+        if section not in _KEYS:
+            raise InvalidConfigError(f"{path}:{_find_line(path, section)}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in _ALLOWED_KEYS[section]:
-                raise InvalidConfigError(
-                    f"{path}:{_find_line(path, section, key)}: unknown key '{key}' in [{section}]"
-                )
-    return parser
+            if key not in _KEYS[section]:
+                raise InvalidConfigError(f"{path}:{_find_line(path, section, key)}: unknown key '{key}' in [{section}]")
+    return Config(path, {name: dict(parser[name]) for name in parser.sections()})
 
 
-def _section(parser: configparser.ConfigParser, name: str, *required: str) -> configparser.SectionProxy:
-    """The [name] section, which must exist and set each key in `required`."""
-    if name not in parser:
-        raise InvalidConfigError(f"config is missing the [{name}] section")
-    if missing := [key for key in required if key not in parser[name]]:
-        raise InvalidConfigError(f"[{name}] is missing required key(s): {', '.join(missing)}")
-    return parser[name]
-
-
-def teacher_from_config(parser: _ConfigParser) -> TeacherConfig:
-    sec = _section(parser, "teacher", "k")
-    h_text = sec.get("h", "identity").strip()
-    k = sec.getint("k")
-    if h_text == "identity":
-        h = None
-    else:
+def teacher_from_config(config: Config) -> TeacherConfig:
+    sec = config.require("teacher", "k")
+    kwargs = {("lam" if key == "lambda" else key): value for key, value in sec.items()}
+    if kwargs.get("h") == "identity":
+        del kwargs["h"]
+    elif "h" in kwargs:
         try:
-            diag = [float(x) for x in h_text.split(",")]
+            diag = [float(x) for x in sec["h"].split(",")]
         except ValueError:
             diag = []
-        if len(diag) != k or not np.all(np.isfinite(diag)):
-            raise parser.invalid("teacher", "h", h_text, f"is not 'identity' or {k} comma-separated finite floats")
-        h = np.diag(diag)
-    return TeacherConfig(
-        k=k,
-        c=sec.getfloat("c", 1.0),
-        gamma=sec.getfloat("gamma", 0.2),
-        lam=sec.getfloat("lambda", 0.1),
-        tau_w=sec.getfloat("tau_w", 1.0),
-        sigma_xi=sec.getfloat("sigma_xi", 0.5),
-        h=h,
-    )
+        if len(diag) != sec["k"] or not np.all(np.isfinite(diag)):
+            problem = f"is not 'identity' or {sec['k']} comma-separated finite floats"
+            raise config.invalid("teacher", "h", sec["h"], problem)
+        kwargs["h"] = np.diag(diag)
+    return config.build("teacher", TeacherConfig, **kwargs)
 
 
 def save_params(tc: TwoChannelParams, path: str | Path) -> None:
@@ -226,33 +221,26 @@ def _write_json(payload: dict, path: Path) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(parser: configparser.ConfigParser, override: str | None) -> Path:
-    if override:
-        out = Path(override)
-    elif "output" in parser and parser["output"].get("dir"):
-        out = Path(parser["output"]["dir"])
-    else:
-        out = Path("out")
+def _out_dir(config: Config, override: str | None) -> Path:
+    out = Path(override or config.raw.get("output", {}).get("dir") or "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    parser = load_config(args.config)
-    cfg = teacher_from_config(parser)
-    sec = _section(parser, "dataset", "b", "n", *(("seed",) if args.seed_override is None else ()))
-    b, n = sec.getint("b"), sec.getint("n")
-    seed = args.seed_override if args.seed_override is not None else sec.getint("seed")
-    ds = generate_dataset(cfg, b=b, n=n, seed=seed)
-    out = _out_dir(parser, args.out) / "dataset"
+    config = load_config(args.config)
+    cfg = teacher_from_config(config)
+    sec = config.require("dataset", "b", "n", *(("seed",) if args.seed_override is None else ()))
+    seed = args.seed_override if args.seed_override is not None else sec["seed"]
+    ds = generate_dataset(cfg, b=sec["b"], n=sec["n"], seed=seed)
+    out = _out_dir(config, args.out) / "dataset"
     save_dataset(ds, out)
     print(f"wrote {ds.m} training pairs to {out}")
     return 0
 
 
-def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) -> Path:
-    # An absent [training] reads as the empty default section.
-    sec = parser["training" if "training" in parser else parser.default_section]
+def _train(config: Config, ds: PretrainDataset, out: Path) -> Path:
+    sec = config.values.get("training", {})
     solver = sec.get("solver", "ls")
     fs = empirical_stats(ds)
     log_lines = ["iteration,loss,grad_norm"]
@@ -260,12 +248,7 @@ def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) ->
         tc = solve_ls(fs)
         log_lines.append(f"0,{_fmt(loss_quadratic(tc, fs))},{_fmt(np.linalg.norm(gradient(tc, fs)))}")
     elif solver == "gd":
-        result = train_gd(
-            fs,
-            step=None if sec.get("step", "auto") == "auto" else sec.getfloat("step"),
-            max_iters=sec.getint("max_iters", 200_000),
-            tol=sec.getfloat("tol", 1e-10),
-        )
+        result = train_gd(fs, **_pick(sec, "step", "max_iters", "tol"))
         tc = result.params
         for i, (loss, gnorm) in enumerate(zip(result.losses, result.grad_norms)):
             log_lines.append(f"{i},{_fmt(loss)},{_fmt(gnorm)}")
@@ -278,7 +261,7 @@ def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) ->
         {
             "teacher": ds.cfg.to_dict(),
             "dataset": {"b": ds.b, "n": ds.n, "seed": ds.seed},
-            "training": dict(sec),
+            "training": config.raw.get("training", {}),
             "params_sha256": hashlib.sha256(params_path.read_bytes()).hexdigest(),
             "dataset_sha256": ds.sha256,
         },
@@ -288,50 +271,47 @@ def _train(parser: configparser.ConfigParser, ds: PretrainDataset, out: Path) ->
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    parser = load_config(args.config)
+    config = load_config(args.config)
     ds = load_dataset(args.dataset)
-    out = _out_dir(parser, args.out)
-    params_path = _train(parser, ds, out)
+    out = _out_dir(config, args.out)
+    params_path = _train(config, ds, out)
     print(f"wrote {params_path}")
     return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    parser = load_config(args.config)
-    sec = _section(parser, "experiment")
+    config = load_config(args.config)
+    sec = config.require("experiment")
     kind = sec.get("kind")
     if kind not in ("lemma-suite", "matching", "shock"):
         raise InvalidConfigError(f"unknown experiment kind {kind!r}")
-    out = _out_dir(parser, args.out)
-    cfg = teacher_from_config(parser)
-    seed = args.seed_override if args.seed_override is not None else sec.getint("seed", 0)
-    sidecar = {"teacher": cfg.to_dict(), "experiment": dict(sec), "seed": seed}
+    out = _out_dir(config, args.out)
+    cfg = teacher_from_config(config)
+    seed = args.seed_override if args.seed_override is not None else sec.get("seed", 0)
+    sidecar = {"teacher": cfg.to_dict(), "experiment": config.raw["experiment"], "seed": seed}
 
     if kind == "lemma-suite":
-        dsec = _section(parser, "dataset", "b", "n", "seed")
-        ds = generate_dataset(cfg, b=dsec.getint("b"), n=dsec.getint("n"), seed=dsec.getint("seed"))
+        dsec = config.require("dataset", "b", "n", "seed")
+        ds = generate_dataset(cfg, b=dsec["b"], n=dsec["n"], seed=dsec["seed"])
         report = run_lemma_suite(
             ds,
             empirical_stats(ds),
             seed=seed,
-            spectrum_samples=sec.getint("spectrum_samples", 10_000),
-            lipschitz_samples=sec.getint("lipschitz_samples", 100_000),
-            sandwich_draws=sec.getint("sandwich_draws", 50),
-            sandwich_scale=sec.getfloat("sandwich_scale", 0.3),
+            **_pick(sec, "spectrum_samples", "lipschitz_samples", "sandwich_draws", "sandwich_scale"),
         )
-        sidecar["dataset"] = dict(dsec)
+        sidecar["dataset"] = config.raw["dataset"]
         _write_json({"config": sidecar, "report": report}, out / "lemma_suite.json")
         print(f"lemma suite {'passed' if report['passed'] else 'FAILED'}; wrote {out}")
         return 0 if report["passed"] else 1
 
-    _section(parser, "experiment", "b_test", "n", *(("s", "delta_r") if kind == "shock" else ()))
+    config.require("experiment", "b_test", "n", *(("s", "delta_r") if kind == "shock" else ()))
     if args.params is None:
         raise InvalidConfigError(f"experiment kind {kind!r} needs --params")
     tc = load_params(args.params)
     if tc.k != cfg.k:
         raise InvalidConfigError(f"{args.params} holds K={tc.k} operators but [teacher] k = {cfg.k}")
     if kind == "matching":
-        report = matching_experiment(cfg, tc, b_test=sec.getint("b_test"), n=sec.getint("n"), seed=seed)
+        report = matching_experiment(cfg, tc, b_test=sec["b_test"], n=sec["n"], seed=seed)
         _write_csv(out / "matching.csv", "round,mean,std", report.rounds, report.mean, report.std)
         _write_json(sidecar, out / "matching.json")
         print(f"max mean policy gap {report.mean.max():.3e}; wrote {out}")
@@ -339,12 +319,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     report = shock_experiment(
         cfg,
         tc,
-        b_test=sec.getint("b_test"),
-        n=sec.getint("n"),
-        s=sec.getint("s"),
-        delta_r=sec.getfloat("delta_r"),
+        b_test=sec["b_test"],
+        n=sec["n"],
+        s=sec["s"],
+        delta_r=sec["delta_r"],
         seed=seed,
-        c_b_override=None if sec.get("c_b", "auto") == "auto" else sec.getfloat("c_b"),
+        c_b_override=sec.get("c_b"),
     )
     _write_csv(out / "shock.csv", "round,mean,std,bound", report.rounds, report.mean, report.std, report.bound)
     sidecar["a"] = report.a
@@ -357,47 +337,29 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_me_icpo(args: argparse.Namespace) -> int:
-    parser = load_config(args.config)
-    out = _out_dir(parser, args.out)
-    sec = _section(parser, "me-icpo")
+    config = load_config(args.config)
+    out = _out_dir(config, args.out)
+    sec = config.require("me-icpo")
     question = sec.get("question")
     if not question:
         raise InvalidConfigError("[me-icpo] needs a question")
-    cfg = MeIcpoConfig(
-        rounds=sec.getint("rounds", 5),
-        k=sec.getint("k", 16),
-        m=sec.getint("m", 16),
-        temperature=sec.getfloat("temperature", 0.6),
-        top_p=sec.getfloat("top_p", 0.95),
-        entropy_temperature=sec.getfloat("entropy_temperature", 0.6),
-        max_tokens=sec.getint("max_tokens", 1024),
-        lookahead_max_tokens=sec.getint("lookahead_max_tokens", 256),
-        summary_cap_tokens=sec.getint("summary_cap_tokens", 500),
-        mode=sec.get("mode", "numeric"),
-        include_reward_tags=sec.getboolean("include_reward_tags", True),
-        selection=sec.get("selection", "entropy"),
-        final_vote=sec.getboolean("final_vote", False),
-    )
+    loop_keys = [f.name for f in dataclasses.fields(MeIcpoConfig)]
+    cfg = config.build("me-icpo", MeIcpoConfig, **_pick(sec, *loop_keys))
     backend = sec.get("generator", "mock")
     if backend == "mock":
-        script_path = sec.get("script", "")
+        script_path = sec.get("script")
         if script_path:
-            script = json.loads(Path(script_path).read_text())
-            generator = ScriptedGenerator(script)
+            try:
+                generator = ScriptedGenerator(json.loads(Path(script_path).read_text()))
+            except (ValueError, InvalidConfigError) as exc:
+                raise InvalidConfigError(f"{script_path}: {exc}") from None
         else:
             generator = demo_generator()
     elif backend == "http":
-        endpoint = sec.get("endpoint")
-        model = sec.get("model")
-        if not endpoint or not model:
+        if not sec.get("endpoint") or not sec.get("model"):
             raise InvalidConfigError("http generator needs endpoint and model")
-        generator = HttpGenerator(
-            endpoint=endpoint,
-            model=model,
-            api_key_env=sec.get("api_key_env", "ICPO_API_KEY"),
-            timeout=sec.getfloat("timeout", 120.0),
-            max_retries=sec.getint("max_retries", 3),
-        )
+        http_keys = ("endpoint", "model", "api_key_env", "timeout", "max_retries")
+        generator = config.build("me-icpo", HttpGenerator, **_pick(sec, *http_keys))
     else:
         raise InvalidConfigError(f"unknown generator {backend!r}; expected 'mock' or 'http'")
 
@@ -411,10 +373,9 @@ def cmd_me_icpo(args: argparse.Namespace) -> int:
         "final_text": result.final_text,
         "history_pairs": list(result.history.pairs),
         "accounting": result.accounting.to_dict(),
-        "config": dict(sec),
+        "config": config.raw["me-icpo"],
     }
-    gold = sec.get("gold", "")
-    if gold:
+    if gold := sec.get("gold"):
         from .meicpo.answers import canonicalize
 
         payload["gold"] = gold

@@ -17,9 +17,7 @@ from .loop import (
     MeIcpoConfig,
     MeIcpoResult,
     RoundTrace,
-    estimate_entropy,
     run_me_icpo,
-    summarize,
     write_trace_jsonl,
 )
 from .metrics import RunMetrics, compute_metrics

@@ -98,6 +98,11 @@ class ScriptedGenerator(Generator):
     """
 
     def __init__(self, script: Sequence[Sequence[str]]):
+        if not isinstance(script, (list, tuple)):
+            raise InvalidConfigError(f"a script is a list of lists of strings, got a {type(script).__name__}")
+        for i, batch in enumerate(script):
+            if not isinstance(batch, (list, tuple)) or not all(isinstance(text, str) for text in batch):
+                raise InvalidConfigError(f"a script is a list of lists of strings; entry {i} is {batch!r}")
         self._script = [list(batch) for batch in script]
         self._cursor = 0
         self.requests: list[GeneratorRequest] = []
@@ -194,6 +199,10 @@ class HttpGenerator(Generator):
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise InvalidConfigError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise InvalidConfigError(f"timeout must be a finite number of seconds > 0, got {timeout}")
+        if max_retries < 0:
+            raise InvalidConfigError(f"max_retries must be >= 0, got {max_retries}")
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env

@@ -170,6 +170,7 @@ def _summary_request(text: str, mode: str, cap_tokens: int) -> GeneratorRequest:
 
 
 def _summary_of(response: GeneratorResponse, cap_tokens: int) -> tuple[str, bool]:
+    """(summary, truncated); the cap holds on whitespace tokens even if the backend ignored max_tokens."""
     summary = response.texts[0].strip()
     words = summary.split()
     if len(words) > cap_tokens:
@@ -177,29 +178,9 @@ def _summary_of(response: GeneratorResponse, cap_tokens: int) -> tuple[str, bool
     return summary, False
 
 
-def summarize(
-    text: str,
-    generator: Generator,
-    mode: str,
-    cap_tokens: int = 500,
-    accounting: CallAccounting | None = None,
-) -> tuple[str, bool]:
-    """Greedy-decode a compressed idea for one candidate; enforce the hard cap.
-
-    Returns (summary, truncated).  The cap is enforced locally on whitespace
-    tokens even if the backend ignored max_tokens.
-    """
-    response = generator.generate(_summary_request(text, mode, cap_tokens))
-    if accounting is not None:
-        accounting.add("summarize", response)
-    return _summary_of(response, cap_tokens)
-
-
 def _lookahead_request(
     history: IcpoHistory, m: int, temperature: float, max_tokens: int, include_reward_tags: bool
 ) -> GeneratorRequest:
-    if m < 1:
-        raise InvalidConfigError(f"need at least one lookahead sample, got m={m}")
     return GeneratorRequest(
         messages=history.render_messages(include_reward_tags),
         temperature=temperature,
@@ -210,6 +191,11 @@ def _lookahead_request(
 
 
 def _entropy_of(response: GeneratorResponse, mode: str) -> float:
+    """Shannon entropy (nats) of the sampled answers, pooled by canonical form.
+
+    All absent answers share one bucket, so a context that derails the
+    generator scores high.
+    """
     buckets: dict[str, int] = {}
     for text in response.texts:
         answer = canonicalize(extract_answer(text, mode), mode)
@@ -217,29 +203,6 @@ def _entropy_of(response: GeneratorResponse, mode: str) -> float:
         buckets[key] = buckets.get(key, 0) + 1
     total = sum(buckets.values())
     return -sum((c / total) * math.log(c / total) for c in buckets.values())
-
-
-def estimate_entropy(
-    history: IcpoHistory,
-    generator: Generator,
-    m: int,
-    temperature: float,
-    mode: str,
-    max_tokens: int = 256,
-    include_reward_tags: bool = True,
-    accounting: CallAccounting | None = None,
-) -> float:
-    """Shannon entropy (nats) of the answer distribution after `history`.
-
-    Estimated from m sampled completions; answers are pooled by canonical
-    form with all absent answers sharing one bucket, so a context that
-    derails the generator scores high.
-    """
-    request = _lookahead_request(history, m, temperature, max_tokens, include_reward_tags)
-    response = generator.generate(request)
-    if accounting is not None:
-        accounting.add("entropy", response)
-    return _entropy_of(response, mode)
 
 
 def _wave(

@@ -81,16 +81,15 @@ class TeacherConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TeacherConfig":
-        h = d.get("h", "identity")
-        h_mat = None if h == "identity" else np.asarray(h, dtype=float)
+        """Inverse of `to_dict`; every key it writes must be present."""
         return cls(
             k=int(d["k"]),
-            c=float(d.get("c", 1.0)),
-            gamma=float(d.get("gamma", 0.2)),
-            lam=float(d.get("lambda", 0.1)),
-            tau_w=float(d.get("tau_w", 1.0)),
-            sigma_xi=float(d.get("sigma_xi", 0.5)),
-            h=h_mat,
+            c=float(d["c"]),
+            gamma=float(d["gamma"]),
+            lam=float(d["lambda"]),
+            tau_w=float(d["tau_w"]),
+            sigma_xi=float(d["sigma_xi"]),
+            h=None if d["h"] == "identity" else np.asarray(d["h"], dtype=float),
         )
 
 

@@ -1,5 +1,6 @@
 """CLI tests: config validation, parameter file format, end-to-end commands."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,11 +11,14 @@ import numpy as np
 import pytest
 
 import icpo_lab
-from icpo_lab import atomic
+from icpo_lab import atomic, cli
+from icpo_lab.analysis import run_lemma_suite
 from icpo_lab.cli import load_config, load_params, main, save_params, teacher_from_config
-from icpo_lab.errors import InvalidConfigError
+from icpo_lab.errors import IcpoError, InvalidConfigError
+from icpo_lab.loop import shock_experiment
 from icpo_lab.lsa import TwoChannelParams
-from icpo_lab.pretrain import DATASET_FILE, generate_dataset, load_dataset, save_dataset
+from icpo_lab.meicpo import HttpGenerator, MeIcpoConfig
+from icpo_lab.pretrain import DATASET_FILE, generate_dataset, load_dataset, save_dataset, train_gd
 from icpo_lab.teacher import TeacherConfig
 
 SMALL_CONFIG = """\
@@ -93,6 +97,28 @@ class TestConfigParsing:
         assert main(["generate", "--config", str(path)]) == 2
         message = f"[teacher] h = {h!r} is not 'identity' or 3 comma-separated finite floats"
         assert capsys.readouterr().err == f"error: {path}:8: {message}\n"
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("c = 1.0", "c = -1", "step-size constant must be > 0, got -1.0"),
+            ("k = 3", "k = 1", "need at least 2 arms, got K=1"),
+            ("gamma = 0.3", "gamma = 1.5", "exploration mix must be in [0, 1], got 1.5"),
+        ],
+    )
+    def test_out_of_range_teacher_value_names_file_and_section(self, tmp_path, capsys, old, new, message):
+        path = _write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["generate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: [teacher] {message}\n"
+
+    def test_mistyped_value_fails_a_command_that_does_not_read_it(self, tmp_path, capsys):
+        path = _write_config(tmp_path)
+        path.write_text(path.read_text() + "\n[me-icpo]\nfinal_vote = maybe\n")
+        line = path.read_text().splitlines().index("final_vote = maybe") + 1
+        assert main(["generate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: [me-icpo] final_vote = 'maybe' is not a boolean\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestParamsFile:
@@ -323,6 +349,100 @@ class TestPipeline:
         assert load_dataset(out / "dataset").seed == 5
 
 
+class TestEveryKeyReachesItsCallee:
+    """Commands pick keyword arguments out of the key table by name, so a key
+    spelt unlike its parameter would be dropped without a word.  Each test
+    sets every key of a section to a value other than the callee's default."""
+
+    @staticmethod
+    def _ini(section, values):
+        return f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+
+    @staticmethod
+    def _capture(monkeypatch, name):
+        """Replace `cli.<name>` by a stub that records its arguments, then stops the command."""
+        seen = {}
+
+        def stub(*args, **kwargs):
+            seen.update(args=args, kwargs=kwargs)
+            raise IcpoError("stopped")
+
+        monkeypatch.setattr(cli, name, stub)
+        return seen
+
+    def test_teacher(self, tmp_path):
+        values = {"k": 3, "c": 0.7, "gamma": 0.35, "lambda": 0.25, "tau_w": 1.5, "sigma_xi": 0.45}
+        assert set(values) | {"h"} == set(cli._KEYS["teacher"])
+        path = tmp_path / "t.ini"
+        path.write_text(self._ini("teacher", {**values, "h": "2, 3, 4"}))
+        cfg = teacher_from_config(load_config(path))
+        default = TeacherConfig(k=2)
+        for key, value in values.items():
+            field = "lam" if key == "lambda" else key
+            assert getattr(cfg, field) == value != getattr(default, field)
+        assert np.array_equal(cfg.h, np.diag([2.0, 3.0, 4.0]))
+
+    def test_me_icpo_loop_and_http_generator(self, tmp_path, monkeypatch):
+        loop = {
+            "rounds": 2, "k": 3, "m": 4, "temperature": 0.3, "top_p": 0.5, "entropy_temperature": 0.9,
+            "max_tokens": 77, "lookahead_max_tokens": 55, "summary_cap_tokens": 33, "mode": "letter",
+            "include_reward_tags": False, "selection": "reward", "final_vote": True,
+        }
+        http = {
+            "endpoint": "http://127.0.0.1:9/v1", "model": "m7", "api_key_env": "OTHER_KEY",
+            "timeout": 7.5, "max_retries": 5,
+        }
+        rest = {"generator": "http", "question": "Which?", "gold": "B", "script": "unused.json"}
+        assert set(loop) | set(http) | set(rest) == set(cli._KEYS["me-icpo"])
+        path = tmp_path / "m.ini"
+        path.write_text(self._ini("me-icpo", {**loop, **http, **rest}) + f"\n[output]\ndir = {tmp_path}\n")
+        seen = self._capture(monkeypatch, "run_me_icpo")
+        assert main(["me-icpo", "--config", str(path)]) == 2
+        question, cfg, generator = seen["args"]
+        assert question == "Which?"
+        for key, value in loop.items():
+            assert getattr(cfg, key) == value != getattr(MeIcpoConfig(), key)
+        for key, value in http.items():
+            assert getattr(generator, key) == value
+        self._assert_not_defaults(HttpGenerator, http)
+
+    def test_training(self, tmp_path, monkeypatch):
+        values = {"step": 0.01, "max_iters": 9, "tol": 1e-3}
+        assert set(values) | {"solver"} == set(cli._KEYS["training"])
+        path = tmp_path / "t.ini"
+        path.write_text(self._ini("training", {"solver": "gd", **values}))
+        seen = self._capture(monkeypatch, "train_gd")
+        ds = generate_dataset(TeacherConfig(k=3), b=4, n=3, seed=0)
+        with pytest.raises(IcpoError, match="stopped"):
+            cli._train(load_config(path), ds, tmp_path)
+        assert seen["kwargs"] == values
+        self._assert_not_defaults(train_gd, values)
+
+    def test_experiment(self, tmp_path, monkeypatch):
+        lemma = {"spectrum_samples": 11, "lipschitz_samples": 12, "sandwich_draws": 13, "sandwich_scale": 0.5}
+        shock = {"b_test": 2, "n": 4, "s": 1, "delta_r": 0.25, "c_b": 3.5}
+        assert set(lemma) | set(shock) | {"kind", "seed"} == set(cli._KEYS["experiment"])
+        params = tmp_path / "params.bin"
+        save_params(TwoChannelParams(np.zeros((3, 3)), np.zeros((3, 3))), params)
+        for kind, callee, values in (("lemma-suite", run_lemma_suite, lemma), ("shock", shock_experiment, shock)):
+            path = tmp_path / f"{kind}.ini"
+            path.write_text(
+                "[teacher]\nk = 3\n\n[dataset]\nb = 4\nn = 3\nseed = 0\n\n"
+                + self._ini("experiment", {"kind": kind, "seed": 8, **values})
+                + f"\n[output]\ndir = {tmp_path}\n"
+            )
+            seen = self._capture(monkeypatch, callee.__name__)
+            assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
+            expected = {("c_b_override" if key == "c_b" else key): value for key, value in values.items()}
+            assert seen["kwargs"] == {**expected, "seed": 8}
+            self._assert_not_defaults(callee, expected)
+
+    @staticmethod
+    def _assert_not_defaults(callee, kwargs):
+        parameters = inspect.signature(callee).parameters
+        assert all(value != parameters[key].default for key, value in kwargs.items())
+
+
 class _HalfWriter:
     """Stands in for the temp file: writes half of the bytes, then fails."""
 
@@ -430,16 +550,59 @@ class TestMeIcpoCommand:
         result = json.loads((tmp_path / "out/result.json").read_text())
         assert result["question"] == "What is 50% of 10?"
 
-    @pytest.mark.parametrize("line", ["temperature = nan", "top_p = 7", "entropy_temperature = -1"])
-    def test_out_of_range_sampling_value_is_clear_error(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param(line, message, id=line)
+            for line, message in [
+                ("temperature = nan", "temperature must be finite and >= 0, got nan"),
+                ("top_p = 7", "top_p must be in (0, 1], got 7.0"),
+                ("entropy_temperature = -1", "entropy_temperature must be finite and >= 0, got -1.0"),
+            ]
+        ],
+    )
+    def test_out_of_range_sampling_value_is_clear_error(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "m.ini"
         cfg.write_text(
             "[me-icpo]\ngenerator = mock\nrounds = 1\nk = 2\nm = 2\nmode = numeric\n"
             f"{line}\nquestion = Anything?\n\n[output]\ndir = {tmp_path / 'out'}\n"
         )
         assert main(["me-icpo", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
+        assert capsys.readouterr().err == f"error: {cfg}:1: [me-icpo] {message}\n"
         assert not (tmp_path / "out/result.json").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_retries = -1", "max_retries must be >= 0, got -1"),
+            ("timeout = 0", "timeout must be a finite number of seconds > 0, got 0.0"),
+            ("timeout = -1", "timeout must be a finite number of seconds > 0, got -1.0"),
+        ],
+    )
+    def test_bad_http_setting_is_rejected_before_any_request(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(
+            "[me-icpo]\ngenerator = http\nendpoint = http://127.0.0.1:9/v1\nmodel = m\n"
+            f"{line}\nquestion = Anything?\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["me-icpo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: [me-icpo] {message}\n"
+        assert not (tmp_path / "out/result.json").exists()
+
+    def test_malformed_script_names_the_script(self, tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["boxed{1}x", "ab"]))
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(
+            f"[me-icpo]\ngenerator = mock\nscript = {script}\nrounds = 1\nk = 2\nm = 2\n"
+            f"question = Anything?\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["me-icpo", "--config", str(cfg)]) == 2
+        message = "a script is a list of lists of strings; entry 0 is 'boxed{1}x'"
+        assert capsys.readouterr().err == f"error: {script}: {message}\n"
+        script.write_text("[[")
+        assert main(["me-icpo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {script}: Expecting value")
 
     def test_mistyped_boolean_names_file_line_section_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "m.ini"

@@ -24,14 +24,13 @@ from icpo_lab.meicpo import (
     ScriptedGenerator,
     canonicalize,
     compute_metrics,
-    estimate_entropy,
     extract_answer,
     majority_vote,
     run_me_icpo,
-    summarize,
     system_prompt,
 )
 from icpo_lab.meicpo.generator import MAX_IN_FLIGHT
+from icpo_lab.meicpo.loop import _entropy_of, _lookahead_request, _summary_of, _summary_request
 
 
 class TestExtractAnswer:
@@ -130,10 +129,22 @@ class TestMajorityVote:
                     assert vote.tie
 
 
+def _summarize(text, generator, mode, cap_tokens=500):
+    """One candidate through the loop's summary wave: (summary, truncated)."""
+    [response] = generator.generate_many([_summary_request(text, mode, cap_tokens)])
+    return _summary_of(response, cap_tokens)
+
+
+def _estimate_entropy(history, generator, m, temperature, mode, max_tokens=256):
+    """One tentative context through the loop's look-ahead wave: entropy in nats."""
+    [response] = generator.generate_many([_lookahead_request(history, m, temperature, max_tokens, True)])
+    return _entropy_of(response, mode)
+
+
 class TestSummarize:
     def test_echo_contract(self):
         gen = FunctionGenerator(lambda req: ["Echoed idea. boxed{3}"])
-        summary, truncated = summarize("full text", gen, "numeric")
+        summary, truncated = _summarize("full text", gen, "numeric")
         assert summary == "Echoed idea. boxed{3}"
         assert not truncated
         # Greedy decoding request with the candidate wrapped in the template.
@@ -145,13 +156,13 @@ class TestSummarize:
     def test_hard_cap_truncates_and_flags(self):
         long_text = " ".join(f"w{i}" for i in range(600))
         gen = FunctionGenerator(lambda req: [long_text])
-        summary, truncated = summarize("x", gen, "numeric", cap_tokens=500)
+        summary, truncated = _summarize("x", gen, "numeric", cap_tokens=500)
         assert truncated
         assert len(summary.split()) == 500
 
     def test_empty_candidate_passes_through(self):
         gen = FunctionGenerator(lambda req: ["summary of nothing"])
-        summary, truncated = summarize("", gen, "numeric")
+        summary, truncated = _summarize("", gen, "numeric")
         assert summary == "summary of nothing"
         assert not truncated
 
@@ -162,26 +173,26 @@ class TestEstimateEntropy:
 
     def test_point_mass_is_zero(self):
         gen = FunctionGenerator(lambda req: ["boxed{4}"] * req.n)
-        assert estimate_entropy(self._history(), gen, m=8, temperature=0.6, mode="numeric") == 0.0
+        assert _estimate_entropy(self._history(), gen, m=8, temperature=0.6, mode="numeric") == 0.0
 
     def test_all_distinct_is_log_m(self):
         gen = FunctionGenerator(lambda req: [f"boxed{{{j}}}" for j in range(req.n)])
-        h = estimate_entropy(self._history(), gen, m=4, temperature=0.6, mode="numeric")
+        h = _estimate_entropy(self._history(), gen, m=4, temperature=0.6, mode="numeric")
         assert h == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_two_groups(self):
         gen = FunctionGenerator(lambda req: ["boxed{1}", "boxed{1}", "boxed{2}", "boxed{2}"])
-        h = estimate_entropy(self._history(), gen, m=4, temperature=0.6, mode="numeric")
+        h = _estimate_entropy(self._history(), gen, m=4, temperature=0.6, mode="numeric")
         assert h == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_absent_answers_pool_into_one_bucket(self):
         gen = FunctionGenerator(lambda req: ["no box", "also none", "boxed{1}", "boxed{1}"])
-        h = estimate_entropy(self._history(), gen, m=4, temperature=0.6, mode="numeric")
+        h = _estimate_entropy(self._history(), gen, m=4, temperature=0.6, mode="numeric")
         assert h == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_decimal_variants_share_a_bucket(self):
         gen = FunctionGenerator(lambda req: ["boxed{2}", "boxed{2.0}"])
-        assert estimate_entropy(self._history(), gen, m=2, temperature=0.6, mode="numeric") == 0.0
+        assert _estimate_entropy(self._history(), gen, m=2, temperature=0.6, mode="numeric") == 0.0
 
 
 class TestHistoryRendering:
@@ -588,6 +599,21 @@ class TestHttpGenerator:
         with pytest.raises(InvalidConfigError, match="http:// or https://"):
             HttpGenerator(endpoint, "m")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
+            ({"timeout": 0}, "timeout must be a finite number of seconds > 0, got 0"),
+            ({"timeout": -1.0}, "timeout must be a finite number of seconds > 0, got -1.0"),
+            ({"timeout": math.nan}, "timeout must be a finite number of seconds > 0, got nan"),
+            ({"timeout": math.inf}, "timeout must be a finite number of seconds > 0, got inf"),
+        ],
+    )
+    def test_bad_timeout_or_retry_budget_rejected_when_built(self, kwargs, message):
+        with pytest.raises(InvalidConfigError) as info:
+            HttpGenerator("http://localhost:8000/v1", "m", **kwargs)
+        assert str(info.value) == message
+
     def test_certificate_error_is_not_retried(self, monkeypatch):
         slept = []
         monkeypatch.setattr("icpo_lab.meicpo.generator.time.sleep", slept.append)
@@ -967,6 +993,20 @@ class TestScriptedGenerator:
         gen = ScriptedGenerator([["a", "b"]])
         with pytest.raises(GeneratorError):
             gen.generate(GeneratorRequest(messages=(Message("user", "x"),), n=3))
+
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            (["boxed{1}x", "ab"], "a script is a list of lists of strings; entry 0 is 'boxed{1}x'"),
+            ([["a"], ["b", 2]], "a script is a list of lists of strings; entry 1 is ['b', 2]"),
+            ("ab", "a script is a list of lists of strings, got a str"),
+            ({"a": ["b"]}, "a script is a list of lists of strings, got a dict"),
+        ],
+    )
+    def test_script_must_be_a_list_of_lists_of_strings(self, script, message):
+        with pytest.raises(InvalidConfigError) as info:
+            ScriptedGenerator(script)
+        assert str(info.value) == message
 
 
 class TestPromptTemplates:
