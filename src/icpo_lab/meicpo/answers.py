@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -14,16 +15,15 @@ _NUMERIC_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)")
 
 
 def _last_boxed_content(text: str) -> Optional[str]:
-    """Content of the last balanced boxed{...} block, None if there is none."""
+    """Content of the last balanced boxed{...} block, None if there is none.
+
+    Scans back from the last `boxed{`, so a response ending in its answer is
+    read from its tail only.
+    """
     marker = "boxed{"
-    best = None
-    start = 0
-    while True:
-        idx = text.find(marker, start)
-        if idx < 0:
-            break
+    idx = text.rfind(marker)
+    while idx >= 0:
         depth = 0
-        content = None
         for j in range(idx + len(marker) - 1, len(text)):
             ch = text[j]
             if ch == "{":
@@ -31,12 +31,9 @@ def _last_boxed_content(text: str) -> Optional[str]:
             elif ch == "}":
                 depth -= 1
                 if depth == 0:
-                    content = text[idx + len(marker) : j]
-                    break
-        if content is not None:
-            best = content
-        start = idx + len(marker)
-    return best
+                    return text[idx + len(marker) : j]
+        idx = text.rfind(marker, 0, idx)
+    return None
 
 
 def extract_answer(text: str, mode: str = "numeric") -> Optional[str]:
@@ -58,6 +55,7 @@ def extract_answer(text: str, mode: str = "numeric") -> Optional[str]:
     raise ValueError(f"unknown answer mode {mode!r}")
 
 
+@functools.lru_cache(maxsize=4096)
 def canonicalize(answer: Optional[str], mode: str = "numeric") -> Optional[str]:
     """Normalize an answer for voting: '204.0' and '204' must agree in numeric mode."""
     if answer is None:

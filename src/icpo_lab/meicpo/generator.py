@@ -6,8 +6,10 @@ the HTTP client speaks the common JSON chat-completion shape with bearer
 auth, timeouts, and retries.
 
 `generate_many` answers a wave of independent requests, `responses[i]` for
-`requests[i]`.  The mocks serve a wave in order; the HTTP client writes every
-request of a wave before it reads the responses, in the calling thread.
+`requests[i]`.  `generate_chain` answers a wave and, for each of its
+responses, one follow-up request built from that response alone.  The mocks
+serve a chain as two waves in order; the HTTP client, in the calling thread,
+writes the wave, then writes follow-up i as soon as it has read response i.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -74,6 +77,13 @@ class Generator(Protocol):
     def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
         """Answer each request in turn; `responses[i]` answers `requests[i]`."""
         return [self.generate(request) for request in requests]
+
+    def generate_chain(
+        self, first: Sequence[GeneratorRequest], then: Callable[[int, GeneratorResponse], GeneratorRequest]
+    ) -> tuple[list[GeneratorResponse], list[GeneratorResponse]]:
+        """(responses to `first`, responses to `then(i, response_i)` for each i), as two waves."""
+        responses = self.generate_many(first)
+        return responses, self.generate_many([then(i, response) for i, response in enumerate(responses)])
 
     def close(self) -> None:
         """Release what the generator holds open; the mocks hold nothing."""
@@ -154,7 +164,7 @@ def demo_generator() -> FunctionGenerator:
     return FunctionGenerator(respond)
 
 
-# Most requests one `HttpGenerator` has written and not yet read; a wider wave goes in chunks.
+# Most requests one `HttpGenerator` has written and not yet read; the rest wait for a read.
 MAX_IN_FLIGHT = 32
 
 
@@ -289,49 +299,73 @@ class HttpGenerator(Generator):
         return self.generate_many([request])[0]
 
     def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
-        """Answer a wave from the calling thread; `responses[i]` answers `requests[i]`.
+        return self.generate_chain(requests, None)[0]
 
-        Each chunk of at most `MAX_IN_FLIGHT` requests is written in full before its
-        responses are read, in request order.  A pass's transient failures are resent
-        together after one wait.  Once every request is done, the lowest-index error is raised.
+    def generate_chain(
+        self,
+        first: Sequence[GeneratorRequest],
+        then: Callable[[int, GeneratorResponse], GeneratorRequest] | None,
+    ) -> tuple[list[GeneratorResponse], list[GeneratorResponse]]:
+        """Answer a wave, and each response's follow-up, from the calling thread.
+
+        Slot i < n is `first[i]`; slot n + i is its follow-up `then(i, response_i)`, built and
+        written as soon as response i is read, on the connection that read freed.  A `then` of
+        None sends no follow-ups.  At most `MAX_IN_FLIGHT` requests are written and not yet
+        read, and responses are read in the order written.  A pass's transient failures, of
+        either stage, are resent together after one wait; `then` is called once per index.
+        Once every request is done, the lowest-slot error is raised.
         """
         import http.client
 
         headers = self._headers()
-        bodies = [json.dumps(self._payload(r), allow_nan=False).encode() for r in requests]
+        n = len(first)
+        requests: list = list(first) + [None] * (n if then is not None else 0)
+        bodies: list = [None] * len(requests)
         outcomes: list = [None] * len(requests)  # a response, or the latest error
-        pending = list(range(len(requests)))
-        for attempt in range(1, self.max_retries + 2):
-            waits = {}  # index -> Retry-After seconds if the request is to be resent, else None
-            for start in range(0, len(pending), MAX_IN_FLIGHT):
-                replies, sent = {}, {}  # sent: index -> connection written and not yet read
-                try:
-                    for i in pending[start : start + MAX_IN_FLIGHT]:
+        attempts = [0] * len(requests)
+        pending = list(range(n))
+        while pending:
+            waits = {}  # slot -> Retry-After seconds if the request is to be resent, else None
+            queue, sent = deque(pending), {}  # sent: slot -> connection written and not yet read
+            try:
+                while queue or sent:
+                    while queue and len(sent) < MAX_IN_FLIGHT:
+                        slot = queue.popleft()
+                        if bodies[slot] is None:
+                            bodies[slot] = json.dumps(self._payload(requests[slot]), allow_nan=False).encode()
+                        attempts[slot] += 1
                         try:
-                            sent[i] = self._send(bodies[i], headers)
+                            sent[slot] = self._send(bodies[slot], headers)
                         except (OSError, http.client.HTTPException) as exc:
-                            replies[i] = exc
-                    for i in list(sent):
-                        try:
-                            replies[i] = self._receive(sent[i])
-                        except (OSError, http.client.HTTPException) as exc:
-                            replies[i] = exc
-                        del sent[i]
-                finally:
-                    for conn in sent.values():
-                        conn.close()
-                for i, reply in replies.items():
-                    outcomes[i], waits[i] = self._judge(requests[i], reply)
-            pending = [i for i in pending if waits[i] is not None]
-            if not pending or attempt > self.max_retries:
-                break
-            time.sleep(max(self.backoff * attempt, *(waits[i] for i in pending)))
-        for i in pending:
-            outcomes[i] = GeneratorError(f"request failed after {self.max_retries + 1} attempts: {outcomes[i]}")
+                            outcomes[slot], waits[slot] = self._judge(requests[slot], exc)
+                    if not sent:
+                        break
+                    slot = next(iter(sent))
+                    try:
+                        reply = self._receive(sent[slot])
+                    except (OSError, http.client.HTTPException) as exc:
+                        reply = exc
+                    del sent[slot]
+                    outcomes[slot], waits[slot] = self._judge(requests[slot], reply)
+                    if then is not None and slot < n and isinstance(outcomes[slot], GeneratorResponse):
+                        requests[n + slot] = then(slot, outcomes[slot])
+                        queue.appendleft(n + slot)
+            finally:
+                for conn in sent.values():
+                    conn.close()
+            pending = []
+            for slot in sorted(slot for slot, wait in waits.items() if wait is not None):
+                if attempts[slot] <= self.max_retries:
+                    pending.append(slot)
+                else:
+                    outcomes[slot] = GeneratorError(f"request failed after {attempts[slot]} attempts: {outcomes[slot]}")
+            if pending:
+                retry = max(attempts[slot] for slot in pending)
+                time.sleep(max(self.backoff * retry, *(waits[slot] for slot in pending)))
         for outcome in outcomes:
             if isinstance(outcome, Exception):
                 raise outcome
-        return outcomes
+        return outcomes[:n], outcomes[n:]
 
     def _judge(self, request: GeneratorRequest, reply) -> tuple[GeneratorResponse | Exception, float | None]:
         """One attempt's outcome, and the `Retry-After` seconds if it is to be resent, else None."""

@@ -6,9 +6,12 @@ reward) pair to the running context, and commit the candidate whose tentative
 context yields the lowest predictive answer entropy.  After the final round a
 single response is sampled from the accumulated context.
 
-The k summaries of a round go to the generator as one `generate_many` wave,
-and so do the k entropy look-aheads; results are assembled by candidate
-index, so the outcome does not depend on the order in which calls finish.
+The k summaries of a round go to the generator as one chain
+(`generate_chain`): look-ahead j is built from summary j and reward j alone,
+so a generator may send it as soon as summary j is back.  With
+`selection = reward` the summaries are one `generate_many` wave.  Results are
+assembled by candidate index and accounted in candidate order, so the outcome
+does not depend on the order in which calls finish.
 """
 
 from __future__ import annotations
@@ -119,6 +122,9 @@ class MeIcpoConfig:
                 raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
         if not 0 < self.top_p <= 1:
             raise InvalidConfigError(f"top_p must be in (0, 1], got {self.top_p}")
+        for name in ("max_tokens", "lookahead_max_tokens", "summary_cap_tokens"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -205,14 +211,9 @@ def _entropy_of(response: GeneratorResponse, mode: str) -> float:
     return -sum((c / total) * math.log(c / total) for c in buckets.values())
 
 
-def _wave(
-    generator: Generator, requests: list[GeneratorRequest], purpose: str, accounting: CallAccounting
-) -> list[GeneratorResponse]:
-    """Send independent requests as one wave; account in request order."""
-    responses = generator.generate_many(requests)
+def _account(accounting: CallAccounting, purpose: str, responses: list[GeneratorResponse]) -> None:
     for response in responses:
         accounting.add(purpose, response)
-    return responses
 
 
 def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcpoResult:
@@ -247,36 +248,37 @@ def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcp
         vote = majority_vote([c.answer for c in candidates], cfg.mode)
         trace.vote_answer = vote.answer
         trace.vote_tie = vote.tie
-        summaries = _wave(
-            generator,
-            [_summary_request(c.text, cfg.mode, cfg.summary_cap_tokens) for c in candidates],
-            "summarize",
-            accounting,
-        )
-        for cand, reward, response in zip(candidates, vote.rewards, summaries):
-            cand.reward = reward
+        summary_requests = [_summary_request(c.text, cfg.mode, cfg.summary_cap_tokens) for c in candidates]
+
+        def summarized(j: int, response: GeneratorResponse) -> Candidate:
+            cand = candidates[j]
+            cand.reward = vote.rewards[j]
             cand.summary, cand.summary_truncated = _summary_of(response, cfg.summary_cap_tokens)
+            return cand
 
         if cfg.selection == "entropy":
-            lookaheads = _wave(
-                generator,
-                [
-                    _lookahead_request(
-                        history.extended(c.summary, c.reward),
-                        cfg.m,
-                        cfg.entropy_temperature,
-                        cfg.lookahead_max_tokens,
-                        cfg.include_reward_tags,
-                    )
-                    for c in candidates
-                ],
-                "entropy",
-                accounting,
-            )
+
+            def lookahead(j: int, response: GeneratorResponse) -> GeneratorRequest:
+                cand = summarized(j, response)
+                return _lookahead_request(
+                    history.extended(cand.summary, cand.reward),
+                    cfg.m,
+                    cfg.entropy_temperature,
+                    cfg.lookahead_max_tokens,
+                    cfg.include_reward_tags,
+                )
+
+            summaries, lookaheads = generator.generate_chain(summary_requests, lookahead)
+            _account(accounting, "summarize", summaries)
+            _account(accounting, "entropy", lookaheads)
             for cand, response in zip(candidates, lookaheads):
                 cand.entropy = _entropy_of(response, cfg.mode)
             best = min(range(len(candidates)), key=lambda j: (candidates[j].entropy, j))
         else:
+            summaries = generator.generate_many(summary_requests)
+            _account(accounting, "summarize", summaries)
+            for j, response in enumerate(summaries):
+                summarized(j, response)
             best = max(range(len(candidates)), key=lambda j: (candidates[j].reward, -j))
 
         candidates[best].selected = True

@@ -589,6 +589,25 @@ class TestMeIcpoCommand:
         assert capsys.readouterr().err == f"error: {cfg}:1: [me-icpo] {message}\n"
         assert not (tmp_path / "out/result.json").exists()
 
+    @pytest.mark.parametrize("key", ["max_tokens", "lookahead_max_tokens", "summary_cap_tokens"])
+    def test_token_cap_below_one_is_rejected_before_any_request(self, tmp_path, capsys, monkeypatch, key):
+        demo, built = cli.demo_generator, []
+
+        def spy():
+            built.append(demo())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "demo_generator", spy)
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(
+            "[me-icpo]\ngenerator = mock\nrounds = 1\nk = 2\nm = 2\nmode = numeric\n"
+            f"{key} = 0\nquestion = Anything?\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["me-icpo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: [me-icpo] {key} must be >= 1, got 0\n"
+        assert all(gen.requests == [] for gen in built)
+        assert not (tmp_path / "out/result.json").exists()
+
     def test_malformed_script_names_the_script(self, tmp_path, capsys):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(["boxed{1}x", "ab"]))

@@ -12,6 +12,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icpo_lab.errors import GeneratorError, InvalidConfigError, NoConsensusError
 from icpo_lab.meicpo import (
@@ -29,7 +31,8 @@ from icpo_lab.meicpo import (
     run_me_icpo,
     system_prompt,
 )
-from icpo_lab.meicpo.generator import MAX_IN_FLIGHT
+from icpo_lab.meicpo.answers import _last_boxed_content
+from icpo_lab.meicpo.generator import MAX_IN_FLIGHT, demo_generator
 from icpo_lab.meicpo.loop import _entropy_of, _lookahead_request, _summary_of, _summary_request
 
 
@@ -61,6 +64,25 @@ class TestExtractAnswer:
 
     def test_unbalanced_box_falls_back_to_earlier(self):
         assert extract_answer("boxed{7} junk boxed{unclosed", "numeric") == "7"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(["boxed{", "{", "}", "x"]), max_size=24).map("".join))
+    def test_backward_scan_matches_forward_scan(self, text):
+        assert _last_boxed_content(text) == _forward_boxed_content(text)
+
+
+def _forward_boxed_content(text):
+    """Reference scan: every boxed{ from the front, keeping the last one that closes."""
+    marker, best, start = "boxed{", None, 0
+    while (idx := text.find(marker, start)) >= 0:
+        depth = 0
+        for j in range(idx + len(marker) - 1, len(text)):
+            depth += {"{": 1, "}": -1}.get(text[j], 0)
+            if depth == 0:
+                best = text[idx + len(marker) : j]
+                break
+        start = idx + len(marker)
+    return best
 
 
 class TestCanonicalize:
@@ -395,6 +417,12 @@ class TestRunMeIcpo:
             with pytest.raises(ValueError, match=field):
                 GeneratorRequest(messages=(Message("user", "hi"),), **{field: value})
 
+    @pytest.mark.parametrize("field", ["max_tokens", "lookahead_max_tokens", "summary_cap_tokens"])
+    def test_token_caps_below_one_rejected(self, field):
+        with pytest.raises(InvalidConfigError) as info:
+            MeIcpoConfig(**{field: 0})
+        assert str(info.value) == f"{field} must be >= 1, got 0"
+
     def test_system_prompt_defaults_by_mode(self):
         gen = ScriptedGenerator([["boxed{1}"], ["s"], ["boxed{1}"], ["boxed{1}"]])
         run_me_icpo("Q?", MeIcpoConfig(rounds=1, k=1, m=1, mode="letter"), gen)
@@ -657,6 +685,17 @@ class TestRetryAfter:
         assert slept == [4.0, 1.0]
 
 
+def _request_of(payload):
+    """The `GeneratorRequest` an `HttpGenerator` payload was built from."""
+    return GeneratorRequest(
+        messages=tuple(Message(m["role"], m["content"]) for m in payload["messages"]),
+        temperature=payload["temperature"],
+        top_p=payload["top_p"],
+        max_tokens=payload["max_tokens"],
+        n=payload["n"],
+    )
+
+
 class _KeyedTransport:
     """Fake transport answering each post from its payload alone.
 
@@ -668,14 +707,7 @@ class _KeyedTransport:
         self.posts = []
 
     def __call__(self, body, headers):
-        payload = json.loads(body)
-        request = GeneratorRequest(
-            messages=tuple(Message(m["role"], m["content"]) for m in payload["messages"]),
-            temperature=payload["temperature"],
-            top_p=payload["top_p"],
-            max_tokens=payload["max_tokens"],
-            n=payload["n"],
-        )
+        request = _request_of(json.loads(body))
         self.posts.append(request)
         out = self.respond(request)
         if isinstance(out, int):
@@ -801,8 +833,99 @@ class TestConcurrentWaves:
         assert gen.requests == _wave(3)
 
 
+def _follow(i, response):
+    """Follow-up i of a `_wave`, built from response i."""
+    return GeneratorRequest(messages=(Message("user", f"follow {i} {response.texts[0]}"),), n=1)
+
+
+def _upper(request):
+    return [request.messages[0].text.upper()]
+
+
+class TestChain:
+    def test_follow_up_is_written_as_soon_as_its_response_is_read(self):
+        k, log = 4, []
+        gen = _http(_KeyedTransport(_upper), log=log, max_retries=0, backoff=0.0)
+        first, follow = gen.generate_chain(_wave(k), _follow)
+        assert [r.texts for r in first] == [[f"REQUEST {i}"] for i in range(k)]
+        assert [r.texts for r in follow] == [[f"FOLLOW {i} REQUEST {i}"] for i in range(k)]
+        expected = [("send", f"request {i}") for i in range(k)]
+        for i in range(k):
+            expected += [("receive", f"request {i}"), ("send", f"follow {i} REQUEST {i}")]
+        expected += [("receive", f"follow {i} REQUEST {i}") for i in range(k)]
+        assert [(step, text) for step, text, _ in log] == expected
+
+    def test_follow_up_goes_ahead_of_unwritten_first_stage_requests(self, monkeypatch):
+        monkeypatch.setattr("icpo_lab.meicpo.generator.MAX_IN_FLIGHT", 2)
+        log = []
+        gen = _http(_KeyedTransport(_upper), log=log, max_retries=0, backoff=0.0)
+        gen.generate_chain(_wave(4), _follow)
+        r, f = "request {}".format, "follow {0} REQUEST {0}".format
+        expected = [("send", r(0)), ("send", r(1))]
+        expected += [("receive", r(0)), ("send", f(0)), ("receive", r(1)), ("send", f(1))]
+        expected += [("receive", f(0)), ("send", r(2)), ("receive", f(1)), ("send", r(3))]
+        expected += [("receive", r(2)), ("send", f(2)), ("receive", r(3)), ("send", f(3))]
+        expected += [("receive", f(2)), ("receive", f(3))]
+        assert [(step, text) for step, text, _ in log] == expected
+
+    def test_lookahead_zero_is_written_before_the_last_summary_is_read(self):
+        k, log = 5, []
+        cfg = MeIcpoConfig(rounds=1, k=k, m=4, mode="numeric")
+        entropy_map = {0: 2, 1: 3, 2: 1, 3: 2, 4: 1}
+        transport = _KeyedTransport(_loop_responder(entropy_map))
+        run_me_icpo("Q?", cfg, _http(transport, log=log, max_retries=0, backoff=0.0))
+        steps = [(step, text.startswith("Provide a concise summary")) for step, text, _ in log]
+        summary, lookahead = True, False
+        expected = [("send", summary)] * k + [("receive", summary), ("send", lookahead)] * k
+        assert steps[2 : 2 + 4 * k] == expected + [("receive", lookahead)] * k
+        # Each look-ahead carries its own candidate's summary.
+        lookaheads = [r for r in transport.posts if r.n == cfg.m]
+        assert [[j for j in range(k) if f"summary-{j}" in r.messages[1].text] for r in lookaheads] == [[j] for j in range(k)]
+
+    def test_retried_request_calls_then_once_and_its_follow_up_is_sent(self, monkeypatch):
+        slept, calls = [], []
+        monkeypatch.setattr("icpo_lab.meicpo.generator.time.sleep", slept.append)
+        first_reply = {"request 1": 503, "follow 0 REQUEST 0": 503}
+
+        def respond(request):
+            return first_reply.pop(request.messages[0].text, None) or _upper(request)
+
+        def then(i, response):
+            calls.append(i)
+            return _follow(i, response)
+
+        transport = _KeyedTransport(respond)
+        gen = _http(transport, max_retries=1, backoff=1.0)
+        first, follow = gen.generate_chain(_wave(3), then)
+        assert calls == [0, 2, 1]
+        assert [r.texts for r in follow] == [[f"FOLLOW {i} REQUEST {i}"] for i in range(3)]
+        posts = [r.messages[0].text for r in transport.posts]
+        first_pass = ["request 0", "request 1", "request 2", "follow 0 REQUEST 0", "follow 2 REQUEST 2"]
+        assert posts == first_pass + ["request 1", "follow 0 REQUEST 0", "follow 1 REQUEST 1"]
+        assert slept == [1.0]  # both stages' transient failures resent together after one wait
+
+    def test_first_stage_error_is_raised_before_a_follow_up_error(self):
+        transport = _KeyedTransport(lambda r: 404 if r.messages[0].text in ("request 2", "follow 0 REQUEST 0") else _upper(r))
+        gen = _http(transport, max_retries=2, backoff=0.0)
+        with pytest.raises(GeneratorError, match="request 2"):
+            gen.generate_chain(_wave(4), _follow)
+        posts = [r.messages[0].text for r in transport.posts]
+        assert sorted(posts) == sorted([f"request {i}" for i in range(4)] + [f"follow {i} REQUEST {i}" for i in (0, 1, 3)])
+
+    def test_scripted_chain_is_two_fifo_waves(self):
+        gen = ScriptedGenerator([["a"], ["b"], ["c"], ["d"]])
+        first, follow = gen.generate_chain(_wave(2), _follow)
+        assert [r.texts for r in first + follow] == [["a"], ["b"], ["c"], ["d"]]
+        assert [r.messages[0].text for r in gen.requests] == ["request 0", "request 1", "follow 0 a", "follow 1 b"]
+
+
+class _WideServer(ThreadingHTTPServer):
+    # A wave connects all at once; the default backlog of 5 drops SYNs, and each dropped one is resent after 1 s.
+    request_queue_size = 64
+
+
 @contextlib.contextmanager
-def _loopback(handler, server_class=ThreadingHTTPServer, **attrs):
+def _loopback(handler, server_class=_WideServer, **attrs):
     """A threaded HTTP server on 127.0.0.1 with `attrs` set on it, shut down on exit."""
     server = server_class(("127.0.0.1", 0), handler)
     server.daemon_threads = True
@@ -861,13 +984,13 @@ class _ClosingHandler(_EchoHandler):
         self.close_connection = True  # closed after the reply, with no `Connection: close` header
 
 
-class _ClosingServer(ThreadingHTTPServer):
+class _ClosingServer(_WideServer):
     def shutdown_request(self, request):
         super().shutdown_request(request)
         self.closed.release()
 
 
-class _QuietServer(ThreadingHTTPServer):
+class _QuietServer(_WideServer):
     def handle_error(self, request, client_address):
         pass  # a reply to a connection the client closed unread
 
@@ -965,6 +1088,105 @@ def test_interrupt_mid_wave_puts_no_unread_connection_back():
             assert len(written) == k and all(conn.sock is None for conn in written[2:])
         finally:
             gen.close()
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "where, stop_at, unread_left, idle_left",
+    [
+        # `then(2)` raises after reads 0-2: requests 3-5 and follow-ups 0-1 are unread.
+        ("then", None, 5, 1),
+        # Reads 0..5 are the first stage's, 6..11 the follow-ups'.
+        ("first-stage read", 2, 6, 0),
+        ("follow-up read", 8, 4, 2),
+    ],
+)
+def test_interrupt_mid_chain_puts_no_unread_connection_back(where, stop_at, unread_left, idle_left):
+    """A raising `then`, or a `KeyboardInterrupt` while reading either stage, closes every unread connection."""
+    k = 6
+    with _loopback(_EchoHandler, _QuietServer, peers=[]) as server:
+        gen = HttpGenerator(_endpoint(server), "m", max_retries=0, backoff=0.0)
+        send, receive, unread, reads = gen._send, gen._receive, {}, []
+
+        def recorded_send(body, headers):
+            conn = send(body, headers)
+            unread[id(conn)] = conn
+            return conn
+
+        def interrupted_receive(conn):
+            if len(reads) == stop_at:
+                raise KeyboardInterrupt
+            reads.append(conn)
+            reply = receive(conn)
+            del unread[id(conn)]
+            return reply
+
+        def then(i, response):
+            if where == "then" and i == 2:
+                raise _Stop
+            return _follow(i, response)
+
+        gen._send, gen._receive = recorded_send, interrupted_receive
+        try:
+            with pytest.raises(_Stop if where == "then" else KeyboardInterrupt):
+                gen.generate_chain(_wave(k), then)
+            assert len(unread) == unread_left and all(conn.sock is None for conn in unread.values())
+            assert len(gen._idle) == idle_left and all(conn.sock is not None for conn in gen._idle)
+            assert not {id(conn) for conn in gen._idle} & set(unread)
+        finally:
+            gen.close()
+
+
+class _DemoHandler(_EchoHandler):
+    """Answers each post with the texts `demo_generator` gives its request."""
+
+    disable_nagle_algorithm = True  # the body, written after the headers, is not held for an ACK
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        texts = demo_generator().generate(_request_of(payload)).texts
+        data = json.dumps({"choices": [{"message": {"content": t}} for t in texts]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+
+@pytest.mark.parametrize("cap", [None, 8], ids=["default-cap", "cap-8"])
+@pytest.mark.parametrize("selection", ["entropy", "reward"])
+def test_loopback_run_equals_demo_run(monkeypatch, selection, cap):
+    """`run_me_icpo` over loopback HTTP matches `demo_generator()` called directly, 20 candidates wide."""
+    if cap is not None:
+        monkeypatch.setattr("icpo_lab.meicpo.generator.MAX_IN_FLIGHT", cap)
+    cfg = MeIcpoConfig(rounds=2, k=20, m=4, selection=selection)
+    direct = run_me_icpo("What is 6 * 7?", cfg, demo_generator())
+    with _loopback(_DemoHandler) as server:
+        gen = HttpGenerator(_endpoint(server), "m", max_retries=0, backoff=0.0)
+        send, receive, unread, most_unread = gen._send, gen._receive, [0], [0]
+
+        def counted_send(body, headers):
+            unread[0] += 1
+            most_unread[0] = max(most_unread[0], unread[0])
+            return send(body, headers)
+
+        def counted_receive(conn):
+            unread[0] -= 1
+            return receive(conn)
+
+        gen._send, gen._receive = counted_send, counted_receive
+        try:
+            remote = run_me_icpo("What is 6 * 7?", cfg, gen)
+        finally:
+            gen.close()
+    assert remote.trace_records() == direct.trace_records()
+    assert remote.accounting.to_dict() == direct.accounting.to_dict()
+    assert (remote.final_answer, remote.final_text) == (direct.final_answer, direct.final_text)
+    assert remote.accounting.by_purpose["entropy" if selection == "entropy" else "summarize"]["calls"] == 40
+    assert most_unread[0] == min(20, cap or MAX_IN_FLIGHT) <= MAX_IN_FLIGHT
 
 
 def test_close_closes_the_idle_connections():
