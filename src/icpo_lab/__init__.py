@@ -47,9 +47,11 @@ from .pretrain import (
     generate_dataset,
     gradient,
     load_dataset,
+    load_params,
     loss_direct,
     loss_quadratic,
     save_dataset,
+    save_params,
     solve_ls,
     train_gd,
 )

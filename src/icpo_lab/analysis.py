@@ -99,20 +99,15 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", p * (np.log(p) - np.log(q)))
 
 
-def kl_sandwich_check(tc: TwoChannelParams, ds: PretrainDataset, gamma_hat: np.ndarray) -> SandwichSample:
-    """Mean KL between expert and student mixed policies vs the weighted quadratic.
+def kl_sandwich_check(
+    tc: TwoChannelParams, z: np.ndarray, y: np.ndarray, gamma_hat: np.ndarray, gamma: float
+) -> SandwichSample:
+    """Mean KL between expert and student mixed policies vs the weighted quadratic,
+    on the pair matrices (Z, Y) of `PretrainDataset.pair_matrices`.
 
     The sandwich holds per pair against the un-halved quadratic residual, so
     mean KL is trapped between (1-gamma)^2/4 and K/(4 gamma) times its mean.
     """
-    z, y, _ = ds.pair_matrices()
-    return _kl_sandwich(tc, z, y, gamma_hat, ds.cfg.gamma)
-
-
-def _kl_sandwich(
-    tc: TwoChannelParams, z: np.ndarray, y: np.ndarray, gamma_hat: np.ndarray, gamma: float
-) -> SandwichSample:
-    """`kl_sandwich_check` on pair matrices (Z, Y) built once by the caller."""
     k = y.shape[-1]
     student_logits = z @ tc.stacked.T
     resid = student_logits - y
@@ -223,7 +218,7 @@ def run_lemma_suite(
             w_n=rng.normal(size=(k, k)) * sandwich_scale,
             w_g=rng.normal(size=(k, k)) * sandwich_scale,
         )
-        sample = _kl_sandwich(tc, z, y, fs.gamma_hat, gamma)
+        sample = kl_sandwich_check(tc, z, y, fs.gamma_hat, gamma)
         worst = min(worst, sample.lower_slack, sample.upper_slack)
     report["checks"]["kl_sandwich"] = {
         "samples": sandwich_draws,

@@ -6,10 +6,9 @@ that does not parse as its type, is rejected at load with the offending line
 number.  Defaults and ranges belong to the code each value is passed to.
 Every artifact written to disk carries the exact config and seed that
 produced it, and contains no timestamps, so reruns are byte-identical.
-
-Parameter file format (version 1): an 8-byte little-endian header of two
-uint32 fields (K, format version), followed by the count-channel operator
-W_n and the reward-channel operator W_g, each K*K row-major float64.
+`train` writes one parameter file whose header records the teacher, the
+dataset and the training section (`pretrain.save_params`); `experiment`
+rejects one trained for another [teacher].
 
 CSV numbers are printed with 17 significant digits so float64 values
 round-trip exactly.
@@ -20,9 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import hashlib
 import json
-import struct
 import sys
 from pathlib import Path
 
@@ -32,7 +29,6 @@ from .analysis import run_lemma_suite
 from .atomic import write_atomic
 from .errors import IcpoError, InvalidConfigError
 from .loop import matching_experiment, shock_experiment
-from .lsa import TwoChannelParams
 from .meicpo.generator import HttpGenerator, ScriptedGenerator, demo_generator
 from .meicpo.loop import MeIcpoConfig, run_me_icpo, write_trace_jsonl
 from .pretrain import (
@@ -41,14 +37,14 @@ from .pretrain import (
     generate_dataset,
     gradient,
     load_dataset,
+    load_params,
     loss_quadratic,
     save_dataset,
+    save_params,
     solve_ls,
     train_gd,
 )
 from .teacher import TeacherConfig
-
-PARAMS_FORMAT_VERSION = 1
 
 
 def _boolean(text: str) -> bool:
@@ -133,15 +129,15 @@ class Config:
     def require(self, section: str, *keys: str) -> dict:
         """The converted [section], which must exist and set each key in `keys`."""
         if section not in self.values:
-            raise InvalidConfigError(f"config is missing the [{section}] section")
+            raise InvalidConfigError(f"{self.path}: config is missing the [{section}] section")
         if missing := [key for key in keys if key not in self.values[section]]:
-            raise InvalidConfigError(f"[{section}] is missing required key(s): {', '.join(missing)}")
+            raise InvalidConfigError(f"{self._where(section)} is missing required key(s): {', '.join(missing)}")
         return self.values[section]
 
-    def build(self, section: str, factory, **kwargs):
-        """`factory(**kwargs)`; a range error it raises names the file and the [section] line."""
+    def build(self, section: str, factory, *args, **kwargs):
+        """`factory(*args, **kwargs)`; a range error it raises names the file and the [section] line."""
         try:
-            return factory(**kwargs)
+            return factory(*args, **kwargs)
         except InvalidConfigError as exc:
             raise InvalidConfigError(f"{self._where(section)} {exc}") from None
 
@@ -182,32 +178,6 @@ def teacher_from_config(config: Config) -> TeacherConfig:
     return config.build("teacher", TeacherConfig, **kwargs)
 
 
-def save_params(tc: TwoChannelParams, path: str | Path) -> None:
-    header = struct.pack("<II", tc.k, PARAMS_FORMAT_VERSION)
-    body = np.concatenate([tc.w_n.ravel(), tc.w_g.ravel()]).astype("<f8").tobytes()
-    write_atomic(path, header + body)
-
-
-def load_params(path: str | Path) -> TwoChannelParams:
-    blob = Path(path).read_bytes()
-    if len(blob) < 8:
-        raise InvalidConfigError(f"{path}: parameter file too short")
-    k, version = struct.unpack("<II", blob[:8])
-    if version != PARAMS_FORMAT_VERSION:
-        raise InvalidConfigError(f"{path}: unsupported parameter format version {version}")
-    if len(blob) - 8 != 16 * k * k:
-        raise InvalidConfigError(
-            f"{path}: expected {2 * k * k} float64 values for K={k} ({16 * k * k} bytes), got {len(blob) - 8} bytes"
-        )
-    flat = np.frombuffer(blob[8:], dtype="<f8")
-    if not np.all(np.isfinite(flat)):
-        raise InvalidConfigError(f"{path}: parameter values must be finite")
-    return TwoChannelParams(
-        w_n=flat[: k * k].reshape(k, k).copy(),
-        w_g=flat[k * k :].reshape(k, k).copy(),
-    )
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -232,7 +202,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     cfg = teacher_from_config(config)
     sec = config.require("dataset", "b", "n", *(("seed",) if args.seed_override is None else ()))
     seed = args.seed_override if args.seed_override is not None else sec["seed"]
-    ds = generate_dataset(cfg, b=sec["b"], n=sec["n"], seed=seed)
+    ds = config.build("dataset", generate_dataset, cfg, b=sec["b"], n=sec["n"], seed=seed)
     out = _out_dir(config, args.out) / "dataset"
     save_dataset(ds, out)
     print(f"wrote {ds.m} training pairs to {out}")
@@ -255,18 +225,8 @@ def _train(config: Config, ds: PretrainDataset, out: Path) -> Path:
     else:
         raise InvalidConfigError(f"unknown solver {solver!r}; expected 'ls' or 'gd'")
     params_path = out / "params.bin"
-    save_params(tc, params_path)
+    save_params(tc, params_path, ds, config.raw.get("training", {}))
     write_atomic(out / "train_log.csv", "\n".join(log_lines) + "\n")
-    _write_json(
-        {
-            "teacher": ds.cfg.to_dict(),
-            "dataset": {"b": ds.b, "n": ds.n, "seed": ds.seed},
-            "training": config.raw.get("training", {}),
-            "params_sha256": hashlib.sha256(params_path.read_bytes()).hexdigest(),
-            "dataset_sha256": ds.sha256,
-        },
-        out / "params.json",
-    )
     return params_path
 
 
@@ -292,13 +252,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     if kind == "lemma-suite":
         dsec = config.require("dataset", "b", "n", "seed")
-        ds = generate_dataset(cfg, b=dsec["b"], n=dsec["n"], seed=dsec["seed"])
-        report = run_lemma_suite(
-            ds,
-            empirical_stats(ds),
-            seed=seed,
-            **_pick(sec, "spectrum_samples", "lipschitz_samples", "sandwich_draws", "sandwich_scale"),
-        )
+        ds = config.build("dataset", generate_dataset, cfg, **dsec)
+        checks = _pick(sec, "spectrum_samples", "lipschitz_samples", "sandwich_draws", "sandwich_scale")
+        report = config.build("experiment", run_lemma_suite, ds, empirical_stats(ds), seed=seed, **checks)
         sidecar["dataset"] = config.raw["dataset"]
         _write_json({"config": sidecar, "report": report}, out / "lemma_suite.json")
         print(f"lemma suite {'passed' if report['passed'] else 'FAILED'}; wrote {out}")
@@ -307,25 +263,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     config.require("experiment", "b_test", "n", *(("s", "delta_r") if kind == "shock" else ()))
     if args.params is None:
         raise InvalidConfigError(f"experiment kind {kind!r} needs --params")
-    tc = load_params(args.params)
-    if tc.k != cfg.k:
-        raise InvalidConfigError(f"{args.params} holds K={tc.k} operators but [teacher] k = {cfg.k}")
+    tc = load_params(args.params, cfg)
     if kind == "matching":
-        report = matching_experiment(cfg, tc, b_test=sec["b_test"], n=sec["n"], seed=seed)
+        report = config.build("experiment", matching_experiment, cfg, tc, seed=seed, **_pick(sec, "b_test", "n"))
         _write_csv(out / "matching.csv", "round,mean,std", report.rounds, report.mean, report.std)
         _write_json(sidecar, out / "matching.json")
         print(f"max mean policy gap {report.mean.max():.3e}; wrote {out}")
         return 0
-    report = shock_experiment(
-        cfg,
-        tc,
-        b_test=sec["b_test"],
-        n=sec["n"],
-        s=sec["s"],
-        delta_r=sec["delta_r"],
-        seed=seed,
-        c_b_override=sec.get("c_b"),
-    )
+    shock = _pick(sec, "b_test", "n", "s", "delta_r")
+    report = config.build("experiment", shock_experiment, cfg, tc, seed=seed, c_b_override=sec.get("c_b"), **shock)
     _write_csv(out / "shock.csv", "round,mean,std,bound", report.rounds, report.mean, report.std, report.bound)
     sidecar["a"] = report.a
     sidecar["b_min"] = float(report.b_values.min())

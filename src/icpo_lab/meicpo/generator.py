@@ -313,7 +313,8 @@ class HttpGenerator(Generator):
         None sends no follow-ups.  At most `MAX_IN_FLIGHT` requests are written and not yet
         read, and responses are read in the order written.  A pass's transient failures, of
         either stage, are resent together after one wait; `then` is called once per index.
-        Once every request is done, the lowest-slot error is raised.
+        Once a first-stage request has failed for good, no further follow-up is built or
+        written.  Once every request is done, the lowest-slot error is raised.
         """
         import http.client
 
@@ -324,6 +325,7 @@ class HttpGenerator(Generator):
         outcomes: list = [None] * len(requests)  # a response, or the latest error
         attempts = [0] * len(requests)
         pending = list(range(n))
+        doomed = False  # a first-stage request failed for good
         while pending:
             waits = {}  # slot -> Retry-After seconds if the request is to be resent, else None
             queue, sent = deque(pending), {}  # sent: slot -> connection written and not yet read
@@ -331,6 +333,8 @@ class HttpGenerator(Generator):
                 while queue or sent:
                     while queue and len(sent) < MAX_IN_FLIGHT:
                         slot = queue.popleft()
+                        if doomed and slot >= n:
+                            continue
                         if bodies[slot] is None:
                             bodies[slot] = json.dumps(self._payload(requests[slot]), allow_nan=False).encode()
                         attempts[slot] += 1
@@ -338,6 +342,7 @@ class HttpGenerator(Generator):
                             sent[slot] = self._send(bodies[slot], headers)
                         except (OSError, http.client.HTTPException) as exc:
                             outcomes[slot], waits[slot] = self._judge(requests[slot], exc)
+                            doomed |= slot < n and waits[slot] is None
                     if not sent:
                         break
                     slot = next(iter(sent))
@@ -347,7 +352,8 @@ class HttpGenerator(Generator):
                         reply = exc
                     del sent[slot]
                     outcomes[slot], waits[slot] = self._judge(requests[slot], reply)
-                    if then is not None and slot < n and isinstance(outcomes[slot], GeneratorResponse):
+                    doomed |= slot < n and waits[slot] is None and isinstance(outcomes[slot], Exception)
+                    if then is not None and not doomed and slot < n and isinstance(outcomes[slot], GeneratorResponse):
                         requests[n + slot] = then(slot, outcomes[slot])
                         queue.appendleft(n + slot)
             finally:
@@ -355,10 +361,13 @@ class HttpGenerator(Generator):
                     conn.close()
             pending = []
             for slot in sorted(slot for slot, wait in waits.items() if wait is not None):
+                if doomed and slot >= n:
+                    continue
                 if attempts[slot] <= self.max_retries:
                     pending.append(slot)
                 else:
                     outcomes[slot] = GeneratorError(f"request failed after {attempts[slot]} attempts: {outcomes[slot]}")
+                    doomed |= slot < n
             if pending:
                 retry = max(attempts[slot] for slot in pending)
                 time.sleep(max(self.backoff * retry, *(waits[slot] for slot in pending)))

@@ -2,8 +2,9 @@
 
 Covers trajectory generation, the empirical Fisher weight and second moments,
 the weighted logit-matching loss in both per-pair and moment form, its
-analytic gradient, plain gradient descent, and the exact restricted
-least-squares solve.
+analytic gradient, plain gradient descent, the exact restricted
+least-squares solve, and the digest-checked files that hold datasets and
+fitted operators.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .teacher import TeacherConfig
 
 DATASET_FORMAT_VERSION = 3
 DATASET_FILE = "dataset.bin"
+PARAMS_FORMAT_VERSION = 2
 
 
 def _layout(b: int, n: int, k: int) -> list[list]:
@@ -179,13 +181,17 @@ def loss_direct(tc: TwoChannelParams, ds: PretrainDataset, gamma_hat: np.ndarray
     return 0.5 * float(per_pair.mean())
 
 
+def _stacked(tc: TwoChannelParams | np.ndarray) -> np.ndarray:
+    return tc.stacked if isinstance(tc, TwoChannelParams) else np.asarray(tc, dtype=float)
+
+
 def loss_quadratic(tc: TwoChannelParams | np.ndarray, fs: FisherStats) -> float | np.ndarray:
     """Same loss via moment matrices, constant label term included.
 
     Also takes stacked operators W = [W_n  W_g] of shape (..., K, 2K) and
     then returns one loss per leading index.
     """
-    w = tc.stacked if isinstance(tc, TwoChannelParams) else np.asarray(tc, dtype=float)
+    w = _stacked(tc)
     w_t = np.swapaxes(w, -1, -2)
     quad = 0.5 * np.trace(fs.gamma_hat @ w @ fs.sigma_bar @ w_t, axis1=-2, axis2=-1)
     lin = np.trace(fs.gamma_hat @ fs.sigma_yz @ w_t, axis1=-2, axis2=-1)
@@ -194,9 +200,12 @@ def loss_quadratic(tc: TwoChannelParams | np.ndarray, fs: FisherStats) -> float 
     return float(loss) if loss.ndim == 0 else loss
 
 
-def gradient(tc: TwoChannelParams, fs: FisherStats) -> np.ndarray:
-    """Analytic gradient of the quadratic loss: Gamma (W Sigma - Sigma_yz)."""
-    return fs.gamma_hat @ (tc.stacked @ fs.sigma_bar - fs.sigma_yz)
+def gradient(tc: TwoChannelParams | np.ndarray, fs: FisherStats) -> np.ndarray:
+    """Analytic gradient of the quadratic loss: Gamma (W Sigma - Sigma_yz).
+
+    Also takes stacked operators of shape (..., K, 2K), as `loss_quadratic` does.
+    """
+    return fs.gamma_hat @ (_stacked(tc) @ fs.sigma_bar - fs.sigma_yz)
 
 
 def operator_norm(m: np.ndarray) -> float:
@@ -246,7 +255,7 @@ def train_gd(
     blowup = 1e3 * max(abs(losses[0]), 1e-12)
     converged = False
     for _ in range(max_iters):
-        grad = fs.gamma_hat @ (mat @ fs.sigma_bar - fs.sigma_yz)
+        grad = gradient(mat, fs)
         gnorm = float(np.linalg.norm(grad))
         grad_norms.append(gnorm)
         if gnorm <= tol:
@@ -258,8 +267,7 @@ def train_gd(
         if loss > blowup:
             raise StepSizeError(f"loss grew to {loss:.3e} (from {losses[0]:.3e}); reduce the step")
     else:
-        grad = fs.gamma_hat @ (mat @ fs.sigma_bar - fs.sigma_yz)
-        grad_norms.append(float(np.linalg.norm(grad)))
+        grad_norms.append(float(np.linalg.norm(gradient(mat, fs))))
     return TrainResult(
         params=TwoChannelParams.from_stacked(mat),
         losses=np.asarray(losses),
@@ -293,38 +301,59 @@ def solve_ls(fs: FisherStats, min_eigenvalue: float = 1e-10) -> TwoChannelParams
     return TwoChannelParams.from_stacked(w)
 
 
-# --- on-disk form: one file, DATASET_FILE, inside the dataset directory ---
-#
-#   SHA-256 digest (32 bytes) of everything after it
-#   header length (uint64, little-endian)
-#   JSON header: version, teacher constants, b, n, seed and `_layout`; padded
-#     with spaces so that the arrays start at a multiple of 8 bytes
-#   the arrays of `_layout`, in order, C-ordered
+def _write_container(path: Path, header: dict, layout: list[list], arrays: dict) -> None:
+    """Write the one on-disk form of datasets and parameters, with one atomic rename:
+    a SHA-256 digest of all that follows, the header length (uint64, little-endian), the
+    JSON header with `arrays` = `layout` space-padded to a multiple of 8 bytes, then the
+    arrays, C-ordered, each hashed and written from its own buffer."""
+    text = json.dumps({**header, "arrays": layout}, sort_keys=True).encode()
+    text += b" " * (-(40 + len(text)) % 8)
+    buffers = [struct.pack("<Q", len(text)), text]
+    buffers += [np.ascontiguousarray(arrays[name], dtype) for name, dtype, _ in layout]
+    digest = hashlib.sha256()
+    for buf in buffers:
+        digest.update(buf)
+    write_atomic(path, [digest.digest(), *buffers])
+
+
+def _read_container(path: Path, kind: str, version: int, parse, older=None) -> tuple:
+    """(fields, arrays, digest hex) of a container.  The digest is checked before anything is
+    parsed (`older(blob)` may then name an older format), then the version; `parse(header)`
+    gives (the layout the header implies, its fields), which the header must list and the file
+    end with.  The arrays are read-only views of the file's bytes."""
+    blob = path.read_bytes()
+    if len(blob) < 40 or hashlib.sha256(memoryview(blob)[32:]).digest() != blob[:32]:
+        damaged = f"{path}: SHA-256 does not match the stored digest (file damaged or edited)"
+        raise InvalidConfigError((older and older(blob)) or damaged)
+    (size,) = struct.unpack_from("<Q", blob, 32)
+    try:
+        header = json.loads(blob[40 : 40 + size])
+        if header["version"] != version:
+            raise InvalidConfigError(f"{path}: unsupported {kind} version {header['version']!r}")
+        layout, fields = parse(header)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"{path}: malformed header: {exc}") from exc
+    if header.get("arrays") != layout:
+        raise InvalidConfigError(f"{path}: header lists arrays {header.get('arrays')}, expected {layout}")
+    arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])
+    if len(blob) != 40 + size + arrays.itemsize:
+        raise InvalidConfigError(f"{path}: {len(blob)} bytes, expected {40 + size + arrays.itemsize}")
+    record = np.frombuffer(blob, arrays, count=1, offset=40 + size)[0]
+    return fields, {name: record[name] for name in arrays.names}, blob[:32].hex()
 
 
 def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
-    """Write `ds` to DATASET_FILE in `directory` with one atomic rename.
+    """Write `ds` to DATASET_FILE in `directory`; the bytes depend on the dataset alone.
 
-    The bytes depend on the dataset alone.  The arrays are hashed and
-    written from their own buffers, with no concatenated copy.  Once the
-    file is in place, the files of a format 1 or 2 dataset in `directory`
-    (`manifest.json`, `config.json`, `traj_*.bin`) are removed.
+    Once the file is in place, the files of a format 1 or 2 dataset in
+    `directory` (`manifest.json`, `config.json`, `traj_*.bin`) are removed.
     """
     ds._validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    header = dict(version=DATASET_FORMAT_VERSION, teacher=ds.cfg.to_dict(), b=ds.b, n=ds.n, seed=ds.seed)
     layout = _layout(ds.b, ds.n, ds.cfg.k)
-    header = dict(
-        version=DATASET_FORMAT_VERSION, teacher=ds.cfg.to_dict(), b=ds.b, n=ds.n, seed=ds.seed, arrays=layout
-    )
-    text = json.dumps(header, sort_keys=True).encode()
-    text += b" " * (-(40 + len(text)) % 8)
-    buffers = [struct.pack("<Q", len(text)), text]
-    buffers += [np.ascontiguousarray(getattr(ds, name), dtype) for name, dtype, _ in layout]
-    digest = hashlib.sha256()
-    for buf in buffers:
-        digest.update(buf)
-    write_atomic(directory / DATASET_FILE, [digest.digest(), *buffers])
+    _write_container(directory / DATASET_FILE, header, layout, {name: getattr(ds, name) for name, _, _ in layout})
     if (directory / "manifest.json").exists():  # a format 1 or 2 dataset this one replaces
         for stale in [directory / "manifest.json", directory / "config.json", *directory.glob("traj_*.bin")]:
             stale.unlink(missing_ok=True)
@@ -332,13 +361,7 @@ def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
 
 
 def load_dataset(directory: str | Path) -> PretrainDataset:
-    """Read a dataset written by `save_dataset`, trusting nothing unchecked.
-
-    The stored digest is verified before anything else is parsed.  Then the
-    version, and each array's dtype and shape against B, N and K, must match,
-    and the file must end where the last array does.  The arrays are
-    read-only views of the file's bytes.
-    """
+    """Read a dataset written by `save_dataset`; each array's dtype and shape must match B, N and K."""
     directory = Path(directory)
     path = directory / DATASET_FILE
     if not path.exists():
@@ -348,23 +371,46 @@ def load_dataset(directory: str | Path) -> PretrainDataset:
                 f"format {DATASET_FORMAT_VERSION} is a single file, so regenerate the dataset"
             )
         raise InvalidConfigError(f"dataset not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < 40 or hashlib.sha256(memoryview(blob)[32:]).digest() != blob[:32]:
-        raise InvalidConfigError(f"{path}: SHA-256 does not match the stored digest (file damaged or edited)")
-    (size,) = struct.unpack_from("<Q", blob, 32)
-    try:
-        header = json.loads(blob[40 : 40 + size])
-        if header["version"] != DATASET_FORMAT_VERSION:
-            raise InvalidConfigError(f"{path}: unsupported dataset version {header['version']!r}")
+
+    def parse(header: dict) -> tuple:
         cfg = TeacherConfig.from_dict(header["teacher"])
         b, n, seed = int(header["b"]), int(header["n"]), int(header["seed"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InvalidConfigError(f"{path}: malformed header: {exc}") from exc
-    if header.get("arrays") != (layout := _layout(b, n, cfg.k)):
-        raise InvalidConfigError(f"{path}: header lists arrays {header.get('arrays')}, expected {layout}")
-    arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])
-    if len(blob) != 40 + size + arrays.itemsize:
-        raise InvalidConfigError(f"{path}: {len(blob)} bytes, expected {40 + size + arrays.itemsize}")
-    record = np.frombuffer(blob, arrays, count=1, offset=40 + size)[0]
-    views = {name: record[name] for name in arrays.names}
-    return PretrainDataset(cfg, b, n, seed, **views, sha256=blob[:32].hex())
+        return _layout(b, n, cfg.k), (cfg, b, n, seed)
+
+    (cfg, b, n, seed), arrays, digest = _read_container(path, "dataset", DATASET_FORMAT_VERSION, parse)
+    return PretrainDataset(cfg, b, n, seed, **arrays, sha256=digest)
+
+
+def _params_layout(k: int) -> list[list]:
+    return [["w_n", "<f8", [k, k]], ["w_g", "<f8", [k, k]]]
+
+
+def save_params(tc: TwoChannelParams, path: str | Path, ds: PretrainDataset, training: dict) -> None:
+    """Write operators fitted on `ds`; the header holds its teacher, b, n, seed and
+    stored digest (None if built in memory), and the `[training]` section as written."""
+    if tc.k != ds.cfg.k:
+        raise InvalidConfigError(f"operators are {tc.k}x{tc.k} but the dataset's teacher has k = {ds.cfg.k}")
+    header = dict(version=PARAMS_FORMAT_VERSION, teacher=ds.cfg.to_dict(), training=training)
+    header.update(dataset=dict(b=ds.b, n=ds.n, seed=ds.seed), dataset_sha256=ds.sha256)
+    _write_container(Path(path), header, _params_layout(tc.k), {"w_n": tc.w_n, "w_g": tc.w_g})
+
+
+def load_params(path: str | Path, cfg: TeacherConfig | None = None) -> TwoChannelParams:
+    """Read a parameter file written by `save_params`: finite operators and, with `cfg`, the
+    same teacher.  Format 1 (no digest: uint32 K and 1, then 2*K*K float64) is to be retrained."""
+    path = Path(path)
+
+    def format_1(blob: bytes) -> str | None:
+        k, version = struct.unpack_from("<II", blob) if len(blob) >= 8 else (0, 0)
+        if version == 1 and len(blob) == 8 + 16 * k * k:
+            return f"{path} is a format 1 parameter file, with no digest or teacher; retrain it"
+
+    def parse(header: dict) -> tuple:
+        return _params_layout(TeacherConfig.from_dict(header["teacher"]).k), header["teacher"]
+
+    teacher, arrays, _ = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse, format_1)
+    if cfg is not None and (differ := [key for key, value in cfg.to_dict().items() if teacher.get(key) != value]):
+        raise InvalidConfigError(f"{path} was trained for a different [teacher]: {', '.join(differ)} differ")
+    if not all(np.isfinite(array).all() for array in arrays.values()):
+        raise InvalidConfigError(f"{path}: parameter values must be finite")
+    return TwoChannelParams(**arrays)

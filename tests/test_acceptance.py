@@ -257,6 +257,7 @@ class TestCriterion6LemmaSuite:
         cfg = _matching_cfg()
         ds = generate_dataset(cfg, b=100, n=30, seed=123)
         stats = empirical_stats(ds)
+        z, y, _ = ds.pair_matrices()
         rng = np.random.default_rng(1006)
         sandwich_ok = True
         for _ in range(50):
@@ -264,7 +265,7 @@ class TestCriterion6LemmaSuite:
                 w_n=0.3 * rng.normal(size=(10, 10)),
                 w_g=0.3 * rng.normal(size=(10, 10)),
             )
-            sample = kl_sandwich_check(tc, ds, stats.gamma_hat)
+            sample = kl_sandwich_check(tc, z, y, stats.gamma_hat, cfg.gamma)
             sandwich_ok = sandwich_ok and sample.lower_slack >= -1e-10 and sample.upper_slack >= -1e-10
         restricted_pd = sigma_min_restricted(fs.sigma_bar)
         grad_rel = gradient_fd_relative_error(

@@ -23,6 +23,12 @@ from icpo_lab.subspace import helmert_basis, paired_helmert_basis, restricted_ei
 from icpo_lab.teacher import MixedPolicy, coverage_margin, mix_policy, softmax
 
 
+def _sandwich_args(ds, fs):
+    """`kl_sandwich_check`'s arguments after the operators: `ds`'s pair matrices Z and Y, Gamma-hat, gamma."""
+    z, y, _ = ds.pair_matrices()
+    return z, y, fs.gamma_hat, ds.cfg.gamma
+
+
 class TestHelmertBasis:
     def test_orthonormal_and_zero_sum(self):
         for k in (2, 5, 10):
@@ -97,13 +103,13 @@ class TestSoftmaxLipschitz:
 
 class TestKlSandwich:
     def test_exact_student_is_degenerate(self, matching_cfg, matching_dataset, matching_stats):
-        sample = kl_sandwich_check(teacher_two_channel(matching_cfg), matching_dataset, matching_stats.gamma_hat)
+        sample = kl_sandwich_check(teacher_two_channel(matching_cfg), *_sandwich_args(matching_dataset, matching_stats))
         assert abs(sample.mean_kl) <= 1e-12
         assert sample.mean_quad <= 1e-12
         assert sample.holds
 
     def test_zero_student(self, matching_dataset, matching_stats):
-        sample = kl_sandwich_check(TwoChannelParams.zeros(10), matching_dataset, matching_stats.gamma_hat)
+        sample = kl_sandwich_check(TwoChannelParams.zeros(10), *_sandwich_args(matching_dataset, matching_stats))
         assert sample.mean_kl > 0
         assert sample.mean_quad > 0
         assert sample.holds
@@ -115,7 +121,7 @@ class TestKlSandwich:
                 w_n=rng.normal(size=(10, 10)) * 0.3,
                 w_g=rng.normal(size=(10, 10)) * 0.3,
             )
-            sample = kl_sandwich_check(tc, matching_dataset, matching_stats.gamma_hat)
+            sample = kl_sandwich_check(tc, *_sandwich_args(matching_dataset, matching_stats))
             assert sample.lower_slack >= -1e-10
             assert sample.upper_slack >= -1e-10
 
@@ -128,7 +134,7 @@ class TestKlSandwich:
         rng = np.random.default_rng(5)
         for _ in range(10):
             tc = TwoChannelParams(w_n=rng.normal(size=(10, 10)) * 5, w_g=rng.normal(size=(10, 10)) * 5)
-            sample = kl_sandwich_check(tc, matching_dataset, matching_stats.gamma_hat)
+            sample = kl_sandwich_check(tc, *_sandwich_args(matching_dataset, matching_stats))
             assert sample.upper_slack >= -1e-10
 
 
@@ -221,7 +227,7 @@ def _reference_lemma_sweep(ds, fs, seed, spectrum_samples, lipschitz_samples, sa
     sandwich = np.inf
     for _ in range(sandwich_draws):
         tc = TwoChannelParams(w_n=rng.normal(size=(k, k)) * scale, w_g=rng.normal(size=(k, k)) * scale)
-        sample = kl_sandwich_check(tc, ds, fs.gamma_hat)
+        sample = kl_sandwich_check(tc, *_sandwich_args(ds, fs))
         sandwich = min(sandwich, sample.lower_slack, sample.upper_slack)
     gradient_fd = np.inf
     for _ in range(100):
@@ -318,7 +324,7 @@ class TestBatchedChecks:
 
         monkeypatch.setattr(analysis, "mix_policy", off_floor)
         with pytest.raises(InvalidDistributionError):
-            kl_sandwich_check(TwoChannelParams.zeros(10), matching_dataset, matching_stats.gamma_hat)
+            kl_sandwich_check(TwoChannelParams.zeros(10), *_sandwich_args(matching_dataset, matching_stats))
 
     def test_suite_matches_per_sample_reference(self, margin_dataset):
         """Chunked sweep versus a one-sample-per-iteration loop with the same draws.

@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,22 @@ import pytest
 import icpo_lab
 from icpo_lab import atomic, cli
 from icpo_lab.analysis import run_lemma_suite
-from icpo_lab.cli import load_config, load_params, main, save_params, teacher_from_config
+from icpo_lab.cli import load_config, main, teacher_from_config
 from icpo_lab.errors import IcpoError, InvalidConfigError
 from icpo_lab.loop import shock_experiment
 from icpo_lab.lsa import TwoChannelParams
 from icpo_lab.meicpo import HttpGenerator, MeIcpoConfig
-from icpo_lab.pretrain import DATASET_FILE, generate_dataset, load_dataset, save_dataset, train_gd
+from icpo_lab.pretrain import (
+    DATASET_FILE,
+    generate_dataset,
+    load_dataset,
+    load_params,
+    save_dataset,
+    save_params,
+    train_gd,
+)
 from icpo_lab.teacher import TeacherConfig
+from test_pretrain import _header, _rewrite
 
 SMALL_CONFIG = """\
 [teacher]
@@ -55,6 +65,21 @@ def _write_config(tmp_path, name="cfg.ini", solver="ls", out=None):
     path = tmp_path / name
     path.write_text(SMALL_CONFIG.format(solver=solver, out=out))
     return path
+
+
+def _params_file(path, tc=None, cfg=None):
+    """Save `tc` (zero K=3 operators by default) as fitted on a small dataset of teacher `cfg`
+    (`TeacherConfig(k=3)` by default, what a config with only `k = 3` in [teacher] builds)."""
+    cfg = cfg or TeacherConfig(k=3)
+    tc = tc or TwoChannelParams.zeros(cfg.k)
+    save_params(tc, path, generate_dataset(cfg, b=2, n=2, seed=0), {"solver": "ls"})
+    return path
+
+
+def _format_1(tc):
+    """Parameter format 1, as the previous codec wrote it: uint32 K and version 1, then W_n and W_g."""
+    body = np.concatenate([tc.w_n.ravel(), tc.w_g.ravel()]).astype("<f8").tobytes()
+    return struct.pack("<II", tc.k, 1) + body
 
 
 class TestConfigParsing:
@@ -125,44 +150,90 @@ class TestParamsFile:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         tc = TwoChannelParams(w_n=rng.normal(size=(5, 5)), w_g=rng.normal(size=(5, 5)))
-        path = tmp_path / "p.bin"
-        save_params(tc, path)
-        back = load_params(path)
-        assert np.array_equal(back.w_n, tc.w_n)
-        assert np.array_equal(back.w_g, tc.w_g)
-        # 8-byte header, then 2 K^2 doubles.
-        assert path.stat().st_size == 8 + 2 * 25 * 8
+        cfg = TeacherConfig(k=5, c=0.7)
+        path = _params_file(tmp_path / "p.bin", tc, cfg)
+        for back in (load_params(path), load_params(path, cfg)):
+            assert np.array_equal(back.w_n, tc.w_n)
+            assert np.array_equal(back.w_g, tc.w_g)
+            assert not back.w_n.flags.writeable
+        # The digest, the length-prefixed header, then 2 K^2 doubles: W_n, then W_g.
+        blob = path.read_bytes()
+        size, header = _header(blob)
+        assert len(blob) == 40 + size + 2 * 25 * 8 and (40 + size) % 8 == 0
+        assert blob[40 + size :] == np.concatenate([tc.w_n.ravel(), tc.w_g.ravel()]).astype("<f8").tobytes()
+        assert header == {
+            "version": 2,
+            "teacher": cfg.to_dict(),
+            "dataset": {"b": 2, "n": 2, "seed": 0},
+            "dataset_sha256": None,
+            "training": {"solver": "ls"},
+            "arrays": [["w_n", "<f8", [5, 5]], ["w_g", "<f8", [5, 5]]],
+        }
 
     def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "p.bin"
-        path.write_bytes(b"\x03\x00\x00\x00\x01\x00\x00\x00" + b"\x00" * 16)
-        with pytest.raises(InvalidConfigError):
+        path = _params_file(tmp_path / "p.bin")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(InvalidConfigError, match=f"{path}: SHA-256 does not match"):
             load_params(path)
 
     def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "p.bin"
-        path.write_bytes(b"\x02\x00\x00\x00\x09\x00\x00\x00" + b"\x00" * (2 * 4 * 8))
-        with pytest.raises(InvalidConfigError):
+        path = _params_file(tmp_path / "p.bin")
+        _, header = _header(path.read_bytes())
+        _rewrite(path, header={**header, "version": 9})
+        with pytest.raises(InvalidConfigError, match="unsupported parameter version 9"):
             load_params(path)
 
     @pytest.mark.parametrize(
-        "body, message",
+        "edit, message",
         [
-            (np.zeros(2 * 9).tobytes() + b"\x00" * 3, "expected 18 float64 values for K=3 (144 bytes), got 147 bytes"),
-            (np.zeros(2 * 9 - 1).tobytes(), "expected 18 float64 values for K=3 (144 bytes), got 136 bytes"),
-            (np.full(2 * 9, np.nan).tobytes(), "parameter values must be finite"),
-            (np.r_[np.zeros(17), np.inf].tobytes(), "parameter values must be finite"),
+            (lambda body: body + b"\x00" * 3, "{got} bytes, expected {want}"),
+            (lambda body: body[:-8], "{got} bytes, expected {want}"),
+            (lambda body: np.full(2 * 9, np.nan).tobytes(), "parameter values must be finite"),
+            (lambda body: np.r_[np.zeros(17), np.inf].tobytes(), "parameter values must be finite"),
         ],
         ids=["3-byte tail", "short body", "nan", "inf"],
     )
-    def test_malformed_body_names_the_file(self, tmp_path, capsys, body, message):
-        path = tmp_path / "p.bin"
-        path.write_bytes(b"\x03\x00\x00\x00\x01\x00\x00\x00" + body)
+    def test_malformed_body_names_the_file(self, tmp_path, capsys, edit, message):
+        """Behind a valid digest, the operators must fill the file exactly and be finite."""
+        cfg = _write_config(tmp_path)
+        path = _params_file(tmp_path / "p.bin", cfg=teacher_from_config(load_config(cfg)))
+        blob = path.read_bytes()
+        size, _ = _header(blob)
+        _rewrite(path, body=edit(blob[40 + size :]))
         with pytest.raises(InvalidConfigError, match="must be finite|expected"):
+            load_params(path)
+        message = message.format(got=path.stat().st_size, want=len(blob))
+        assert main(["experiment", "--config", str(cfg), "--params", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_header_must_list_the_operators_of_its_teacher(self, tmp_path):
+        path = _params_file(tmp_path / "p.bin")
+        _, header = _header(path.read_bytes())
+        _rewrite(path, header={**header, "arrays": header["arrays"][:1]})
+        with pytest.raises(InvalidConfigError, match="header lists arrays"):
+            load_params(path)
+        _rewrite(path, header={key: value for key, value in header.items() if key != "teacher"})
+        with pytest.raises(InvalidConfigError, match="malformed header"):
+            load_params(path)
+
+    def test_operators_must_fit_the_dataset_teacher(self, tmp_path):
+        with pytest.raises(InvalidConfigError, match="operators are 4x4 but the dataset's teacher has k = 3"):
+            _params_file(tmp_path / "p.bin", TwoChannelParams.zeros(4))
+        assert not (tmp_path / "p.bin").exists()
+
+    def test_format_1_file_is_rejected_with_a_message_to_retrain(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "p.bin"
+        path.write_bytes(_format_1(TwoChannelParams(w_n=rng.normal(size=(3, 3)), w_g=rng.normal(size=(3, 3)))))
+        message = f"{path} is a format 1 parameter file, with no digest or teacher; retrain it"
+        with pytest.raises(InvalidConfigError, match="format 1 parameter file"):
             load_params(path)
         cfg = _write_config(tmp_path)
         assert main(["experiment", "--config", str(cfg), "--params", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        path.write_bytes(_format_1(TwoChannelParams.zeros(3))[:-1])  # not format 1 either: only damaged
+        with pytest.raises(InvalidConfigError, match="SHA-256 does not match"):
+            load_params(path)
 
 
 class TestPipeline:
@@ -183,9 +254,12 @@ class TestPipeline:
         sidecar = json.loads((out / "matching.json").read_text())
         assert sidecar["seed"] == 21
         assert sidecar["teacher"]["k"] == 3
-        train_sidecar = json.loads((out / "params.json").read_text())
-        assert train_sidecar["dataset"]["seed"] == 11
-        assert train_sidecar["training"]["solver"] == "ls"
+        _, header = _header((out / "params.bin").read_bytes())
+        assert header["teacher"] == sidecar["teacher"]
+        assert header["dataset"] == {"b": 8, "n": 6, "seed": 11}
+        assert header["training"] == {"solver": "ls"}
+        artifacts = ["dataset", "matching.csv", "matching.json", "params.bin", "train_log.csv"]
+        assert sorted(p.name for p in out.iterdir()) == artifacts  # no params.json beside params.bin
 
     def test_gd_solver_logs_monotone_loss(self, tmp_path):
         cfg = _write_config(tmp_path, solver="gd")
@@ -226,6 +300,7 @@ class TestPipeline:
         path = tmp_path / "bad.ini"
         path.write_text("[teacher]\nk = 3\n\n[dataset]\nb = 0\nn = 5\nseed = 1\n")
         assert main(["generate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:4: [dataset] need at least one trajectory, got B=0\n"
 
     def test_lemma_suite_without_dataset_section_is_clear_error(self, tmp_path, capsys):
         path = tmp_path / "lemma.ini"
@@ -233,23 +308,54 @@ class TestPipeline:
             f"[teacher]\nk = 3\n\n[experiment]\nkind = lemma-suite\n\n[output]\ndir = {tmp_path / 'out'}\n"
         )
         assert main(["experiment", "--config", str(path)]) == 2
-        assert "error: config is missing the [dataset] section" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: config is missing the [dataset] section\n"
 
-    def test_params_json_records_dataset_digest(self, tmp_path):
-        """params.json names the dataset file's stored digest: the same for a
-        regenerated dataset, different for another seed."""
+    def test_params_header_records_dataset_digest(self, tmp_path):
+        """The parameter file's header names the dataset file's stored digest:
+        the same for a regenerated dataset, different for another seed."""
         cfg = _write_config(tmp_path)
         out = tmp_path / "out"
-        sidecars, stored = [], []
+        params, stored = [], []
         for extra in ([], [], ["--seed-override", "99"]):
             main(["generate", "--config", str(cfg), *extra])
             main(["train", "--config", str(cfg), "--dataset", str(out / "dataset")])
-            sidecars.append((out / "params.json").read_bytes())
+            params.append((out / "params.bin").read_bytes())
             stored.append((out / "dataset" / DATASET_FILE).read_bytes()[:32].hex())
-        digests = [json.loads(sidecar)["dataset_sha256"] for sidecar in sidecars]
+        digests = [_header(blob)[1]["dataset_sha256"] for blob in params]
         assert digests == stored
-        assert sidecars[0] == sidecars[1]
+        assert params[0] == params[1]
         assert digests[0] == digests[1] != digests[2]
+
+    def test_params_of_another_teacher_are_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["generate", "--config", str(cfg)])
+        main(["train", "--config", str(cfg), "--dataset", str(out / "dataset")])
+        other = tmp_path / "other.ini"
+        other.write_text(cfg.read_text().replace("c = 1.0", "c = 0.3").replace("gamma = 0.3", "gamma = 0.6"))
+        capsys.readouterr()
+        assert main(["experiment", "--config", str(other), "--params", str(out / "params.bin")]) == 2
+        message = f"{out / 'params.bin'} was trained for a different [teacher]: c, gamma differ"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "matching.csv").exists()
+        with pytest.raises(InvalidConfigError, match="c, gamma differ"):
+            load_params(out / "params.bin", teacher_from_config(load_config(other)))
+
+    def test_flipped_byte_in_trained_params_is_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["generate", "--config", str(cfg)])
+        main(["train", "--config", str(cfg), "--dataset", str(out / "dataset")])
+        path = out / "params.bin"
+        original = path.read_bytes()
+        for position in (0, 40, len(original) - 1):
+            blob = bytearray(original)
+            blob[position] ^= 0x01
+            path.write_bytes(bytes(blob))
+            capsys.readouterr()
+            assert main(["experiment", "--config", str(cfg), "--params", str(path)]) == 2
+            message = f"{path}: SHA-256 does not match the stored digest (file damaged or edited)"
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_params_k_must_match_teacher_k(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -260,9 +366,8 @@ class TestPipeline:
         other.write_text(cfg.read_text().replace("k = 3", "k = 4"))
         capsys.readouterr()
         assert main(["experiment", "--config", str(other), "--params", str(out / "params.bin")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert f"{out / 'params.bin'} holds K=3 operators but [teacher] k = 4" in err
+        message = f"{out / 'params.bin'} was trained for a different [teacher]: k differ"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "kind, drop",
@@ -284,10 +389,9 @@ class TestPipeline:
         path = tmp_path / "exp.ini"
         out = tmp_path / "out"
         path.write_text(f"[teacher]\nk = 3\n\n[experiment]\n{experiment}\n[output]\ndir = {out}\n")
-        params = tmp_path / "params.bin"
-        save_params(TwoChannelParams(np.zeros((3, 3)), np.zeros((3, 3))), params)
+        params = _params_file(tmp_path / "params.bin")
         assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
-        assert f"error: [experiment] is missing required key(s): {drop}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}:4: [experiment] is missing required key(s): {drop}\n"
 
     @pytest.mark.parametrize(
         "kind, key", [("matching", "b_test"), ("matching", "n"), ("shock", "b_test"), ("shock", "n")]
@@ -299,10 +403,11 @@ class TestPipeline:
         experiment = "".join(f"{name} = {value}\n" for name, value in keys.items())
         path = tmp_path / "exp.ini"
         path.write_text(f"[teacher]\nk = 3\n\n[experiment]\n{experiment}\n[output]\ndir = {tmp_path / 'out'}\n")
-        params = tmp_path / "params.bin"
-        save_params(TwoChannelParams(np.zeros((3, 3)), np.zeros((3, 3))), params)
+        params = _params_file(tmp_path / "params.bin")
         assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
-        assert "error: need b_test >= 1" in capsys.readouterr().err
+        got = f"got b_test={0 if key == 'b_test' else 4}, n={0 if key == 'n' else 6}"
+        message = f"[experiment] need b_test >= 1 test tasks and n >= 1 rounds, {got}"
+        assert capsys.readouterr().err == f"error: {path}:4: {message}\n"
 
     @pytest.mark.parametrize(
         "command, drop", [("experiment", "n"), ("experiment", "seed"), ("generate", "b")]
@@ -316,7 +421,7 @@ class TestPipeline:
             f"[output]\ndir = {tmp_path / 'out'}\n"
         )
         assert main([command, "--config", str(path)]) == 2
-        assert f"error: [dataset] is missing required key(s): {drop}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}:4: [dataset] is missing required key(s): {drop}\n"
 
     @pytest.mark.parametrize(
         "command, old, new, message",
@@ -333,8 +438,7 @@ class TestPipeline:
         text = path.read_text().replace(old, new)
         path.write_text(text)
         line = text.splitlines().index(new.splitlines()[-1]) + 1
-        params = tmp_path / "params.bin"
-        save_params(TwoChannelParams(np.zeros((3, 3)), np.zeros((3, 3))), params)
+        params = _params_file(tmp_path / "params.bin")
         dataset = tmp_path / "dataset"
         save_dataset(generate_dataset(TeacherConfig(k=3), b=4, n=3, seed=0), dataset)
         extra = {"generate": [], "train": ["--dataset", str(dataset)], "experiment": ["--params", str(params)]}
@@ -422,8 +526,7 @@ class TestEveryKeyReachesItsCallee:
         lemma = {"spectrum_samples": 11, "lipschitz_samples": 12, "sandwich_draws": 13, "sandwich_scale": 0.5}
         shock = {"b_test": 2, "n": 4, "s": 1, "delta_r": 0.25, "c_b": 3.5}
         assert set(lemma) | set(shock) | {"kind", "seed"} == set(cli._KEYS["experiment"])
-        params = tmp_path / "params.bin"
-        save_params(TwoChannelParams(np.zeros((3, 3)), np.zeros((3, 3))), params)
+        params = _params_file(tmp_path / "params.bin")
         for kind, callee, values in (("lemma-suite", run_lemma_suite, lemma), ("shock", shock_experiment, shock)):
             path = tmp_path / f"{kind}.ini"
             path.write_text(
@@ -465,12 +568,11 @@ class TestAtomicWrites:
         monkeypatch.setattr(atomic, "open", _HalfWriter, raising=False)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "params.bin"
-        save_params(TwoChannelParams(np.eye(3), np.zeros((3, 3))), path)
+        path = _params_file(tmp_path / "params.bin", TwoChannelParams(np.eye(3), np.zeros((3, 3))))
         before = path.read_bytes()
         self._fail_writes(monkeypatch)
         with pytest.raises(OSError):
-            save_params(TwoChannelParams(np.ones((3, 3)), np.ones((3, 3))), path)
+            _params_file(path, TwoChannelParams(np.ones((3, 3)), np.ones((3, 3))))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["params.bin"]
 

@@ -909,8 +909,37 @@ class TestChain:
         gen = _http(transport, max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError, match="request 2"):
             gen.generate_chain(_wave(4), _follow)
+        # Request 2's 404 is final, so the call will raise: no look-ahead is built or sent after it.
         posts = [r.messages[0].text for r in transport.posts]
-        assert sorted(posts) == sorted([f"request {i}" for i in range(4)] + [f"follow {i} REQUEST {i}" for i in (0, 1, 3)])
+        assert posts == [f"request {i}" for i in range(4)] + ["follow 0 REQUEST 0", "follow 1 REQUEST 1"]
+
+    def test_follow_up_awaiting_a_resend_is_dropped_once_a_first_stage_request_fails_for_good(self, monkeypatch):
+        """Pass 2 resends request 0 (503, then 404) ahead of follow-up 1 (503); with one request
+        in flight, the 404 is read before follow-up 1 is written, so it is not written again."""
+        monkeypatch.setattr("icpo_lab.meicpo.generator.MAX_IN_FLIGHT", 1)
+        seen = []
+
+        def respond(request):
+            text = request.messages[0].text
+            seen.append(text)
+            if text == "request 0":
+                return 503 if seen.count(text) == 1 else 404
+            return 503 if text.startswith("follow") else _upper(request)
+
+        transport = _KeyedTransport(respond)
+        with pytest.raises(GeneratorError, match="HTTP 404"):
+            _http(transport, max_retries=2, backoff=0.0).generate_chain(_wave(2), _follow)
+        assert seen == ["request 0", "request 1", "follow 1 REQUEST 1", "request 0"]
+
+    def test_no_wait_to_resend_a_follow_up_once_a_first_stage_request_failed_for_good(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("icpo_lab.meicpo.generator.time.sleep", slept.append)
+        replies = {"request 1": 404, "follow 0 REQUEST 0": 503}
+        transport = _KeyedTransport(lambda r: replies.get(r.messages[0].text) or _upper(r))
+        with pytest.raises(GeneratorError, match="HTTP 404"):
+            _http(transport, max_retries=2, backoff=1.0).generate_chain(_wave(2), _follow)
+        assert [r.messages[0].text for r in transport.posts] == ["request 0", "request 1", "follow 0 REQUEST 0"]
+        assert slept == []
 
     def test_scripted_chain_is_two_fifo_waves(self):
         gen = ScriptedGenerator([["a"], ["b"], ["c"], ["d"]])

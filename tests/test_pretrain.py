@@ -50,14 +50,15 @@ def _assert_same_arrays(d1, d2):
 
 
 def _header(blob):
-    """(header length, parsed header) of a dataset file's bytes."""
+    """(header length, parsed header) of a container file's bytes: a dataset or a parameter file."""
     (size,) = struct.unpack_from("<Q", blob, 32)
     return size, json.loads(blob[40 : 40 + size])
 
 
 def _rewrite(path, header=None, body=None):
-    """Rewrite a dataset file with a new header and/or array bytes and a
-    freshly computed digest, so that only the checks after the digest see it."""
+    """Rewrite a container file (a dataset or a parameter file) with a new header
+    and/or array bytes and a freshly computed digest, so that only the checks
+    after the digest see it."""
     blob = path.read_bytes()
     size, old = _header(blob)
     text = json.dumps(old if header is None else header).encode()
@@ -484,6 +485,13 @@ class TestGradient:
                     ) / (2 * eps)
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
             assert rel <= 1e-6
+
+    def test_batched_operators_match_single_calls(self, matching_stats):
+        w = np.random.default_rng(31).normal(size=(4, 3, 10, 20))
+        batch = gradient(w, matching_stats)
+        assert batch.shape == w.shape
+        for wi, grad in zip(w.reshape(-1, 10, 20), batch.reshape(-1, 10, 20)):
+            np.testing.assert_allclose(grad, gradient(TwoChannelParams.from_stacked(wi), matching_stats), rtol=1e-14)
 
     def test_zero_at_least_squares_optimum(self, matching_stats, matching_student):
         assert np.linalg.norm(gradient(matching_student, matching_stats)) <= 1e-8
