@@ -127,10 +127,10 @@ class Config:
         return InvalidConfigError(f"{self._where(section, key)} {key} = {text!r} {problem}")
 
     def require(self, section: str, *keys: str) -> dict:
-        """The converted [section], which must exist and set each key in `keys`."""
+        """The converted [section], which must exist and set each key in `keys` to a non-empty value."""
         if section not in self.values:
             raise InvalidConfigError(f"{self.path}: config is missing the [{section}] section")
-        if missing := [key for key in keys if key not in self.values[section]]:
+        if missing := [key for key in keys if self.values[section].get(key) in (None, "")]:
             raise InvalidConfigError(f"{self._where(section)} is missing required key(s): {', '.join(missing)}")
         return self.values[section]
 
@@ -223,9 +223,10 @@ def _train(config: Config, ds: PretrainDataset, out: Path) -> Path:
         for i, (loss, gnorm) in enumerate(zip(result.losses, result.grad_norms)):
             log_lines.append(f"{i},{_fmt(loss)},{_fmt(gnorm)}")
     else:
-        raise InvalidConfigError(f"unknown solver {solver!r}; expected 'ls' or 'gd'")
+        raise config.invalid("training", "solver", solver, "is not 'ls' or 'gd'")
     params_path = out / "params.bin"
     save_params(tc, params_path, ds, config.raw.get("training", {}))
+    (out / "params.json").unlink(missing_ok=True)  # an earlier version's sidecar, which no longer matches
     write_atomic(out / "train_log.csv", "\n".join(log_lines) + "\n")
     return params_path
 
@@ -241,10 +242,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    sec = config.require("experiment")
-    kind = sec.get("kind")
+    sec = config.require("experiment", "kind")
+    kind = sec["kind"]
     if kind not in ("lemma-suite", "matching", "shock"):
-        raise InvalidConfigError(f"unknown experiment kind {kind!r}")
+        raise config.invalid("experiment", "kind", kind, "is not 'lemma-suite', 'matching' or 'shock'")
     out = _out_dir(config, args.out)
     cfg = teacher_from_config(config)
     seed = args.seed_override if args.seed_override is not None else sec.get("seed", 0)
@@ -285,10 +286,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_me_icpo(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out = _out_dir(config, args.out)
-    sec = config.require("me-icpo")
-    question = sec.get("question")
-    if not question:
-        raise InvalidConfigError("[me-icpo] needs a question")
+    sec = config.require("me-icpo", "question")
+    question = sec["question"]
     loop_keys = [f.name for f in dataclasses.fields(MeIcpoConfig)]
     cfg = config.build("me-icpo", MeIcpoConfig, **_pick(sec, *loop_keys))
     backend = sec.get("generator", "mock")
@@ -302,12 +301,11 @@ def cmd_me_icpo(args: argparse.Namespace) -> int:
         else:
             generator = demo_generator()
     elif backend == "http":
-        if not sec.get("endpoint") or not sec.get("model"):
-            raise InvalidConfigError("http generator needs endpoint and model")
+        config.require("me-icpo", "endpoint", "model")
         http_keys = ("endpoint", "model", "api_key_env", "timeout", "max_retries")
         generator = config.build("me-icpo", HttpGenerator, **_pick(sec, *http_keys))
     else:
-        raise InvalidConfigError(f"unknown generator {backend!r}; expected 'mock' or 'http'")
+        raise config.invalid("me-icpo", "generator", backend, "is not 'mock' or 'http'")
 
     try:
         result = run_me_icpo(question, cfg, generator)

@@ -5,11 +5,12 @@ pure function of the request, which also backs the offline demo generator);
 the HTTP client speaks the common JSON chat-completion shape with bearer
 auth, timeouts, and retries.
 
-`generate_many` answers a wave of independent requests, `responses[i]` for
-`requests[i]`.  `generate_chain` answers a wave and, for each of its
-responses, one follow-up request built from that response alone.  The mocks
-serve a chain as two waves in order; the HTTP client, in the calling thread,
-writes the wave, then writes follow-up i as soon as it has read response i.
+`Generator.generate(requests, then=None)` is the one way to request text.
+Slot i of its result answers `requests[i]`; with `then`, slot n + i answers
+the follow-up `then(i, response_i)`, built from that response alone.  The
+mocks answer every request in order, then every follow-up; the HTTP client,
+in the calling thread, writes the requests, then writes follow-up i as soon
+as it has read response i.
 """
 
 from __future__ import annotations
@@ -72,18 +73,13 @@ class GeneratorResponse:
 
 
 class Generator(Protocol):
-    def generate(self, request: GeneratorRequest) -> GeneratorResponse: ...
-
-    def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
-        """Answer each request in turn; `responses[i]` answers `requests[i]`."""
-        return [self.generate(request) for request in requests]
-
-    def generate_chain(
-        self, first: Sequence[GeneratorRequest], then: Callable[[int, GeneratorResponse], GeneratorRequest]
-    ) -> tuple[list[GeneratorResponse], list[GeneratorResponse]]:
-        """(responses to `first`, responses to `then(i, response_i)` for each i), as two waves."""
-        responses = self.generate_many(first)
-        return responses, self.generate_many([then(i, response) for i, response in enumerate(responses)])
+    def generate(
+        self,
+        requests: Sequence[GeneratorRequest],
+        then: Callable[[int, GeneratorResponse], GeneratorRequest] | None = None,
+    ) -> list[GeneratorResponse]:
+        """Slot i answers `requests[i]`; with `then`, slot n + i answers `then(i, responses[i])`."""
+        ...
 
     def close(self) -> None:
         """Release what the generator holds open; the mocks hold nothing."""
@@ -100,7 +96,33 @@ def _as_response(request: GeneratorRequest, texts: Sequence[str]) -> GeneratorRe
     )
 
 
-class ScriptedGenerator(Generator):
+class FunctionGenerator(Generator):
+    """Answers each request with a function of it; deterministic when the function is pure.
+
+    Every request is answered in order before any follow-up is built, and
+    each is recorded in `requests` for assertions.
+    """
+
+    def __init__(self, fn: Callable[[GeneratorRequest], Sequence[str]]):
+        self._fn = fn
+        self.requests: list[GeneratorRequest] = []
+
+    def _answer(self, request: GeneratorRequest) -> GeneratorResponse:
+        self.requests.append(request)
+        return _as_response(request, self._fn(request))
+
+    def generate(
+        self,
+        requests: Sequence[GeneratorRequest],
+        then: Callable[[int, GeneratorResponse], GeneratorRequest] | None = None,
+    ) -> list[GeneratorResponse]:
+        responses = [self._answer(request) for request in requests]
+        if then is None:
+            return responses
+        return responses + [self._answer(then(i, response)) for i, response in enumerate(responses)]
+
+
+class ScriptedGenerator(FunctionGenerator):
     """Pops pre-scripted response batches in FIFO order.
 
     Each script entry is the list of texts for one request.  Requests are
@@ -113,29 +135,15 @@ class ScriptedGenerator(Generator):
         for i, batch in enumerate(script):
             if not isinstance(batch, (list, tuple)) or not all(isinstance(text, str) for text in batch):
                 raise InvalidConfigError(f"a script is a list of lists of strings; entry {i} is {batch!r}")
-        self._script = [list(batch) for batch in script]
-        self._cursor = 0
-        self.requests: list[GeneratorRequest] = []
+        batches = iter([list(batch) for batch in script])
 
-    def generate(self, request: GeneratorRequest) -> GeneratorResponse:
-        self.requests.append(request)
-        if self._cursor >= len(self._script):
-            raise GeneratorError(f"script exhausted after {self._cursor} requests")
-        batch = self._script[self._cursor]
-        self._cursor += 1
-        return _as_response(request, batch)
+        def pop(request: GeneratorRequest) -> list[str]:
+            batch = next(batches, None)
+            if batch is None:
+                raise GeneratorError(f"script exhausted after {len(script)} requests")
+            return batch
 
-
-class FunctionGenerator(Generator):
-    """Delegates to a pure function of the request; deterministic by construction."""
-
-    def __init__(self, fn: Callable[[GeneratorRequest], Sequence[str]]):
-        self._fn = fn
-        self.requests: list[GeneratorRequest] = []
-
-    def generate(self, request: GeneratorRequest) -> GeneratorResponse:
-        self.requests.append(request)
-        return _as_response(request, self._fn(request))
+        super().__init__(pop)
 
 
 def demo_generator() -> FunctionGenerator:
@@ -295,20 +303,14 @@ class HttpGenerator(Generator):
         while self._idle:
             self._idle.pop().close()
 
-    def generate(self, request: GeneratorRequest) -> GeneratorResponse:
-        return self.generate_many([request])[0]
-
-    def generate_many(self, requests: Sequence[GeneratorRequest]) -> list[GeneratorResponse]:
-        return self.generate_chain(requests, None)[0]
-
-    def generate_chain(
+    def generate(
         self,
-        first: Sequence[GeneratorRequest],
-        then: Callable[[int, GeneratorResponse], GeneratorRequest] | None,
-    ) -> tuple[list[GeneratorResponse], list[GeneratorResponse]]:
-        """Answer a wave, and each response's follow-up, from the calling thread.
+        requests: Sequence[GeneratorRequest],
+        then: Callable[[int, GeneratorResponse], GeneratorRequest] | None = None,
+    ) -> list[GeneratorResponse]:
+        """Answer the requests, and each response's follow-up, from the calling thread.
 
-        Slot i < n is `first[i]`; slot n + i is its follow-up `then(i, response_i)`, built and
+        Slot i < n is `requests[i]`; slot n + i is its follow-up `then(i, response_i)`, built and
         written as soon as response i is read, on the connection that read freed.  A `then` of
         None sends no follow-ups.  At most `MAX_IN_FLIGHT` requests are written and not yet
         read, and responses are read in the order written.  A pass's transient failures, of
@@ -319,8 +321,8 @@ class HttpGenerator(Generator):
         import http.client
 
         headers = self._headers()
-        n = len(first)
-        requests: list = list(first) + [None] * (n if then is not None else 0)
+        n = len(requests)
+        requests = list(requests) + [None] * (n if then is not None else 0)
         bodies: list = [None] * len(requests)
         outcomes: list = [None] * len(requests)  # a response, or the latest error
         attempts = [0] * len(requests)
@@ -374,7 +376,7 @@ class HttpGenerator(Generator):
         for outcome in outcomes:
             if isinstance(outcome, Exception):
                 raise outcome
-        return outcomes[:n], outcomes[n:]
+        return outcomes
 
     def _judge(self, request: GeneratorRequest, reply) -> tuple[GeneratorResponse | Exception, float | None]:
         """One attempt's outcome, and the `Retry-After` seconds if it is to be resent, else None."""

@@ -6,12 +6,12 @@ reward) pair to the running context, and commit the candidate whose tentative
 context yields the lowest predictive answer entropy.  After the final round a
 single response is sampled from the accumulated context.
 
-The k summaries of a round go to the generator as one chain
-(`generate_chain`): look-ahead j is built from summary j and reward j alone,
-so a generator may send it as soon as summary j is back.  With
-`selection = reward` the summaries are one `generate_many` wave.  Results are
-assembled by candidate index and accounted in candidate order, so the outcome
-does not depend on the order in which calls finish.
+A round makes two generator calls: one for the candidates, and one for the k
+summaries with, under `selection = entropy`, look-ahead j as the follow-up of
+summary j (`Generator.generate(summaries, then)`).  Look-ahead j is built from
+summary j and reward j alone, so a generator may send it as soon as summary j
+is back.  Results are assembled by candidate index and accounted in candidate
+order, so the outcome does not depend on the order in which calls finish.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class MeIcpoConfig:
     include_reward_tags: bool = True  # off reproduces the "w/o Reward" variant
     selection: str = "entropy"  # "reward" reproduces the "w/o Entropy" variant
     final_vote: bool = False  # vote k final samples instead of one greedy sample
-    system: Optional[str] = None  # override the per-mode system prompt
 
     def __post_init__(self):
         if self.rounds < 1 or self.k < 1 or self.m < 1:
@@ -165,6 +164,17 @@ def write_trace_jsonl(result: MeIcpoResult, path: str | Path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _sample_request(history: IcpoHistory, cfg: MeIcpoConfig, greedy: bool = False) -> GeneratorRequest:
+    """k samples from the context at the sampling temperature, or one greedy sample."""
+    return GeneratorRequest(
+        messages=history.render_messages(cfg.include_reward_tags),
+        temperature=0.0 if greedy else cfg.temperature,
+        top_p=1.0 if greedy else cfg.top_p,
+        max_tokens=cfg.max_tokens,
+        n=1 if greedy else cfg.k,
+    )
+
+
 def _summary_request(text: str, mode: str, cap_tokens: int) -> GeneratorRequest:
     return GeneratorRequest(
         messages=(Message("user", summarization_prompt(mode, text)),),
@@ -211,31 +221,20 @@ def _entropy_of(response: GeneratorResponse, mode: str) -> float:
     return -sum((c / total) * math.log(c / total) for c in buckets.values())
 
 
-def _account(accounting: CallAccounting, purpose: str, responses: list[GeneratorResponse]) -> None:
-    for response in responses:
-        accounting.add(purpose, response)
-
-
 def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcpoResult:
     """Execute the full refinement loop and sample the final response.
 
     A round where no candidate yields an extractable answer is skipped: the
-    context is left unchanged and the skip is logged in the trace.
+    context is left unchanged and the skip is logged in the trace.  The final
+    answer is the vote over k final samples (`final_vote`) or over one greedy
+    sample.
     """
-    system = cfg.system if cfg.system is not None else system_prompt(cfg.mode, cfg.include_reward_tags)
-    history = IcpoHistory(system=system, question=question)
+    history = IcpoHistory(system=system_prompt(cfg.mode, cfg.include_reward_tags), question=question)
     accounting = CallAccounting()
     rounds: list[RoundTrace] = []
 
     for round_index in range(1, cfg.rounds + 1):
-        request = GeneratorRequest(
-            messages=history.render_messages(cfg.include_reward_tags),
-            temperature=cfg.temperature,
-            top_p=cfg.top_p,
-            max_tokens=cfg.max_tokens,
-            n=cfg.k,
-        )
-        response = generator.generate(request)
+        [response] = generator.generate([_sample_request(history, cfg)])
         accounting.add("candidates", response)
         candidates = [Candidate(text=t, answer=extract_answer(t, cfg.mode)) for t in response.texts]
 
@@ -248,44 +247,42 @@ def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcp
         vote = majority_vote([c.answer for c in candidates], cfg.mode)
         trace.vote_answer = vote.answer
         trace.vote_tie = vote.tie
-        summary_requests = [_summary_request(c.text, cfg.mode, cfg.summary_cap_tokens) for c in candidates]
 
-        def summarized(j: int, response: GeneratorResponse) -> Candidate:
-            cand = candidates[j]
-            cand.reward = vote.rewards[j]
+        def lookahead(j: int, response: GeneratorResponse) -> GeneratorRequest:
+            summary, _ = _summary_of(response, cfg.summary_cap_tokens)
+            return _lookahead_request(
+                history.extended(summary, vote.rewards[j]),
+                cfg.m,
+                cfg.entropy_temperature,
+                cfg.lookahead_max_tokens,
+                cfg.include_reward_tags,
+            )
+
+        entropy = cfg.selection == "entropy"
+        summaries = [_summary_request(c.text, cfg.mode, cfg.summary_cap_tokens) for c in candidates]
+        responses = generator.generate(summaries, lookahead if entropy else None)
+        for cand, reward, response in zip(candidates, vote.rewards, responses):
+            cand.reward = reward
             cand.summary, cand.summary_truncated = _summary_of(response, cfg.summary_cap_tokens)
-            return cand
-
-        if cfg.selection == "entropy":
-
-            def lookahead(j: int, response: GeneratorResponse) -> GeneratorRequest:
-                cand = summarized(j, response)
-                return _lookahead_request(
-                    history.extended(cand.summary, cand.reward),
-                    cfg.m,
-                    cfg.entropy_temperature,
-                    cfg.lookahead_max_tokens,
-                    cfg.include_reward_tags,
-                )
-
-            summaries, lookaheads = generator.generate_chain(summary_requests, lookahead)
-            _account(accounting, "summarize", summaries)
-            _account(accounting, "entropy", lookaheads)
-            for cand, response in zip(candidates, lookaheads):
-                cand.entropy = _entropy_of(response, cfg.mode)
-            best = min(range(len(candidates)), key=lambda j: (candidates[j].entropy, j))
-        else:
-            summaries = generator.generate_many(summary_requests)
-            _account(accounting, "summarize", summaries)
-            for j, response in enumerate(summaries):
-                summarized(j, response)
-            best = max(range(len(candidates)), key=lambda j: (candidates[j].reward, -j))
+            accounting.add("summarize", response)
+        for cand, response in zip(candidates, responses[len(candidates) :]):
+            cand.entropy = _entropy_of(response, cfg.mode)
+            accounting.add("entropy", response)
+        rank = (lambda c: c.entropy) if entropy else (lambda c: -c.reward)
+        best = min(range(len(candidates)), key=lambda j: (rank(candidates[j]), j))
 
         candidates[best].selected = True
         history = history.extended(candidates[best].summary, candidates[best].reward)
         rounds.append(trace)
 
-    final_text, final_answer = _final_response(history, cfg, generator, accounting)
+    [response] = generator.generate([_sample_request(history, cfg, greedy=not cfg.final_vote)])
+    accounting.add("final", response)
+    answers = [extract_answer(t, cfg.mode) for t in response.texts]
+    final_text, final_answer = response.texts[0], None
+    if any(a is not None for a in answers):
+        vote = majority_vote(answers, cfg.mode)
+        final_answer = vote.answer
+        final_text = next(t for t, a in zip(response.texts, answers) if canonicalize(a, cfg.mode) == final_answer)
     return MeIcpoResult(
         final_answer=final_answer,
         final_text=final_text,
@@ -293,38 +290,3 @@ def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcp
         rounds=rounds,
         accounting=accounting,
     )
-
-
-def _final_response(
-    history: IcpoHistory,
-    cfg: MeIcpoConfig,
-    generator: Generator,
-    accounting: CallAccounting,
-) -> tuple[str, Optional[str]]:
-    if cfg.final_vote:
-        request = GeneratorRequest(
-            messages=history.render_messages(cfg.include_reward_tags),
-            temperature=cfg.temperature,
-            top_p=cfg.top_p,
-            max_tokens=cfg.max_tokens,
-            n=cfg.k,
-        )
-        response = generator.generate(request)
-        accounting.add("final", response)
-        answers = [extract_answer(t, cfg.mode) for t in response.texts]
-        if all(a is None for a in answers):
-            return response.texts[0], None
-        vote = majority_vote(answers, cfg.mode)
-        pick = next(j for j, a in enumerate(answers) if canonicalize(a, cfg.mode) == vote.answer)
-        return response.texts[pick], vote.answer
-    request = GeneratorRequest(
-        messages=history.render_messages(cfg.include_reward_tags),
-        temperature=0.0,
-        top_p=1.0,
-        max_tokens=cfg.max_tokens,
-        n=1,
-    )
-    response = generator.generate(request)
-    accounting.add("final", response)
-    text = response.texts[0]
-    return text, canonicalize(extract_answer(text, cfg.mode), cfg.mode)

@@ -320,7 +320,8 @@ def _read_container(path: Path, kind: str, version: int, parse, older=None) -> t
     """(fields, arrays, digest hex) of a container.  The digest is checked before anything is
     parsed (`older(blob)` may then name an older format), then the version; `parse(header)`
     gives (the layout the header implies, its fields), which the header must list and the file
-    end with.  The arrays are read-only views of the file's bytes."""
+    end with; a header `parse` rejects, range errors included, is malformed.  The arrays are
+    read-only views of the file's bytes."""
     blob = path.read_bytes()
     if len(blob) < 40 or hashlib.sha256(memoryview(blob)[32:]).digest() != blob[:32]:
         damaged = f"{path}: SHA-256 does not match the stored digest (file damaged or edited)"
@@ -328,11 +329,12 @@ def _read_container(path: Path, kind: str, version: int, parse, older=None) -> t
     (size,) = struct.unpack_from("<Q", blob, 32)
     try:
         header = json.loads(blob[40 : 40 + size])
-        if header["version"] != version:
-            raise InvalidConfigError(f"{path}: unsupported {kind} version {header['version']!r}")
-        layout, fields = parse(header)
-    except (ValueError, KeyError, TypeError) as exc:
+        found = header["version"]
+        layout, fields = parse(header) if found == version else (None, None)
+    except (ValueError, KeyError, TypeError, InvalidConfigError) as exc:
         raise InvalidConfigError(f"{path}: malformed header: {exc}") from exc
+    if found != version:
+        raise InvalidConfigError(f"{path}: unsupported {kind} version {found!r}")
     if header.get("arrays") != layout:
         raise InvalidConfigError(f"{path}: header lists arrays {header.get('arrays')}, expected {layout}")
     arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from hashlib import sha256
 import os
 import struct
 import subprocess
@@ -206,6 +207,14 @@ class TestParamsFile:
         assert main(["experiment", "--config", str(cfg), "--params", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    def test_out_of_range_teacher_behind_a_valid_digest_names_the_file(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        path = _params_file(tmp_path / "p.bin", cfg=teacher_from_config(load_config(cfg)))
+        _, header = _header(path.read_bytes())
+        _rewrite(path, header={**header, "teacher": {**header["teacher"], "c": -1}})
+        assert main(["experiment", "--config", str(cfg), "--params", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: malformed header: step-size constant must be > 0, got -1.0\n"
+
     def test_header_must_list_the_operators_of_its_teacher(self, tmp_path):
         path = _params_file(tmp_path / "p.bin")
         _, header = _header(path.read_bytes())
@@ -260,6 +269,15 @@ class TestPipeline:
         assert header["training"] == {"solver": "ls"}
         artifacts = ["dataset", "matching.csv", "matching.json", "params.bin", "train_log.csv"]
         assert sorted(p.name for p in out.iterdir()) == artifacts  # no params.json beside params.bin
+
+    def test_train_removes_a_params_json_left_by_an_earlier_version(self, tmp_path):
+        """That sidecar's `params_sha256` named the old `params.bin`, not the one written now."""
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg)]) == 0
+        (out / "params.json").write_text(json.dumps({"params_sha256": "a6b78f1b"}) + "\n")
+        assert main(["train", "--config", str(cfg), "--dataset", str(out / "dataset")]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["dataset", "params.bin", "train_log.csv"]
 
     def test_gd_solver_logs_monotone_loss(self, tmp_path):
         cfg = _write_config(tmp_path, solver="gd")
@@ -442,6 +460,34 @@ class TestPipeline:
         dataset = tmp_path / "dataset"
         save_dataset(generate_dataset(TeacherConfig(k=3), b=4, n=3, seed=0), dataset)
         extra = {"generate": [], "train": ["--dataset", str(dataset)], "experiment": ["--params", str(params)]}
+        assert main([command, "--config", str(path), *extra[command]]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, old, new, where, message",
+        [
+            (
+                "train", "solver = ls", "solver = newton", "solver = newton",
+                "[training] solver = 'newton' is not 'ls' or 'gd'",
+            ),
+            (
+                "experiment", "kind = matching", "kind = bandit", "kind = bandit",
+                "[experiment] kind = 'bandit' is not 'lemma-suite', 'matching' or 'shock'",
+            ),
+            ("experiment", "kind = matching\n", "", "[experiment]", "[experiment] is missing required key(s): kind"),
+        ],
+        ids=["solver", "kind", "no-kind"],
+    )
+    def test_unknown_solver_or_kind_names_file_line_and_section(
+        self, tmp_path, capsys, command, old, new, where, message
+    ):
+        path = _write_config(tmp_path)
+        text = path.read_text().replace(old, new)
+        path.write_text(text)
+        line = text.splitlines().index(where) + 1
+        dataset = tmp_path / "dataset"
+        save_dataset(generate_dataset(TeacherConfig(k=3), b=4, n=3, seed=0), dataset)
+        extra = {"train": ["--dataset", str(dataset)], "experiment": []}
         assert main([command, "--config", str(path), *extra[command]]) == 2
         assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
 
@@ -735,6 +781,64 @@ class TestMeIcpoCommand:
         assert capsys.readouterr().err == f"error: {cfg}:7: [me-icpo] final_vote = 'maybe' is not a boolean\n"
         assert not (tmp_path / "out/result.json").exists()
 
+    @pytest.mark.parametrize(
+        "lines, where, message",
+        [
+            ("generator = grpc\nquestion = Q?", "generator = grpc", "generator = 'grpc' is not 'mock' or 'http'"),
+            ("generator = mock", "[me-icpo]", "is missing required key(s): question"),
+            ("generator = mock\nquestion =", "[me-icpo]", "is missing required key(s): question"),
+            ("generator = http\nquestion = Q?", "[me-icpo]", "is missing required key(s): endpoint, model"),
+            ("generator = http\nendpoint = http://127.0.0.1:9/v1\nmodel =\nquestion = Q?", "[me-icpo]",
+             "is missing required key(s): model"),
+        ],
+        ids=["unknown-generator", "no-question", "empty-question", "http-without-endpoint", "http-empty-model"],
+    )
+    def test_unusable_generator_or_question_names_file_line_and_section(self, tmp_path, capsys, lines, where, message):
+        cfg = tmp_path / "m.ini"
+        text = f"[me-icpo]\n{lines}\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        cfg.write_text(text)
+        assert main(["me-icpo", "--config", str(cfg)]) == 2
+        line = text.splitlines().index(where) + 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [me-icpo] {message}\n"
+        assert not (tmp_path / "out/result.json").exists()
+
+    # (result.json, trace.jsonl) sha256 of each run below.  Both are pure Python and sha256 of
+    # the generator's texts, so the bytes are the same on every platform.
+    GOLDEN = {
+        "mock": (
+            "6465f5f94ab81277946a06e745858d5cf4e6865fa9c223f1ab656b01821e913f",
+            "c7ed1220e06f7cdac12d6815fb7c42f9bdb26b7725431a0da65bd76d08d60d9d",
+        ),
+        "scripted": (
+            "f0c66e1ffae0a10e3b12d109b63149d1d824fc9ff1b9e6af7de27ed555aa00df",
+            "79e773abc44e8ce0e8d2f67eb6454533d648d69934f49aedc61d18e2efd3a9e9",
+        ),
+    }
+    REWARD_VOTE_SCRIPT = [
+        ["a boxed{4}", "b boxed{4.0}", "c boxed{5}"],  # round 1 candidates
+        ["idea a"], ["idea b"], ["idea c"],  # summaries; `reward` sends no look-aheads
+        ["d boxed{5}", "e no answer", "f boxed{6}"],  # round 2 candidates: a tie, broken low
+        ["idea d"], ["idea e " * 3], ["idea f"],
+        ["g boxed{6}", "h boxed{5}", "i boxed{6}"],  # the final vote over k samples
+    ]
+
+    def test_artifacts_match_their_golden_digests(self, tmp_path, monkeypatch):
+        """The demo preset, and a scripted `selection = reward, final_vote = true` run, write
+        exactly these bytes: a change to the loop or the generators must not move them."""
+        monkeypatch.chdir(tmp_path)  # the script path is relative, so result.json does not name tmp_path
+        Path("script.json").write_text(json.dumps(self.REWARD_VOTE_SCRIPT))
+        Path("scripted.ini").write_text(
+            "[me-icpo]\ngenerator = mock\nscript = script.json\nrounds = 2\nk = 3\nm = 2\nmode = numeric\n"
+            "summary_cap_tokens = 4\nselection = reward\nfinal_vote = true\nquestion = What is 2+4?\ngold = 6\n"
+        )
+        preset = Path(__file__).resolve().parents[1] / "presets" / "meicpo_mock.ini"
+        digests = {}
+        for name, cfg in (("mock", preset), ("scripted", Path("scripted.ini"))):
+            assert main(["me-icpo", "--config", str(cfg), "--out", name]) == 0
+            written = [(tmp_path / name / f).read_bytes() for f in ("result.json", "trace.jsonl")]
+            digests[name] = tuple(sha256(blob).hexdigest() for blob in written)
+        assert digests == self.GOLDEN
+
     def test_experiment_kind_me_icpo_rejected(self, tmp_path, capsys):
         """The refinement loop runs through the `me-icpo` command only."""
         cfg = tmp_path / "m.ini"
@@ -744,7 +848,8 @@ class TestMeIcpoCommand:
             f"question = Anything?\n\n[output]\ndir = {tmp_path / 'out'}\n"
         )
         assert main(["experiment", "--config", str(cfg)]) == 2
-        assert "unknown experiment kind 'me-icpo'" in capsys.readouterr().err
+        message = "[experiment] kind = 'me-icpo' is not 'lemma-suite', 'matching' or 'shock'"
+        assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
         assert not (tmp_path / "out/result.json").exists()
 
 

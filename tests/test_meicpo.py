@@ -153,13 +153,13 @@ class TestMajorityVote:
 
 def _summarize(text, generator, mode, cap_tokens=500):
     """One candidate through the loop's summary wave: (summary, truncated)."""
-    [response] = generator.generate_many([_summary_request(text, mode, cap_tokens)])
+    [response] = generator.generate([_summary_request(text, mode, cap_tokens)])
     return _summary_of(response, cap_tokens)
 
 
 def _estimate_entropy(history, generator, m, temperature, mode, max_tokens=256):
     """One tentative context through the loop's look-ahead wave: entropy in nats."""
-    [response] = generator.generate_many([_lookahead_request(history, m, temperature, max_tokens, True)])
+    [response] = generator.generate([_lookahead_request(history, m, temperature, max_tokens, True)])
     return _entropy_of(response, mode)
 
 
@@ -390,6 +390,23 @@ class TestRunMeIcpo:
         assert acc.by_purpose["entropy"]["calls"] == 3
         assert acc.completion_tokens > 0
 
+    @pytest.mark.parametrize("final_vote", [False, True])
+    @pytest.mark.parametrize("selection", ["entropy", "reward"])
+    def test_each_round_makes_two_generator_calls(self, selection, final_vote):
+        """Candidates, then the summaries with their look-aheads as follow-ups, then one final
+        call: 2 * rounds + 1 calls, 11 at the benchmark's 5 rounds.  `reward` sends no follow-ups."""
+        follow_ups = []
+
+        class Counting(FunctionGenerator):
+            def generate(self, requests, then=None):
+                follow_ups.append(then is not None)
+                return super().generate(requests, then)
+
+        cfg = MeIcpoConfig(rounds=5, k=4, m=3, selection=selection, final_vote=final_vote)
+        result = run_me_icpo("Q?", cfg, Counting(_loop_responder({0: 2, 1: 1, 2: 2, 3: 1})))
+        assert not any(r.skipped for r in result.rounds)
+        assert follow_ups == [False, selection == "entropy"] * 5 + [False]
+
     def test_invalid_config(self):
         with pytest.raises(InvalidConfigError):
             MeIcpoConfig(rounds=0)
@@ -535,7 +552,7 @@ class TestHttpGenerator:
             "usage": {"prompt_tokens": 11, "completion_tokens": 7},
         }
         gen = _http(_FakeTransport([_reply(200, body)]), "http://x/v1/chat", max_retries=0, backoff=0.0)
-        resp = gen.generate(self._request())
+        [resp] = gen.generate([self._request()])
         assert resp.texts == ["a", "b"]
         assert resp.prompt_tokens == 11 and resp.completion_tokens == 7
 
@@ -562,7 +579,7 @@ class TestHttpGenerator:
         if usage is not None:
             body["usage"] = usage
         gen = _http(_FakeTransport([_reply(200, body)]), "http://x/v1/chat", max_retries=0, backoff=0.0)
-        resp = gen.generate(self._request())
+        [resp] = gen.generate([self._request()])
         assert (resp.prompt_tokens, resp.completion_tokens) == expected
         assert calls == counted
 
@@ -570,7 +587,7 @@ class TestHttpGenerator:
         monkeypatch.setenv("ICPO_API_KEY", "sekret")
         transport = _FakeTransport([_reply(200, {"choices": [{"text": "a"}, {"text": "b"}]})])
         gen = _http(transport, "http://x/v1/chat", "my-model", max_retries=0, backoff=0.0)
-        gen.generate(self._request())
+        gen.generate([self._request()])
         post = transport.posts[0]
         assert post["json"]["model"] == "my-model"
         assert post["json"]["n"] == 2
@@ -581,19 +598,19 @@ class TestHttpGenerator:
         ok = _reply(200, {"choices": [{"text": "a"}, {"text": "b"}]})
         transport = _FakeTransport([_reply(500), _reply(429), ok])
         gen = _http(transport, max_retries=2, backoff=0.0)
-        assert gen.generate(self._request()).texts == ["a", "b"]
+        assert gen.generate([self._request()])[0].texts == ["a", "b"]
         assert len(transport.posts) == 3
 
     def test_surfaces_after_retry_budget(self):
         gen = _http(_FakeTransport([_reply(500)] * 3), max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError):
-            gen.generate(self._request())
+            gen.generate([self._request()])
 
     def test_client_error_is_not_retried(self):
         transport = _FakeTransport([_reply(404)] * 3)
         gen = _http(transport, max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError, match="HTTP 404"):
-            gen.generate(self._request())
+            gen.generate([self._request()])
         assert len(transport.posts) == 1
 
     @pytest.mark.parametrize(
@@ -605,7 +622,7 @@ class TestHttpGenerator:
         transport = _FakeTransport([bad] * 3)
         gen = _http(transport, max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError, match="malformed"):
-            gen.generate(self._request())
+            gen.generate([self._request()])
         assert len(transport.posts) == 1
 
     def test_retries_transport_errors_then_succeeds(self):
@@ -613,13 +630,13 @@ class TestHttpGenerator:
         errors = [ConnectionResetError("reset"), TimeoutError("slow"), http.client.IncompleteRead(b"")]
         transport = _FakeTransport([*errors, ok])
         gen = _http(transport, max_retries=3, backoff=0.0)
-        assert gen.generate(self._request()).texts == ["a", "b"]
+        assert gen.generate([self._request()])[0].texts == ["a", "b"]
         assert len(transport.posts) == 4
 
     def test_choice_count_mismatch_is_error(self):
         gen = _http(_FakeTransport([_reply(200, {"choices": [{"text": "only one"}]})] * 2), max_retries=1, backoff=0.0)
         with pytest.raises(GeneratorError):
-            gen.generate(self._request(n=2))
+            gen.generate([self._request(n=2)])
 
 
     @pytest.mark.parametrize("endpoint", ["ftp://x/v1", "localhost:8000/v1", "http:///v1"])
@@ -649,7 +666,7 @@ class TestHttpGenerator:
         transport = _FakeTransport([ssl.SSLCertVerificationError("certificate verify failed"), ok])
         gen = _http(transport, "https://x", max_retries=2, backoff=1.0)
         with pytest.raises(GeneratorError, match="certificate"):
-            gen.generate(self._request())
+            gen.generate([self._request()])
         assert len(transport.posts) == 1 and slept == []
 
 
@@ -662,7 +679,7 @@ class TestRetryAfter:
         ok = _reply(200, {"choices": [{"text": "a"}]})
         transport = _FakeTransport([_reply(code, headers=h) for code, h in statuses_and_headers] + [ok])
         gen = _http(transport, max_retries=len(statuses_and_headers), backoff=backoff)
-        assert gen.generate(GeneratorRequest(messages=(Message("user", "hi"),), n=1)).texts == ["a"]
+        assert gen.generate([GeneratorRequest(messages=(Message("user", "hi"),), n=1)])[0].texts == ["a"]
         return slept
 
     def test_seconds_value_extends_the_backoff(self, monkeypatch):
@@ -728,7 +745,7 @@ class TestConcurrentWaves:
     def test_wave_is_written_before_any_response_is_read(self):
         k, log = 8, []
         gen = _http(_KeyedTransport(lambda r: [r.messages[0].text]), log=log, max_retries=0, backoff=0.0)
-        responses = gen.generate_many(_wave(k))
+        responses = gen.generate(_wave(k))
         assert [r.texts for r in responses] == [[f"request {i}"] for i in range(k)]
         expected = [("send", f"request {i}") for i in range(k)] + [("receive", f"request {i}") for i in range(k)]
         assert [(step, text) for step, text, _ in log] == expected
@@ -747,7 +764,7 @@ class TestConcurrentWaves:
             return [text.upper()]
 
         gen = _http(_KeyedTransport(respond), max_retries=1, backoff=0.0)
-        responses = gen.generate_many(_wave(k))
+        responses = gen.generate(_wave(k))
         assert [r.texts for r in responses] == [[f"REQUEST {i}"] for i in range(k)]
         assert finished != [f"request {i}" for i in range(k)]  # completion order differed
 
@@ -766,7 +783,7 @@ class TestConcurrentWaves:
         transport = _KeyedTransport(respond)
         gen = _http(transport, max_retries=1, backoff=0.0)
         with pytest.raises(GeneratorError, match="request 2"):
-            gen.generate_many(_wave(k))
+            gen.generate(_wave(k))
         assert [_index(r.messages[0].text) for r in transport.posts] == [*range(k), 2]
 
     def test_transient_failures_are_resent_together_after_one_wait(self, monkeypatch):
@@ -784,15 +801,15 @@ class TestConcurrentWaves:
             return reply or _reply(200, {"choices": [{"text": text.upper()}]})
 
         gen = _http(transport, max_retries=2, backoff=1.0)
-        responses = gen.generate_many(_wave(4))
+        responses = gen.generate(_wave(4))
         assert slept == [2.0]
         assert [posts[i] for i in range(4)] == [1, 2, 1, 2]
         assert [r.texts for r in responses] == [[f"REQUEST {i}"] for i in range(4)]
 
     def test_empty_and_single_waves(self):
         gen = _http(_KeyedTransport(lambda r: ["x"]), max_retries=0, backoff=0.0)
-        assert gen.generate_many([]) == []
-        assert [r.texts for r in gen.generate_many(_wave(1))] == [["x"]]
+        assert gen.generate([]) == []
+        assert [r.texts for r in gen.generate(_wave(1))] == [["x"]]
 
     @pytest.mark.parametrize("selection", ["entropy", "reward"])
     def test_concurrent_run_equals_sequential_run(self, selection):
@@ -809,7 +826,7 @@ class TestConcurrentWaves:
     def test_wide_wave_is_capped_and_answered_by_index(self):
         k, log = 64, []
         gen = _http(_KeyedTransport(lambda r: [r.messages[0].text]), log=log, max_retries=0, backoff=0.0)
-        responses = gen.generate_many(_wave(k))
+        responses = gen.generate(_wave(k))
         assert [r.texts for r in responses] == [[f"request {i}"] for i in range(k)]
         unread, most_unread = 0, 0
         for step, _, _ in log:
@@ -822,13 +839,13 @@ class TestConcurrentWaves:
         log = []
         before = threading.enumerate()
         gen = _http(_KeyedTransport(lambda r: [r.messages[0].text]), log=log, max_retries=0, backoff=0.0)
-        gen.generate_many(_wave(16))
+        gen.generate(_wave(16))
         assert set(threading.enumerate()) <= set(before)  # none started, whatever else ended
         assert {thread for _, _, thread in log} == {threading.current_thread()}
 
     def test_scripted_waves_keep_fifo_order(self):
         gen = ScriptedGenerator([["a"], ["b"], ["c"]])
-        responses = gen.generate_many(_wave(3))
+        responses = gen.generate(_wave(3))
         assert [r.texts for r in responses] == [["a"], ["b"], ["c"]]
         assert gen.requests == _wave(3)
 
@@ -846,7 +863,8 @@ class TestChain:
     def test_follow_up_is_written_as_soon_as_its_response_is_read(self):
         k, log = 4, []
         gen = _http(_KeyedTransport(_upper), log=log, max_retries=0, backoff=0.0)
-        first, follow = gen.generate_chain(_wave(k), _follow)
+        responses = gen.generate(_wave(k), _follow)
+        first, follow = responses[:k], responses[k:]
         assert [r.texts for r in first] == [[f"REQUEST {i}"] for i in range(k)]
         assert [r.texts for r in follow] == [[f"FOLLOW {i} REQUEST {i}"] for i in range(k)]
         expected = [("send", f"request {i}") for i in range(k)]
@@ -859,7 +877,7 @@ class TestChain:
         monkeypatch.setattr("icpo_lab.meicpo.generator.MAX_IN_FLIGHT", 2)
         log = []
         gen = _http(_KeyedTransport(_upper), log=log, max_retries=0, backoff=0.0)
-        gen.generate_chain(_wave(4), _follow)
+        gen.generate(_wave(4), _follow)
         r, f = "request {}".format, "follow {0} REQUEST {0}".format
         expected = [("send", r(0)), ("send", r(1))]
         expected += [("receive", r(0)), ("send", f(0)), ("receive", r(1)), ("send", f(1))]
@@ -896,7 +914,7 @@ class TestChain:
 
         transport = _KeyedTransport(respond)
         gen = _http(transport, max_retries=1, backoff=1.0)
-        first, follow = gen.generate_chain(_wave(3), then)
+        follow = gen.generate(_wave(3), then)[3:]
         assert calls == [0, 2, 1]
         assert [r.texts for r in follow] == [[f"FOLLOW {i} REQUEST {i}"] for i in range(3)]
         posts = [r.messages[0].text for r in transport.posts]
@@ -908,7 +926,7 @@ class TestChain:
         transport = _KeyedTransport(lambda r: 404 if r.messages[0].text in ("request 2", "follow 0 REQUEST 0") else _upper(r))
         gen = _http(transport, max_retries=2, backoff=0.0)
         with pytest.raises(GeneratorError, match="request 2"):
-            gen.generate_chain(_wave(4), _follow)
+            gen.generate(_wave(4), _follow)
         # Request 2's 404 is final, so the call will raise: no look-ahead is built or sent after it.
         posts = [r.messages[0].text for r in transport.posts]
         assert posts == [f"request {i}" for i in range(4)] + ["follow 0 REQUEST 0", "follow 1 REQUEST 1"]
@@ -928,7 +946,7 @@ class TestChain:
 
         transport = _KeyedTransport(respond)
         with pytest.raises(GeneratorError, match="HTTP 404"):
-            _http(transport, max_retries=2, backoff=0.0).generate_chain(_wave(2), _follow)
+            _http(transport, max_retries=2, backoff=0.0).generate(_wave(2), _follow)
         assert seen == ["request 0", "request 1", "follow 1 REQUEST 1", "request 0"]
 
     def test_no_wait_to_resend_a_follow_up_once_a_first_stage_request_failed_for_good(self, monkeypatch):
@@ -937,14 +955,14 @@ class TestChain:
         replies = {"request 1": 404, "follow 0 REQUEST 0": 503}
         transport = _KeyedTransport(lambda r: replies.get(r.messages[0].text) or _upper(r))
         with pytest.raises(GeneratorError, match="HTTP 404"):
-            _http(transport, max_retries=2, backoff=1.0).generate_chain(_wave(2), _follow)
+            _http(transport, max_retries=2, backoff=1.0).generate(_wave(2), _follow)
         assert [r.messages[0].text for r in transport.posts] == ["request 0", "request 1", "follow 0 REQUEST 0"]
         assert slept == []
 
     def test_scripted_chain_is_two_fifo_waves(self):
         gen = ScriptedGenerator([["a"], ["b"], ["c"], ["d"]])
-        first, follow = gen.generate_chain(_wave(2), _follow)
-        assert [r.texts for r in first + follow] == [["a"], ["b"], ["c"], ["d"]]
+        responses = gen.generate(_wave(2), _follow)
+        assert [r.texts for r in responses] == [["a"], ["b"], ["c"], ["d"]]
         assert [r.messages[0].text for r in gen.requests] == ["request 0", "request 1", "follow 0 a", "follow 1 b"]
 
 
@@ -1044,7 +1062,7 @@ def test_own_session_keeps_a_connection_per_wave_slot():
         gen = HttpGenerator(_endpoint(server), "m", max_retries=0, backoff=0.0)
         try:
             for _ in range(2):
-                assert [r.texts for r in gen.generate_many(_wave(k))] == [[f"request {i}"] for i in range(k)]
+                assert [r.texts for r in gen.generate(_wave(k))] == [[f"request {i}"] for i in range(k)]
         finally:
             gen.close()
     assert len(server.peers) == 2 * k and len(set(server.peers)) == k
@@ -1058,7 +1076,7 @@ def test_connection_closed_by_the_server_is_replaced_without_a_retry(monkeypatch
         gen = HttpGenerator(_endpoint(server), "m", max_retries=2, backoff=1.0)
         try:
             for i in range(3):
-                assert gen.generate(_wave(3)[i]).texts == [f"request {i}"]
+                assert gen.generate([_wave(3)[i]])[0].texts == [f"request {i}"]
                 assert server.closed.acquire(timeout=5)  # the server has closed this connection
         finally:
             gen.close()
@@ -1071,7 +1089,7 @@ def test_redirect_is_surfaced_not_followed():
         gen = HttpGenerator(_endpoint(server), "m", max_retries=2, backoff=0.0)
         try:
             with pytest.raises(GeneratorError, match="HTTP 302 redirect to '/v2/chat'"):
-                gen.generate(_wave(1)[0])
+                gen.generate(_wave(1))
         finally:
             gen.close()
     assert len(server.peers) == 1
@@ -1084,9 +1102,9 @@ def test_client_error_mid_wave_leaves_every_connection_reusable():
         gen = HttpGenerator(_endpoint(server), "m", max_retries=2, backoff=0.0)
         try:
             with pytest.raises(GeneratorError, match="HTTP 404"):
-                gen.generate_many(_wave(k))
+                gen.generate(_wave(k))
             server.missing = set()
-            assert [r.texts for r in gen.generate_many(_wave(k))] == [[f"request {i}"] for i in range(k)]
+            assert [r.texts for r in gen.generate(_wave(k))] == [[f"request {i}"] for i in range(k)]
         finally:
             gen.close()
     assert len(server.peers) == 2 * k and len(set(server.peers)) == k
@@ -1112,7 +1130,7 @@ def test_interrupt_mid_wave_puts_no_unread_connection_back():
         gen._send, gen._receive = recorded_send, interrupted_receive
         try:
             with pytest.raises(KeyboardInterrupt):
-                gen.generate_many(_wave(k))
+                gen.generate(_wave(k))
             assert gen._idle == read
             assert len(written) == k and all(conn.sock is None for conn in written[2:])
         finally:
@@ -1161,7 +1179,7 @@ def test_interrupt_mid_chain_puts_no_unread_connection_back(where, stop_at, unre
         gen._send, gen._receive = recorded_send, interrupted_receive
         try:
             with pytest.raises(_Stop if where == "then" else KeyboardInterrupt):
-                gen.generate_chain(_wave(k), then)
+                gen.generate(_wave(k), then)
             assert len(unread) == unread_left and all(conn.sock is None for conn in unread.values())
             assert len(gen._idle) == idle_left and all(conn.sock is not None for conn in gen._idle)
             assert not {id(conn) for conn in gen._idle} & set(unread)
@@ -1176,7 +1194,8 @@ class _DemoHandler(_EchoHandler):
 
     def do_POST(self):
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        texts = demo_generator().generate(_request_of(payload)).texts
+        [response] = demo_generator().generate([_request_of(payload)])
+        texts = response.texts
         data = json.dumps({"choices": [{"message": {"content": t}} for t in texts]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -1223,11 +1242,11 @@ def test_close_closes_the_idle_connections():
     with _loopback(_EchoHandler, peers=[]) as server:
         gen = HttpGenerator(_endpoint(server), "m", max_retries=0, backoff=0.0)
         try:
-            gen.generate_many(_wave(k))
+            gen.generate(_wave(k))
             idle = list(gen._idle)
             gen.close()
             assert len(idle) == k and gen._idle == [] and all(conn.sock is None for conn in idle)
-            assert [r.texts for r in gen.generate_many(_wave(2))] == [["request 0"], ["request 1"]]
+            assert [r.texts for r in gen.generate(_wave(2))] == [["request 0"], ["request 1"]]
         finally:
             gen.close()
     assert len(set(server.peers)) == k + 2
@@ -1236,14 +1255,14 @@ def test_close_closes_the_idle_connections():
 class TestScriptedGenerator:
     def test_exhaustion_raises(self):
         gen = ScriptedGenerator([["a"]])
-        gen.generate(GeneratorRequest(messages=(Message("user", "x"),), n=1))
+        gen.generate([GeneratorRequest(messages=(Message("user", "x"),), n=1)])
         with pytest.raises(GeneratorError):
-            gen.generate(GeneratorRequest(messages=(Message("user", "x"),), n=1))
+            gen.generate([GeneratorRequest(messages=(Message("user", "x"),), n=1)])
 
     def test_batch_size_must_match(self):
         gen = ScriptedGenerator([["a", "b"]])
         with pytest.raises(GeneratorError):
-            gen.generate(GeneratorRequest(messages=(Message("user", "x"),), n=3))
+            gen.generate([GeneratorRequest(messages=(Message("user", "x"),), n=3)])
 
     @pytest.mark.parametrize(
         "script, message",

@@ -255,6 +255,16 @@ class TestDatasetIntegrity:
         with pytest.raises(InvalidConfigError, match=message):
             load_dataset(tmp_path)
 
+    def test_out_of_range_teacher_behind_a_valid_digest_names_the_file(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        _, header = _header(path.read_bytes())
+        header["teacher"]["c"] = -1
+        _rewrite(path, header=header)
+        with pytest.raises(InvalidConfigError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == f"{path}: malformed header: step-size constant must be > 0, got -1.0"
+
     def test_loaded_arrays_are_read_only_views(self, tmp_path):
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
         ds = load_dataset(tmp_path)
