@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bandit import arm_fold
 from .errors import InvalidDistributionError
 from .lsa import TwoChannelParams
-from .pretrain import FisherStats, PretrainDataset, fisher_matrix, gradient, loss_quadratic
+from .pretrain import FisherStats, PretrainDataset, _stacked, fisher_matrix, gradient, loss_quadratic
 from .subspace import helmert_basis, paired_helmert_basis, restricted_eigenvalues
 from .teacher import mix_policy, softmax
 
@@ -26,7 +27,8 @@ def fisher_spectrum_check(p: np.ndarray, gamma: float) -> tuple[np.ndarray, np.n
     """Eigenvalue range of the softmax curvature restricted to the zero-sum subspace.
 
     For an exploration mixture the range must land in [gamma/K, 1/2].  `p` is
-    (..., K); the (min, max) pair has the leading shape.
+    (..., K); the (min, max) pair has the leading shape.  `eigvalsh` returns
+    each row's eigenvalues in ascending order, so they are its ends.
     """
     p = np.asarray(p, dtype=float)
     k = p.shape[-1]
@@ -35,7 +37,7 @@ def fisher_spectrum_check(p: np.ndarray, gamma: float) -> tuple[np.ndarray, np.n
             f"not a gamma-mixture: min entry {p.min()} below floor {gamma / k}"
         )
     eigs = restricted_eigenvalues(fisher_matrix(p), helmert_basis(k))
-    return eigs.min(axis=-1), eigs.max(axis=-1)
+    return eigs[..., 0], eigs[..., -1]
 
 
 def softmax_lipschitz_check(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -46,84 +48,98 @@ def softmax_lipschitz_check(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     diff = u - v
-    if np.abs(diff - (diff - diff.mean(axis=-1, keepdims=True))).max() > 1e-10:
+    mean = arm_fold(np.add, diff) / diff.shape[-1]
+    if np.any(np.abs(diff - (diff - mean[..., np.newaxis])) > 1e-10):
         raise InvalidDistributionError("logit difference must lie in the zero-sum subspace")
-    denom = np.linalg.norm(diff, axis=-1)
-    num = np.linalg.norm(softmax(u) - softmax(v), axis=-1)
+    gap = softmax(u) - softmax(v)
+    denom = np.sqrt(arm_fold(np.add, diff * diff))
+    num = np.sqrt(arm_fold(np.add, gap * gap))
     return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
 
 
 @dataclass
 class SandwichSample:
-    """Per-pair quantities entering the KL-vs-quadratic sandwich.
+    """Means over the training pairs entering the KL-vs-quadratic sandwich.
 
-    `fisher_quad` stores the per-pair residual quadratic r^T Gamma r (no 1/2
+    `mean_quad` averages the per-pair residual quadratic r^T Gamma r (no 1/2
     factor: that is the normalization the sandwich constants are proved for),
-    and `kl` the matching KL divergences, both averaged for the check.
+    and `mean_kl` the matching KL divergences.  Both are floats for one
+    operator pair and (D,) arrays for a stack of D, as are the slacks.
     """
 
-    fisher_quad: np.ndarray
-    kl: np.ndarray
+    mean_quad: float | np.ndarray
+    mean_kl: float | np.ndarray
     lower_const: float
     upper_const: float
 
     @property
-    def mean_quad(self) -> float:
-        return float(self.fisher_quad.mean())
-
-    @property
-    def mean_kl(self) -> float:
-        return float(self.kl.mean())
-
-    @property
-    def lower_slack(self) -> float:
+    def lower_slack(self) -> float | np.ndarray:
         """mean KL minus the lower bound; must be >= 0."""
         return self.mean_kl - self.lower_const * self.mean_quad
 
     @property
-    def upper_slack(self) -> float:
+    def upper_slack(self) -> float | np.ndarray:
         """Upper bound minus mean KL; must be >= 0."""
         return self.upper_const * self.mean_quad - self.mean_kl
 
     @property
     def holds(self) -> bool:
-        return self.lower_slack >= -1e-10 and self.upper_slack >= -1e-10
+        """Both bounds hold, for every operator pair of a stack."""
+        return bool(np.all(self.lower_slack >= -1e-10) and np.all(self.upper_slack >= -1e-10))
+
+
+def _check_positive(*ps: np.ndarray) -> None:
+    if any(np.any(p <= 0) for p in ps):
+        raise InvalidDistributionError("KL requires strictly positive probabilities")
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise KL(p || q) in nats; inputs must be strictly positive."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise InvalidDistributionError("KL requires strictly positive probabilities")
-    return np.einsum("ij->i", p * (np.log(p) - np.log(q)))
+    """Row-wise KL(p || q) in nats over (..., K); inputs must be strictly positive."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    _check_positive(p, q)
+    return arm_fold(np.add, p * (np.log(p) - np.log(q)))
+
+
+def _floored_policy(s: np.ndarray, gamma: float) -> np.ndarray:
+    """Mixed policy of logits `s`, checked against its floor gamma/K, which keeps KL finite."""
+    p = mix_policy(s, gamma).p
+    if np.any(p < gamma / p.shape[-1] - 1e-12):
+        raise InvalidDistributionError(f"mixed policy falls below its floor gamma/K = {gamma / p.shape[-1]}")
+    _check_positive(p)
+    return p
 
 
 def kl_sandwich_check(
-    tc: TwoChannelParams, z: np.ndarray, y: np.ndarray, gamma_hat: np.ndarray, gamma: float
+    tc: TwoChannelParams | np.ndarray, z: np.ndarray, y: np.ndarray, gamma_hat: np.ndarray, gamma: float
 ) -> SandwichSample:
     """Mean KL between expert and student mixed policies vs the weighted quadratic,
     on the pair matrices (Z, Y) of `PretrainDataset.pair_matrices`.
 
     The sandwich holds per pair against the un-halved quadratic residual, so
     mean KL is trapped between (1-gamma)^2/4 and K/(4 gamma) times its mean.
+    Also takes stacked operators W = [W_n  W_g] of shape (D, K, 2K): the
+    expert side is built once and each pair's student side in turn, and the
+    means then hold one entry per pair, equal to a call with that pair alone.
     """
+    w = _stacked(tc)
     k = y.shape[-1]
-    student_logits = z @ tc.stacked.T
-    resid = student_logits - y
-    fisher_quad = np.einsum("mi,ij,mj->m", resid, gamma_hat, resid)
     # Next-step mixed policies on both sides.  The stored labels are
     # projected logits, which is harmless: the mixture ignores constant
     # shifts.
-    p_teacher = mix_policy(y, gamma).p
-    p_student = mix_policy(student_logits, gamma).p
-    # Mixed-policy floor: both sides are bounded below, so KL stays finite.
-    if min(p_teacher.min(), p_student.min()) < gamma / k - 1e-12:
-        raise InvalidDistributionError(f"mixed policy falls below its floor gamma/K = {gamma / k}")
-    kl = kl_divergence(p_teacher, p_student)
+    p_teacher = _floored_policy(y, gamma)
+    log_teacher = np.log(p_teacher)
+    quads, kls = [], []
+    for pair in w.reshape(-1, k, 2 * k):
+        student_logits = z @ pair.T
+        resid = student_logits - y
+        quads.append(np.einsum("mi,ij,mj->m", resid, gamma_hat, resid).mean())
+        p_student = _floored_policy(student_logits, gamma)
+        kls.append(arm_fold(np.add, p_teacher * (log_teacher - np.log(p_student))).mean())
+    mean_quad, mean_kl = (np.reshape(means, w.shape[:-2]) for means in (quads, kls))
     return SandwichSample(
-        fisher_quad=fisher_quad,
-        kl=kl,
+        mean_quad=float(mean_quad) if mean_quad.ndim == 0 else mean_quad,
+        mean_kl=float(mean_kl) if mean_kl.ndim == 0 else mean_kl,
         lower_const=(1.0 - gamma) ** 2 / 4.0,
         upper_const=k / (4.0 * gamma),
     )
@@ -204,26 +220,22 @@ def run_lemma_suite(
         for c in _chunks(lipschitz_samples // 3):
             draws = rng.normal(size=(c, 2, dim))
             u = draws[:, 0] * 3.0
-            delta = draws[:, 1] - draws[:, 1].mean(axis=-1, keepdims=True)
+            delta = draws[:, 1] - (arm_fold(np.add, draws[:, 1]) / dim)[:, np.newaxis]
             worst = min(worst, float((0.5 - softmax_lipschitz_check(u + delta, u)).min()))
     report["checks"]["softmax_lipschitz"] = {
         "samples": 3 * (lipschitz_samples // 3),
         "worst_slack": worst,
     }
 
-    worst = np.inf
+    # Pair d is W_n then W_g, drawn in the same order as one pair at a time.
+    pairs = rng.normal(size=(sandwich_draws, 2, k, k)) * sandwich_scale
     z, y, _ = ds.pair_matrices()
-    for _ in range(sandwich_draws):
-        tc = TwoChannelParams(
-            w_n=rng.normal(size=(k, k)) * sandwich_scale,
-            w_g=rng.normal(size=(k, k)) * sandwich_scale,
-        )
-        sample = kl_sandwich_check(tc, z, y, fs.gamma_hat, gamma)
-        worst = min(worst, sample.lower_slack, sample.upper_slack)
+    sample = kl_sandwich_check(np.concatenate([pairs[:, 0], pairs[:, 1]], axis=-1), z, y, fs.gamma_hat, gamma)
+    slacks = np.concatenate([sample.lower_slack, sample.upper_slack])
     report["checks"]["kl_sandwich"] = {
         "samples": sandwich_draws,
         "parameter_scale": sandwich_scale,
-        "worst_slack": worst,
+        "worst_slack": float(slacks.min(initial=np.inf)),
     }
 
     sig = sigma_min_restricted(fs.sigma_bar)

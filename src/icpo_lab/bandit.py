@@ -119,6 +119,22 @@ def draw_reward(
     return float(reward) if reward.ndim == 0 else reward
 
 
+def arm_fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """Fold the binary ufunc `op` over the last (arm) axis, from left to right.
+
+    One whole-batch pass per arm: `out = x[..., 0]`, then `op(out, x[..., j])`
+    for j = 1..K-1.  A numpy reduction over a short last axis runs its inner
+    loop once per row; these K passes run it once per arm.  The order is the
+    same for every batch shape and memory layout, so a row's result never
+    depends on the rows beside it.  For `np.add` it equals numpy's row sum
+    bit for bit when K <= 7; from K = 8 numpy sums contiguous rows pairwise.
+    """
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        op(out, x[..., j], out=out)
+    return out
+
+
 def _validate_simplex(p: np.ndarray) -> np.ndarray:
     """Check every (..., K) row is a probability vector."""
     p = np.asarray(p, dtype=float)
@@ -128,9 +144,9 @@ def _validate_simplex(p: np.ndarray) -> np.ndarray:
         raise InvalidDistributionError("probabilities must be finite")
     if np.any(p < -SIMPLEX_ATOL):
         raise InvalidDistributionError(f"negative probability: min={p.min()}")
-    totals = p.sum(axis=-1)
+    totals = arm_fold(np.add, p)
     off = np.abs(totals - 1.0)
-    if off.max() > max(SIMPLEX_ATOL, 4 * p.shape[-1] * np.finfo(float).eps):
+    if np.any(off > max(SIMPLEX_ATOL, 4 * p.shape[-1] * np.finfo(float).eps)):
         raise InvalidDistributionError(f"probabilities sum to {totals.flat[off.argmax()]}, not 1")
     return p
 
@@ -140,13 +156,25 @@ def coupled_sample(p: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
 
     Cumulative sums are accumulated left to right with no re-normalization,
     so two policies fed the same uniform agree except on the total-variation
-    shortfall between them.  `p` is (..., K) with one uniform per row; a 1-D
-    `p` with a scalar `u` gives an int.
+    shortfall between them.  `p` is (..., K) with one uniform in [0, 1) per
+    row; a 1-D `p` with a scalar `u` gives an int.
+
+    The index is the number of leading arms j < K-1 whose running mass is
+    still <= u, built in one whole-batch pass per arm; the running masses are
+    exactly `cumsum`'s.  It is K-1 when u lands beyond the rounded total.
     """
     p = _validate_simplex(p)
-    above = np.cumsum(p, axis=-1) > np.asarray(u, dtype=float)[..., np.newaxis]
-    # K-1 when u lands beyond the (rounded) total mass.
-    index = np.where(above.any(axis=-1), above.argmax(axis=-1), p.shape[-1] - 1)
+    u = np.asarray(u, dtype=float)
+    valid = (u >= 0.0) & (u < 1.0)  # NaN fails both
+    if not np.all(valid):
+        raise InvalidDistributionError(f"uniforms must lie in [0, 1), got {u[~valid].flat[0]}")
+    mass = np.zeros(p.shape[:-1])
+    below = np.ones(np.broadcast_shapes(mass.shape, u.shape), dtype=bool)
+    index = np.zeros(below.shape, dtype=np.intp)
+    for j in range(p.shape[-1] - 1):
+        mass += p[..., j]
+        below &= mass <= u
+        index += below
     return int(index) if index.ndim == 0 else index
 
 

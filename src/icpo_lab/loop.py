@@ -18,7 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit import PURPOSE_ACTION, PURPOSE_NOISE, PURPOSE_TASK, CrnStream, coupled_sample, crn_draws, draw_reward
+from .bandit import (
+    PURPOSE_ACTION,
+    PURPOSE_NOISE,
+    PURPOSE_TASK,
+    CrnStream,
+    arm_fold,
+    coupled_sample,
+    crn_draws,
+    draw_reward,
+)
 from .errors import InvalidConfigError
 from .lsa import TwoChannelParams, expert_two_channel
 from .teacher import TeacherConfig, mix_policy
@@ -175,7 +184,8 @@ def matching_experiment(
     gaps = np.zeros((b_test, n))
     for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed):
         for rnd in closed_loop(ops, w, uniforms, noise, cfg):
-            gaps[tasks, rnd.t - 1] = np.linalg.norm(rnd.policies[0] - rnd.policies[1], axis=-1)
+            gap = rnd.policies[0] - rnd.policies[1]
+            gaps[tasks, rnd.t - 1] = np.sqrt(arm_fold(np.add, gap * gap))
     return MatchingReport(
         rounds=np.arange(1, n + 1),
         mean=gaps.mean(axis=0),
@@ -279,8 +289,8 @@ def shock_experiment(
         pair = [np.concatenate([x, x]) for x in (w, uniforms, noise)]
         bump = np.repeat([0.0, delta_r], m)
         for rnd in closed_loop(ops, *pair, cfg, shock=(s, bump)):
-            p = rnd.policies[0]
-            deltas[tasks, rnd.t - 1] = np.linalg.norm(p[m:] - p[:m], axis=-1)
+            drift = rnd.policies[0, m:] - rnd.policies[0, :m]
+            deltas[tasks, rnd.t - 1] = np.sqrt(arm_fold(np.add, drift * drift))
         a_const, b_block = shock_constants(cfg, w)
         # Each row is `shock_bound` over u, evaluated in the same left-to-right
         # order.  C_b and the envelope stay scalar `math.exp` and `**`: numpy's

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
+from .bandit import arm_fold
 from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
 from .loop import closed_loop, task_blocks
 from .lsa import TwoChannelParams, expert_two_channel
@@ -134,7 +135,7 @@ def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainD
 def fisher_matrix(p: np.ndarray) -> np.ndarray:
     """Softmax curvature Diag(p) - p p^T; (..., K) rows give (..., K, K)."""
     p = np.asarray(p, dtype=float)
-    sums = p.sum(axis=-1)
+    sums = arm_fold(np.add, p)
     if np.any(p < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
         raise InvalidDistributionError(f"not a probability vector (sums in [{sums.min()}, {sums.max()}])")
     return np.eye(p.shape[-1]) * p[..., np.newaxis, :] - p[..., :, np.newaxis] * p[..., np.newaxis, :]

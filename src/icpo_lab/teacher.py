@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit import History
+from .bandit import History, arm_fold
 from .errors import InvalidConfigError
 
 _EIG_FLOOR = 1e-10
@@ -102,9 +102,18 @@ class MixedPolicy:
 
 
 def softmax(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    z = np.exp(s - s.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of (..., K) logits, shifted by each row's max.
+
+    The max and the normalizer fold over the arm axis from left to right
+    (`arm_fold`), so a row's value does not depend on its batch.  For K <= 7
+    this equals exp(s - max) / sum bit for bit; from K = 8 the normalizer
+    can differ from numpy's pairwise row sum in the last bit.  The logits are
+    taken arm-major (Fortran order) so that each pass reads one contiguous
+    column; the result keeps that layout.
+    """
+    s = np.asarray(s, dtype=float, order="F")
+    z = np.exp(s - arm_fold(np.maximum, s)[..., np.newaxis])
+    return z / arm_fold(np.add, z)[..., np.newaxis]
 
 
 def teacher_logits(history: History, cfg: TeacherConfig) -> np.ndarray:

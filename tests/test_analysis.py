@@ -125,6 +125,19 @@ class TestKlSandwich:
             assert sample.lower_slack >= -1e-10
             assert sample.upper_slack >= -1e-10
 
+    def test_stack_equals_one_call_per_pair(self, matching_dataset, matching_stats):
+        rng = np.random.default_rng(6)
+        stack = rng.normal(size=(7, 10, 20)) * 0.3
+        args = _sandwich_args(matching_dataset, matching_stats)
+        sample = kl_sandwich_check(stack, *args)
+        singles = [kl_sandwich_check(TwoChannelParams.from_stacked(w), *args) for w in stack]
+        for name in ("mean_quad", "mean_kl", "lower_slack", "upper_slack"):
+            got = getattr(sample, name)
+            assert got.shape == (7,)
+            assert got.tolist() == [getattr(one, name) for one in singles]
+        assert sample.holds
+        assert isinstance(singles[0].mean_kl, float)
+
     def test_kl_requires_positive_inputs(self):
         with pytest.raises(InvalidDistributionError):
             kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
@@ -286,6 +299,11 @@ class TestBatchedChecks:
             denom = np.linalg.norm(di)
             want = 0.0 if denom == 0 else np.linalg.norm(softmax(ui + di) - softmax(ui)) / denom
             assert abs(ratio - want) <= 1e-15
+
+    def test_empty_batches(self):
+        assert softmax_lipschitz_check(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
+        lo, hi = fisher_spectrum_check(np.zeros((0, 4)), 0.2)
+        assert lo.shape == hi.shape == (0,)
 
     def test_lipschitz_rejects_one_unprojected_row(self):
         u = np.zeros((3, 2))

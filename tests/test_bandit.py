@@ -9,9 +9,11 @@ from icpo_lab.bandit import (
     PURPOSE_ACTION,
     PURPOSE_NOISE,
     PURPOSE_TASK,
+    SIMPLEX_ATOL,
     CrnStream,
     History,
     _stream_generators,
+    arm_fold,
     coupled_sample,
     crn_draws,
     draw_reward,
@@ -186,6 +188,44 @@ class TestCoupledSample:
         with pytest.raises(InvalidDistributionError):
             coupled_sample(p, np.array([0.1, 0.2]))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 12),
+        shape=st.sampled_from([(), (7,), (3, 4)]),
+        below_zero=st.booleans(),
+        on_partial_sum=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_cumsum_oracle(self, seed, k, shape, below_zero, on_partial_sum):
+        """The per-arm count equals the old cumsum / any / argmax formula, with
+        entries just below 0 and uniforms exactly on a partial sum."""
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.full(k, 0.5), size=shape)
+        if below_zero:
+            p[..., rng.integers(k - 1)] = -rng.uniform(0.0, SIMPLEX_ATOL / 2)
+            p[..., -1] += 1.0 - p.sum(axis=-1)
+        u = rng.random(shape)
+        if on_partial_sum:
+            u = np.take_along_axis(np.cumsum(p, axis=-1), rng.integers(k - 1, size=shape + (1,)), axis=-1)[..., 0]
+            u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+        above = np.cumsum(p, axis=-1) > u[..., np.newaxis]
+        want = np.where(above.any(axis=-1), above.argmax(axis=-1), k - 1)
+        got = coupled_sample(p, u)
+        assert np.array_equal(got, want)
+        assert isinstance(got, int) if shape == () else got.shape == shape
+
+    def test_rejects_a_uniform_outside_the_unit_interval(self):
+        p = np.array([0.5, 0.5])
+        for bad in (np.nan, -3.0, -1e-300, 1.0, np.inf):
+            with pytest.raises(InvalidDistributionError, match="uniforms"):
+                coupled_sample(p, bad)
+        with pytest.raises(InvalidDistributionError, match="uniforms"):
+            coupled_sample(np.stack([p, p]), np.array([0.5, np.nan]))
+
+    def test_empty_batch(self):
+        got = coupled_sample(np.zeros((0, 4)), np.zeros(0))
+        assert got.shape == (0,) and got.dtype == np.intp
+
     def test_identical_policies_identical_draws(self):
         """Coupling oracle: same p and shared uniforms give the same actions."""
         rng = np.random.default_rng(0)
@@ -206,6 +246,32 @@ class TestCoupledSample:
         disagree = np.mean(coupled_sample(np.tile(p, (n, 1)), us) != coupled_sample(np.tile(q, (n, 1)), us))
         se = np.sqrt(tv * (1 - tv) / n)
         assert abs(disagree - tv) <= 3 * se
+
+
+class TestArmFold:
+    def test_folds_left_to_right(self):
+        rng = np.random.default_rng(12)
+        for k in (1, 2, 5, 8, 16):
+            x = rng.normal(size=(6, 3, k))
+            want = x[..., 0].copy()
+            for j in range(1, k):
+                want = want + x[..., j]
+            assert np.array_equal(arm_fold(np.add, x), want)
+            assert np.array_equal(arm_fold(np.maximum, x), x.max(axis=-1))
+
+    def test_equals_numpy_row_sums_up_to_seven_arms(self):
+        rng = np.random.default_rng(13)
+        for k in range(1, 8):
+            x = rng.normal(size=(500, k))
+            assert np.array_equal(arm_fold(np.add, x), x.sum(axis=-1))
+
+    def test_does_not_depend_on_layout(self):
+        x = np.random.default_rng(14).normal(size=(40, 10))
+        want = arm_fold(np.add, x)
+        assert np.array_equal(arm_fold(np.add, np.asfortranarray(x)), want)
+        assert np.array_equal(arm_fold(np.add, np.repeat(x, 2, axis=-1)[..., ::2]), want)
+        assert np.array_equal(arm_fold(np.add, x[::-1])[::-1], want)
+        assert np.array_equal(arm_fold(np.add, x[3]), want[3])
 
 
 class TestHistory:

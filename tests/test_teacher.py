@@ -125,6 +125,20 @@ class TestMixPolicy:
         assert p.min() >= gamma / k - 1e-12
         assert abs(p.sum() - 1.0) < 1e-12
 
+    def test_row_does_not_depend_on_batch_position_or_layout(self):
+        """A row's mixed policy is the same wherever it sits in a batch, for C-
+        and F-ordered input; up to 7 arms it is the plain numpy formula."""
+        rng = np.random.default_rng(21)
+        for k in (2, 5, 7, 8, 10, 16):
+            s = rng.normal(size=(3, 50, k)) * 4
+            alone = np.stack([[mix_policy(row, 0.3).p for row in block] for block in s])
+            for batch in (s, np.asfortranarray(s), s.reshape(150, k), np.asfortranarray(s.reshape(150, k))):
+                assert np.array_equal(mix_policy(batch, 0.3).p.reshape(s.shape), alone)
+            assert np.array_equal(mix_policy(s[:, ::-1], 0.3).p[:, ::-1], alone)
+            if k <= 7:
+                z = np.exp(s - s.max(axis=-1, keepdims=True))
+                assert np.array_equal(alone, 0.7 * (z / z.sum(axis=-1, keepdims=True)) + 0.3 / k)
+
 
 class TestCoverageMargin:
     def test_zero_noise(self):
