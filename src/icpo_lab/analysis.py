@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandit import arm_fold
-from .errors import InvalidDistributionError
+from .errors import InvalidConfigError, InvalidDistributionError
 from .lsa import TwoChannelParams
 from .pretrain import FisherStats, PretrainDataset, _stacked, fisher_matrix, gradient, loss_quadratic
 from .subspace import helmert_basis, paired_helmert_basis, restricted_eigenvalues
@@ -21,6 +21,7 @@ from .teacher import mix_policy, softmax
 # Samples per batch in the randomized sweep: bounds its working set, since
 # whole-sweep batches add tens of MiB of peak memory and no speed.
 LEMMA_CHUNK = 1024
+FD_EPS = 1e-5  # central-difference step of `finite_difference_gradient`
 
 
 def fisher_spectrum_check(p: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +104,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _floored_policy(s: np.ndarray, gamma: float) -> np.ndarray:
     """Mixed policy of logits `s`, checked against its floor gamma/K, which keeps KL finite."""
-    p = mix_policy(s, gamma).p
+    p = mix_policy(s, gamma)
     if np.any(p < gamma / p.shape[-1] - 1e-12):
         raise InvalidDistributionError(f"mixed policy falls below its floor gamma/K = {gamma / p.shape[-1]}")
     _check_positive(p)
@@ -145,19 +146,19 @@ def kl_sandwich_check(
     )
 
 
-def finite_difference_gradient(tc: TwoChannelParams, fs: FisherStats, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the quadratic loss, all entries in one batch."""
+def finite_difference_gradient(tc: TwoChannelParams, fs: FisherStats) -> np.ndarray:
+    """Central-difference gradient of the quadratic loss, all entries in one batch of step FD_EPS."""
     base = tc.stacked
-    bumps = np.eye(base.size).reshape(base.size, *base.shape) * eps
+    bumps = np.eye(base.size).reshape(base.size, *base.shape) * FD_EPS
     losses = loss_quadratic(np.concatenate([base + bumps, base - bumps]), fs)
     up, down = losses[: base.size], losses[base.size :]
-    return ((up - down) / (2 * eps)).reshape(base.shape)
+    return ((up - down) / (2 * FD_EPS)).reshape(base.shape)
 
 
-def gradient_fd_relative_error(tc: TwoChannelParams, fs: FisherStats, eps: float = 1e-5) -> float:
+def gradient_fd_relative_error(tc: TwoChannelParams, fs: FisherStats) -> float:
     """Relative Frobenius gap between the analytic and finite-difference gradients."""
     analytic = gradient(tc, fs)
-    numeric = finite_difference_gradient(tc, fs, eps)
+    numeric = finite_difference_gradient(tc, fs)
     scale = max(float(np.linalg.norm(analytic)), 1e-12)
     return float(np.linalg.norm(analytic - numeric)) / scale
 
@@ -198,16 +199,19 @@ def run_lemma_suite(
     """Randomized sweep over every check; returns a JSON-ready report.
 
     Each entry records the sample count and the worst slack observed, where
-    slack >= 0 means the inequality held.
+    slack >= 0 means the inequality held.  The sandwich's upper constant is
+    K/(4 gamma), so the teacher's gamma must be > 0.
     """
-    rng = np.random.default_rng(seed)
     k = ds.cfg.k
     gamma = ds.cfg.gamma
+    if gamma <= 0:
+        raise InvalidConfigError(f"the lemma suite needs gamma > 0 (the KL sandwich divides by it), got {gamma}")
+    rng = np.random.default_rng(seed)
     report = {"seed": seed, "k": k, "gamma": gamma, "checks": {}}
 
     lo_slack, hi_slack = np.inf, np.inf
     for c in _chunks(spectrum_samples):
-        lo, hi = fisher_spectrum_check(mix_policy(rng.normal(size=(c, k)) * 2.0, gamma).p, gamma)
+        lo, hi = fisher_spectrum_check(mix_policy(rng.normal(size=(c, k)) * 2.0, gamma), gamma)
         lo_slack = min(lo_slack, float((lo - gamma / k).min()))
         hi_slack = min(hi_slack, float((0.5 - hi).min()))
     report["checks"]["fisher_spectrum"] = {

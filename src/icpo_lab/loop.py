@@ -72,7 +72,7 @@ def closed_loop(
     acc = np.zeros((ops.shape[0], b, k))  # ops @ state for every row
     logits = acc
     for t in range(1, t_max + 1):
-        policies = mix_policy(logits, cfg.gamma).p
+        policies = mix_policy(logits, cfg.gamma)
         actions = coupled_sample(policies[0], uniforms[:, t - 1])
         rewards = draw_reward(w, actions, noise[:, t - 1], cfg.sigma_xi)
         if shock is not None and t == shock[0]:
@@ -214,11 +214,6 @@ def shock_constants(cfg: TeacherConfig, w: np.ndarray) -> tuple[float, float | n
     return a, float(b) if b.ndim == 0 else b
 
 
-def default_c_b(b: float) -> float:
-    """Absolute constant in the envelope; exp(b) dominates the recursion product."""
-    return math.exp(b)
-
-
 def shock_bound(a: float, b: float, c_b: float, s: int, t: int, delta_r: float) -> float:
     """Envelope value a(1+C_b)/s * (t/s)^(b-1) * |delta_r| for rounds s <= t."""
     if not 1 <= s <= t:
@@ -296,7 +291,8 @@ def shock_experiment(
         # order.  C_b and the envelope stay scalar `math.exp` and `**`: numpy's
         # SIMD exp and power can differ from them in the last bit.
         for tau, b_val in zip(range(tasks.start, tasks.stop), b_block.tolist()):
-            c_b = default_c_b(b_val) if c_b_override is None else c_b_override
+            # The envelope's absolute constant: exp(b) dominates the recursion product.
+            c_b = math.exp(b_val) if c_b_override is None else c_b_override
             b_values[tau] = b_val
             c_b_values[tau] = c_b
             lead = a_const * (1.0 + c_b) / s

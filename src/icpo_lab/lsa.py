@@ -20,16 +20,14 @@ from .teacher import TeacherConfig
 NORMAL_FORM_ATOL = 1e-8
 
 
-def project(v: np.ndarray) -> np.ndarray:
-    """Remove the constant component: v - mean(v) per row.  Idempotent."""
+def project(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Remove the constant component along `axis`: v - mean(v).  Idempotent.
+
+    The default centers every row; `axis=0` centers every column of a
+    matrix, which is left-multiplication by (I - 11^T/K).
+    """
     v = np.asarray(v, dtype=float)
-    return v - v.mean(axis=-1, keepdims=True)
-
-
-def project_columns(m: np.ndarray) -> np.ndarray:
-    """Left-multiply by (I - 11^T/K): centers every column of m."""
-    m = np.asarray(m, dtype=float)
-    return m - m.mean(axis=0, keepdims=True)
+    return v - v.mean(axis=axis, keepdims=True)
 
 
 @dataclass
@@ -209,8 +207,8 @@ def extract_two_channel(params: LsaParams) -> TwoChannelParams:
     phi_1 = b[:k]
     phi_2 = float(b[k])
     w_pv11 = params.w_pv[:k, :k]
-    w_n = project_columns(w_pv11 * phi_1[np.newaxis, :])  # right-multiply by Diag(phi_1)
-    w_g = project_columns(phi_2 * w_pv11)
+    w_n = project(w_pv11 * phi_1[np.newaxis, :], axis=0)  # right-multiply by Diag(phi_1)
+    w_g = project(phi_2 * w_pv11, axis=0)
     return TwoChannelParams(w_n=w_n, w_g=w_g)
 
 
@@ -243,6 +241,6 @@ def expert_two_channel(cfg: TeacherConfig) -> TwoChannelParams:
 def teacher_two_channel(cfg: TeacherConfig) -> TwoChannelParams:
     """The target operators c Proj[V U] that exact training recovers."""
     return TwoChannelParams(
-        w_n=cfg.c * project_columns(cfg.v),
-        w_g=cfg.c * project_columns(cfg.u),
+        w_n=cfg.c * project(cfg.v, axis=0),
+        w_g=cfg.c * project(cfg.u, axis=0),
     )

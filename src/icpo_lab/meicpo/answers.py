@@ -80,7 +80,6 @@ class VoteResult:
     answer: str  # canonical mode answer
     rewards: list[int]
     tie: bool
-    counts: dict
 
 
 def majority_vote(answers: Sequence[Optional[str]], mode: str = "numeric") -> VoteResult:
@@ -99,4 +98,4 @@ def majority_vote(answers: Sequence[Optional[str]], mode: str = "numeric") -> Vo
     winners = sorted(a for a, c in counts.items() if c == top)
     winner = winners[0]
     rewards = [1 if a == winner else 0 for a in canonical]
-    return VoteResult(answer=winner, rewards=rewards, tie=len(winners) > 1, counts=dict(counts))
+    return VoteResult(answer=winner, rewards=rewards, tie=len(winners) > 1)

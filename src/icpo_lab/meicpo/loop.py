@@ -86,8 +86,6 @@ class RoundTrace:
     round_index: int
     skipped: bool
     candidates: list[Candidate] = field(default_factory=list)
-    vote_answer: Optional[str] = None
-    vote_tie: bool = False
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,20 @@ def write_trace_jsonl(result: MeIcpoResult, path: str | Path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _sample_request(history: IcpoHistory, cfg: MeIcpoConfig, greedy: bool = False) -> GeneratorRequest:
-    """k samples from the context at the sampling temperature, or one greedy sample."""
+def _context_request(history: IcpoHistory, cfg: MeIcpoConfig, kind: str = "sample") -> GeneratorRequest:
+    """A request on the running context: k samples at the sampling settings (`sample`),
+    m look-ahead samples at the entropy temperature (`lookahead`), or one greedy sample."""
+    n, temperature, top_p, max_tokens = {
+        "sample": (cfg.k, cfg.temperature, cfg.top_p, cfg.max_tokens),
+        "lookahead": (cfg.m, cfg.entropy_temperature, 1.0, cfg.lookahead_max_tokens),
+        "greedy": (1, 0.0, 1.0, cfg.max_tokens),
+    }[kind]
     return GeneratorRequest(
         messages=history.render_messages(cfg.include_reward_tags),
-        temperature=0.0 if greedy else cfg.temperature,
-        top_p=1.0 if greedy else cfg.top_p,
-        max_tokens=cfg.max_tokens,
-        n=1 if greedy else cfg.k,
+        temperature=temperature,
+        top_p=top_p,
+        max_tokens=max_tokens,
+        n=n,
     )
 
 
@@ -192,18 +196,6 @@ def _summary_of(response: GeneratorResponse, cap_tokens: int) -> tuple[str, bool
     if len(words) > cap_tokens:
         return " ".join(words[:cap_tokens]), True
     return summary, False
-
-
-def _lookahead_request(
-    history: IcpoHistory, m: int, temperature: float, max_tokens: int, include_reward_tags: bool
-) -> GeneratorRequest:
-    return GeneratorRequest(
-        messages=history.render_messages(include_reward_tags),
-        temperature=temperature,
-        top_p=1.0,
-        max_tokens=max_tokens,
-        n=m,
-    )
 
 
 def _entropy_of(response: GeneratorResponse, mode: str) -> float:
@@ -234,7 +226,7 @@ def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcp
     rounds: list[RoundTrace] = []
 
     for round_index in range(1, cfg.rounds + 1):
-        [response] = generator.generate([_sample_request(history, cfg)])
+        [response] = generator.generate([_context_request(history, cfg)])
         accounting.add("candidates", response)
         candidates = [Candidate(text=t, answer=extract_answer(t, cfg.mode)) for t in response.texts]
 
@@ -245,18 +237,10 @@ def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcp
             continue
 
         vote = majority_vote([c.answer for c in candidates], cfg.mode)
-        trace.vote_answer = vote.answer
-        trace.vote_tie = vote.tie
 
         def lookahead(j: int, response: GeneratorResponse) -> GeneratorRequest:
             summary, _ = _summary_of(response, cfg.summary_cap_tokens)
-            return _lookahead_request(
-                history.extended(summary, vote.rewards[j]),
-                cfg.m,
-                cfg.entropy_temperature,
-                cfg.lookahead_max_tokens,
-                cfg.include_reward_tags,
-            )
+            return _context_request(history.extended(summary, vote.rewards[j]), cfg, "lookahead")
 
         entropy = cfg.selection == "entropy"
         summaries = [_summary_request(c.text, cfg.mode, cfg.summary_cap_tokens) for c in candidates]
@@ -275,7 +259,7 @@ def run_me_icpo(question: str, cfg: MeIcpoConfig, generator: Generator) -> MeIcp
         history = history.extended(candidates[best].summary, candidates[best].reward)
         rounds.append(trace)
 
-    [response] = generator.generate([_sample_request(history, cfg, greedy=not cfg.final_vote)])
+    [response] = generator.generate([_context_request(history, cfg, "sample" if cfg.final_vote else "greedy")])
     accounting.add("final", response)
     answers = [extract_answer(t, cfg.mode) for t in response.texts]
     final_text, final_answer = response.texts[0], None

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .bandit import arm_fold
+from .bandit import _validate_simplex, arm_fold
 from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
 from .loop import closed_loop, task_blocks
-from .lsa import TwoChannelParams, expert_two_channel
+from .lsa import TwoChannelParams, expert_two_channel, project
 from .subspace import paired_helmert_basis
 from .teacher import TeacherConfig
 
@@ -103,9 +103,7 @@ class PretrainDataset:
         sums /= t
         del onehot
         z = z.reshape(self.m, 2 * k)
-        y = self.logits.reshape(self.m, k)
-        y = y - y.mean(axis=-1, keepdims=True)  # project()
-        return z, y, self.policies.reshape(self.m, k)
+        return z, project(self.logits.reshape(self.m, k)), self.policies.reshape(self.m, k)
 
 
 def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainDataset:
@@ -278,7 +276,7 @@ def train_gd(
     )
 
 
-def solve_ls(fs: FisherStats, min_eigenvalue: float = 1e-10) -> TwoChannelParams:
+def solve_ls(fs: FisherStats) -> TwoChannelParams:
     """Exact minimizer of the quadratic loss over operators supported on the
     per-channel zero-sum subspace.
 
@@ -290,16 +288,14 @@ def solve_ls(fs: FisherStats, min_eigenvalue: float = 1e-10) -> TwoChannelParams
     basis = paired_helmert_basis(k)
     reduced = basis.T @ fs.sigma_bar @ basis
     eigs = np.linalg.eigvalsh(reduced)
-    if eigs.min() <= min_eigenvalue:
+    if eigs.min() <= 1e-10:
         raise RankDeficiencyError(
             f"restricted second moment is singular (min eigenvalue {eigs.min():.3e})",
             eigenvalue=float(eigs.min()),
         )
     rhs = fs.sigma_yz @ basis
     coeffs = np.linalg.solve(reduced, rhs.T).T
-    w = coeffs @ basis.T
-    w = w - w.mean(axis=0, keepdims=True)  # exact zero column sums
-    return TwoChannelParams.from_stacked(w)
+    return TwoChannelParams.from_stacked(project(coeffs @ basis.T, axis=0))  # exact zero column sums
 
 
 def _write_container(path: Path, header: dict, layout: list[list], arrays: dict) -> None:
@@ -364,7 +360,8 @@ def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
 
 
 def load_dataset(directory: str | Path) -> PretrainDataset:
-    """Read a dataset written by `save_dataset`; each array's dtype and shape must match B, N and K."""
+    """Read a dataset written by `save_dataset`; each array's dtype and shape must match B, N and K,
+    its float arrays must be finite, and every stored policy must pass `_validate_simplex`."""
     directory = Path(directory)
     path = directory / DATASET_FILE
     if not path.exists():
@@ -381,6 +378,18 @@ def load_dataset(directory: str | Path) -> PretrainDataset:
         return _layout(b, n, cfg.k), (cfg, b, n, seed)
 
     (cfg, b, n, seed), arrays, digest = _read_container(path, "dataset", DATASET_FORMAT_VERSION, parse)
+    for name in ("w", "rewards", "logits", "policies"):
+        finite = np.isfinite(arrays[name]).all(axis=tuple(range(1, arrays[name].ndim)))
+        if not finite.all():
+            raise InvalidConfigError(f"{path}: {name} of trajectory {np.argmin(finite)} is not finite")
+    try:
+        _validate_simplex(arrays["policies"])
+    except InvalidDistributionError:  # find the first trajectory at fault, and say why
+        for i, policies in enumerate(arrays["policies"]):
+            try:
+                _validate_simplex(policies)
+            except InvalidDistributionError as exc:
+                raise InvalidConfigError(f"{path}: policies of trajectory {i}: {exc}") from None
     return PretrainDataset(cfg, b, n, seed, **arrays, sha256=digest)
 
 

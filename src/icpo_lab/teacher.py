@@ -93,14 +93,6 @@ class TeacherConfig:
         )
 
 
-@dataclass
-class MixedPolicy:
-    """Logits together with the exploration-mixed probabilities they induce."""
-
-    logits: np.ndarray
-    p: np.ndarray
-
-
 def softmax(s: np.ndarray) -> np.ndarray:
     """Row-wise softmax of (..., K) logits, shifted by each row's max.
 
@@ -126,19 +118,18 @@ def teacher_logits(history: History, cfg: TeacherConfig) -> np.ndarray:
     return (cfg.c / t) * (cfg.u @ history.g + cfg.v @ history.n)
 
 
-def mix_policy(s: np.ndarray, gamma: float) -> MixedPolicy:
+def mix_policy(s: np.ndarray, gamma: float) -> np.ndarray:
     """Softmax of the logits blended with uniform exploration weight gamma.
 
-    `s` is (..., K): leading axes are a batch, mixed row by row.
+    `s` is (..., K): leading axes are a batch, mixed row by row into the
+    (..., K) probabilities returned.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidConfigError(f"exploration mix must be in [0, 1], got {gamma}")
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError("logits must be finite")
-    k = s.shape[-1]
-    p = (1.0 - gamma) * softmax(s) + gamma / k
-    return MixedPolicy(logits=s, p=p)
+    return (1.0 - gamma) * softmax(s) + gamma / s.shape[-1]
 
 
 def coverage_margin(cfg: TeacherConfig) -> float:

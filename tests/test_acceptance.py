@@ -39,15 +39,11 @@ from icpo_lab.loop import (
     sample_b_distribution,
     shock_experiment,
 )
-from icpo_lab.meicpo import (
-    FunctionGenerator,
-    MeIcpoConfig,
-    canonicalize,
-    compute_metrics,
-    majority_vote,
-    run_me_icpo,
-    system_prompt,
-)
+from icpo_lab.meicpo.answers import canonicalize, majority_vote
+from icpo_lab.meicpo.generator import FunctionGenerator
+from icpo_lab.meicpo.loop import MeIcpoConfig, run_me_icpo
+from icpo_lab.meicpo.metrics import compute_metrics
+from icpo_lab.meicpo.prompts import system_prompt
 from icpo_lab.pretrain import (
     empirical_stats,
     generate_dataset,
@@ -71,7 +67,7 @@ def _scalar_expert_rollout(w, cfg, t_max, stream):
     uniforms, noise = stream.uniforms(t_max), stream.normals(t_max)
     policies, actions = [], []
     for t in range(t_max):
-        p = mix_policy(teacher_logits(history, cfg), cfg.gamma).p
+        p = mix_policy(teacher_logits(history, cfg), cfg.gamma)
         action = coupled_sample(p, uniforms[t])
         history.append(action, draw_reward(w, action, noise[t], cfg.sigma_xi))
         policies.append(p)

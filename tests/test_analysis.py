@@ -20,7 +20,7 @@ from icpo_lab.errors import InvalidDistributionError
 from icpo_lab.lsa import TwoChannelParams, teacher_two_channel
 from icpo_lab.pretrain import empirical_stats, fisher_matrix, gradient, loss_quadratic
 from icpo_lab.subspace import helmert_basis, paired_helmert_basis, restricted_eigenvalues
-from icpo_lab.teacher import MixedPolicy, coverage_margin, mix_policy, softmax
+from icpo_lab.teacher import coverage_margin, mix_policy, softmax
 
 
 def _sandwich_args(ds, fs):
@@ -56,7 +56,7 @@ class TestFisherSpectrum:
         rng = np.random.default_rng(2)
         gamma, k = 0.3, 6
         for _ in range(2_000):
-            p = mix_policy(rng.normal(size=k) * 2.5, gamma).p
+            p = mix_policy(rng.normal(size=k) * 2.5, gamma)
             lo, hi = fisher_spectrum_check(p, gamma)
             assert lo >= gamma / k - 1e-12
             assert hi <= 0.5 + 1e-12
@@ -227,7 +227,7 @@ def _reference_lemma_sweep(ds, fs, seed, spectrum_samples, lipschitz_samples, sa
     q = helmert_basis(k)
     spectrum = np.inf
     for _ in range(spectrum_samples):
-        eigs = restricted_eigenvalues(fisher_matrix(mix_policy(rng.normal(size=k) * 2.0, gamma).p), q)
+        eigs = restricted_eigenvalues(fisher_matrix(mix_policy(rng.normal(size=k) * 2.0, gamma)), q)
         spectrum = min(spectrum, eigs.min() - gamma / k, 0.5 - eigs.max())
     lipschitz = np.inf
     for dim in (2, 5, 10):
@@ -274,7 +274,7 @@ class TestBatchedChecks:
     def test_spectrum_matches_per_sample(self):
         rng = np.random.default_rng(8)
         gamma, k = 0.3, 6
-        p = mix_policy(rng.normal(size=(300, k)) * 2.5, gamma).p
+        p = mix_policy(rng.normal(size=(300, k)) * 2.5, gamma)
         lo, hi = fisher_spectrum_check(p, gamma)
         assert lo.shape == hi.shape == (300,)
         for row, lo_i, hi_i in zip(p, lo, hi):
@@ -322,8 +322,8 @@ class TestBatchedChecks:
     def test_mix_policy_rows_match_single_calls(self):
         rng = np.random.default_rng(11)
         s = rng.normal(size=(20, 4)) * 2
-        batch = mix_policy(s, 0.25).p
-        assert np.array_equal(batch, np.stack([mix_policy(row, 0.25).p for row in s]))
+        batch = mix_policy(s, 0.25)
+        assert np.array_equal(batch, np.stack([mix_policy(row, 0.25) for row in s]))
 
     def test_mix_policy_rejects_one_bad_row(self):
         s = np.zeros((5, 4))
@@ -338,7 +338,7 @@ class TestBatchedChecks:
             # Positive, so KL stays defined, but far below gamma/K.
             p = softmax(s)
             p[0, 0] = 1e-6
-            return MixedPolicy(logits=s, p=p / p.sum(axis=-1, keepdims=True))
+            return p / p.sum(axis=-1, keepdims=True)
 
         monkeypatch.setattr(analysis, "mix_policy", off_floor)
         with pytest.raises(InvalidDistributionError):

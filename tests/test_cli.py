@@ -1,9 +1,11 @@
 """CLI tests: config validation, parameter file format, end-to-end commands."""
 
+import importlib
 import inspect
 import json
 from hashlib import sha256
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -19,7 +21,8 @@ from icpo_lab.cli import load_config, main, teacher_from_config
 from icpo_lab.errors import IcpoError, InvalidConfigError
 from icpo_lab.loop import shock_experiment
 from icpo_lab.lsa import TwoChannelParams
-from icpo_lab.meicpo import HttpGenerator, MeIcpoConfig
+from icpo_lab.meicpo.generator import HttpGenerator
+from icpo_lab.meicpo.loop import MeIcpoConfig
 from icpo_lab.pretrain import (
     DATASET_FILE,
     generate_dataset,
@@ -327,6 +330,29 @@ class TestPipeline:
         )
         assert main(["experiment", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: config is missing the [dataset] section\n"
+
+    def test_lemma_suite_at_gamma_zero_is_clear_error(self, tmp_path, capsys):
+        """The KL sandwich's upper constant is K/(4 gamma): gamma = 0 is refused before any check runs."""
+        path = tmp_path / "lemma.ini"
+        path.write_text(
+            "[teacher]\nk = 3\ngamma = 0.0\n\n[dataset]\nb = 8\nn = 4\nseed = 7\n\n"
+            "[experiment]\nkind = lemma-suite\nspectrum_samples = 10\nlipschitz_samples = 30\nsandwich_draws = 2\n\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["experiment", "--config", str(path)]) == 2
+        problem = "the lemma suite needs gamma > 0 (the KL sandwich divides by it), got 0.0"
+        assert capsys.readouterr().err == f"error: {path}:10: [experiment] {problem}\n"
+        assert not (tmp_path / "out" / "lemma_suite.json").exists()
+
+    def test_train_on_a_dataset_with_a_nan_policy_names_the_file(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        ds = generate_dataset(teacher_from_config(load_config(cfg)), b=8, n=6, seed=11)
+        ds.policies[5, 2, 0] = np.nan
+        save_dataset(ds, tmp_path / "damaged")
+        assert main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "damaged")]) == 2
+        path = tmp_path / "damaged" / DATASET_FILE
+        assert capsys.readouterr().err == f"error: {path}: policies of trajectory 5 is not finite\n"
+        assert not (tmp_path / "out" / "params.bin").exists()
 
     def test_params_header_records_dataset_digest(self, tmp_path):
         """The parameter file's header names the dataset file's stored digest:
@@ -853,12 +879,34 @@ class TestMeIcpoCommand:
         assert not (tmp_path / "out/result.json").exists()
 
 
+def _probe(code: str) -> str:
+    """What `code` prints in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(icpo_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    return out.stdout.strip()
+
+
 def test_cli_import_loads_no_http_stack():
     """Only `me-icpo` with `generator = http` needs HTTP; no command pays for it at startup."""
     probe = "import sys, icpo_lab.cli; print(sorted({'requests', 'urllib3', 'http.client', 'ssl'} & set(sys.modules)))"
-    src = str(Path(icpo_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
-    )
-    assert out.stdout.strip() == "[]"
+    assert _probe(probe) == "[]"
+
+
+class TestImportGraph:
+    """Names live in their modules: a package facade that grows back fails here."""
+
+    def test_package_root_loads_no_submodule(self):
+        probe = "import sys, icpo_lab; print(sorted(m for m in sys.modules if m.startswith('icpo_lab.')))"
+        assert _probe(probe) == "[]"
+
+    def test_text_side_loads_no_numpy(self):
+        probe = "import sys, icpo_lab.meicpo.loop, icpo_lab.meicpo.generator; print('numpy' in sys.modules)"
+        assert _probe(probe) == "False"
+
+    def test_every_module_in_the_readme_table_imports(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        modules = re.findall(r"^\| `(icpo_lab(?:\.\w+)*)` \|", readme, re.MULTILINE)
+        assert "icpo_lab.cli" in modules and "icpo_lab.meicpo" in modules
+        for name in modules:
+            importlib.import_module(name)

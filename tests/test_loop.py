@@ -38,9 +38,9 @@ def _scalar_loop(drive, score, w, cfg, uniforms, noise, shock=None):
     history = History(cfg.k)
     driven, scored, actions = [], [], []
     for t in range(1, len(uniforms) + 1):
-        p = mix_policy(drive(history), cfg.gamma).p
+        p = mix_policy(drive(history), cfg.gamma)
         driven.append(p)
-        scored.append(mix_policy(score(history), cfg.gamma).p)
+        scored.append(mix_policy(score(history), cfg.gamma))
         action = coupled_sample(p, uniforms[t - 1])
         reward = draw_reward(w, action, noise[t - 1], cfg.sigma_xi)
         if shock is not None and t == shock[0]:

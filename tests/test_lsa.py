@@ -16,7 +16,6 @@ from icpo_lab.lsa import (
     extract_two_channel,
     lsa_forward,
     project,
-    project_columns,
     realize_teacher_params,
     teacher_two_channel,
     two_channel_logits,
@@ -67,7 +66,7 @@ class TestProject:
 
     def test_matrix_columns_sum_to_zero(self):
         rng = np.random.default_rng(0)
-        m = project_columns(rng.normal(size=(6, 4)))
+        m = project(rng.normal(size=(6, 4)), axis=0)
         assert np.abs(m.sum(axis=0)).max() < 1e-12
 
 
@@ -150,7 +149,7 @@ class TestTwoChannel:
     def test_reward_channel_only(self):
         h = History(2)
         h.append(0, 2.0)
-        tc = TwoChannelParams(w_n=np.zeros((2, 2)), w_g=project_columns(np.eye(2)))
+        tc = TwoChannelParams(w_n=np.zeros((2, 2)), w_g=project(np.eye(2), axis=0))
         assert np.allclose(two_channel_logits(h, tc), [1.0, -1.0], atol=1e-15)
 
     def test_empty_history_convention(self):
@@ -163,8 +162,8 @@ class TestTwoChannel:
     def test_output_in_zero_sum_subspace(self):
         rng = np.random.default_rng(11)
         tc = TwoChannelParams(
-            w_n=project_columns(rng.normal(size=(5, 5))),
-            w_g=project_columns(rng.normal(size=(5, 5))),
+            w_n=project(rng.normal(size=(5, 5)), axis=0),
+            w_g=project(rng.normal(size=(5, 5)), axis=0),
         )
         for t in (1, 3, 9):
             out = two_channel_logits(_random_history(rng, 5, t), tc)
@@ -193,7 +192,7 @@ class TestExtraction:
         tc = extract_two_channel(params)
         # b = q, so phi_1 = ones and phi_2 = q_r = 0.
         assert np.allclose(tc.w_g, 0.0, atol=1e-15)
-        assert np.allclose(tc.w_n, project_columns(params.w_pv[:k, :k]), atol=1e-15)
+        assert np.allclose(tc.w_n, project(params.w_pv[:k, :k], axis=0), atol=1e-15)
 
     def test_zero_params(self):
         params = LsaParams(w_pv=np.zeros((4, 4)), w_kq=np.zeros((4, 4)))
@@ -250,15 +249,15 @@ class TestTeacherRealization:
             tc = extract_two_channel(realize_teacher_params(cfg))
             for t in (1, 4, 12):
                 hist = _random_history(rng, k, t)
-                p_student = mix_policy(two_channel_logits(hist, tc), cfg.gamma).p
-                p_expert = mix_policy(teacher_logits(hist, cfg), cfg.gamma).p
+                p_student = mix_policy(two_channel_logits(hist, tc), cfg.gamma)
+                p_expert = mix_policy(teacher_logits(hist, cfg), cfg.gamma)
                 assert np.abs(p_student - p_expert).max() <= 1e-10
 
     def test_gauge_invariance_at_policy_level(self):
         rng = np.random.default_rng(31)
         s = rng.normal(size=6)
-        p1 = mix_policy(s, 0.3).p
-        p2 = mix_policy(s + 11.5, 0.3).p
+        p1 = mix_policy(s, 0.3)
+        p2 = mix_policy(s + 11.5, 0.3)
         assert np.abs(p1 - p2).max() <= 1e-12
 
     def test_closed_form_route_realizes_expert(self):

@@ -16,24 +16,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icpo_lab.errors import GeneratorError, InvalidConfigError, NoConsensusError
-from icpo_lab.meicpo import (
+from icpo_lab.meicpo.answers import _last_boxed_content, canonicalize, extract_answer, majority_vote
+from icpo_lab.meicpo.generator import (
+    MAX_IN_FLIGHT,
     FunctionGenerator,
     GeneratorRequest,
     HttpGenerator,
-    IcpoHistory,
-    MeIcpoConfig,
     Message,
     ScriptedGenerator,
-    canonicalize,
-    compute_metrics,
-    extract_answer,
-    majority_vote,
-    run_me_icpo,
-    system_prompt,
+    demo_generator,
 )
-from icpo_lab.meicpo.answers import _last_boxed_content
-from icpo_lab.meicpo.generator import MAX_IN_FLIGHT, demo_generator
-from icpo_lab.meicpo.loop import _entropy_of, _lookahead_request, _summary_of, _summary_request
+from icpo_lab.meicpo.loop import (
+    IcpoHistory,
+    MeIcpoConfig,
+    _context_request,
+    _entropy_of,
+    _summary_of,
+    _summary_request,
+    run_me_icpo,
+)
+from icpo_lab.meicpo.metrics import compute_metrics
+from icpo_lab.meicpo.prompts import system_prompt
 
 
 class TestExtractAnswer:
@@ -159,7 +162,8 @@ def _summarize(text, generator, mode, cap_tokens=500):
 
 def _estimate_entropy(history, generator, m, temperature, mode, max_tokens=256):
     """One tentative context through the loop's look-ahead wave: entropy in nats."""
-    [response] = generator.generate([_lookahead_request(history, m, temperature, max_tokens, True)])
+    cfg = MeIcpoConfig(m=m, entropy_temperature=temperature, lookahead_max_tokens=max_tokens)
+    [response] = generator.generate([_context_request(history, cfg, "lookahead")])
     return _entropy_of(response, mode)
 
 
@@ -366,7 +370,7 @@ class TestRunMeIcpo:
         assert r1.final_answer == r2.final_answer
 
     def test_trace_records_structure(self, tmp_path):
-        from icpo_lab.meicpo import write_trace_jsonl
+        from icpo_lab.meicpo.loop import write_trace_jsonl
 
         result = run_me_icpo(
             "Q?", MeIcpoConfig(rounds=1, k=3, m=2, mode="numeric"), _loop_generator({0: 1, 1: 2, 2: 2})

@@ -265,6 +265,34 @@ class TestDatasetIntegrity:
             load_dataset(tmp_path)
         assert str(info.value) == f"{path}: malformed header: step-size constant must be > 0, got -1.0"
 
+    @pytest.mark.parametrize(
+        "name, value", [("w", np.nan), ("rewards", np.inf), ("logits", -np.inf), ("policies", np.nan)]
+    )
+    def test_non_finite_value_names_the_file_array_and_trajectory(self, tmp_path, name, value):
+        """`save_dataset` hashes the arrays as given, so the loader checks their values."""
+        ds = generate_dataset(_small_cfg(), b=4, n=5, seed=12)
+        getattr(ds, name)[2].flat[1] = value
+        save_dataset(ds, tmp_path)
+        with pytest.raises(InvalidConfigError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == f"{tmp_path / DATASET_FILE}: {name} of trajectory 2 is not finite"
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda p: p.__imul__(2.0), "probabilities sum to"),
+            (lambda p: p.__iadd__([-0.5, 0.5, 0.0, 0.0]), "negative probability"),
+        ],
+        ids=["sum", "negative"],
+    )
+    def test_policy_off_the_simplex_names_the_file_and_trajectory(self, tmp_path, edit, problem):
+        ds = generate_dataset(_small_cfg(), b=4, n=5, seed=12)
+        edit(ds.policies[3, 1])
+        save_dataset(ds, tmp_path)
+        with pytest.raises(InvalidConfigError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value).startswith(f"{tmp_path / DATASET_FILE}: policies of trajectory 3: {problem}")
+
     def test_loaded_arrays_are_read_only_views(self, tmp_path):
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
         ds = load_dataset(tmp_path)
@@ -362,7 +390,7 @@ class TestFisherMatrix:
 
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(3)
-        p = mix_policy(rng.normal(size=(2, 7, 5)) * 2, 0.2).p
+        p = mix_policy(rng.normal(size=(2, 7, 5)) * 2, 0.2)
         f = fisher_matrix(p)
         assert f.shape == (2, 7, 5, 5)
         for idx in np.ndindex(2, 7):
@@ -377,7 +405,7 @@ class TestFisherMatrix:
     def test_annihilates_ones_and_psd(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            p = mix_policy(rng.normal(size=6) * 2, 0.15).p
+            p = mix_policy(rng.normal(size=6) * 2, 0.15)
             f = fisher_matrix(p)
             assert np.abs(f @ np.ones(6)).max() < 1e-12
             assert np.linalg.eigvalsh(f).min() >= -1e-12
@@ -388,7 +416,7 @@ class TestFisherMatrix:
         gamma, k = 0.25, 5
         q = helmert_basis(k)
         for _ in range(500):
-            p = mix_policy(rng.normal(size=k) * 3, gamma).p
+            p = mix_policy(rng.normal(size=k) * 3, gamma)
             eigs = restricted_eigenvalues(fisher_matrix(p), q)
             assert eigs.min() >= gamma / k - 1e-12
             assert eigs.max() <= 0.5 + 1e-12

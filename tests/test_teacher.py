@@ -52,7 +52,7 @@ class TestTeacherLogits:
         cfg = TeacherConfig(k=4)
         s = teacher_logits(History(4), cfg)
         assert np.array_equal(s, np.zeros(4))
-        assert np.allclose(mix_policy(s, cfg.gamma).p, 0.25)
+        assert np.allclose(mix_policy(s, cfg.gamma), 0.25)
 
     def test_single_step_no_penalty(self):
         cfg = TeacherConfig(k=2, c=1.0, lam=0.0)
@@ -89,16 +89,16 @@ class TestTeacherLogits:
 class TestMixPolicy:
     def test_zero_logits_uniform(self):
         for gamma in (0.0, 0.2, 0.9):
-            assert np.allclose(mix_policy(np.zeros(4), gamma).p, 0.25, atol=1e-15)
+            assert np.allclose(mix_policy(np.zeros(4), gamma), 0.25, atol=1e-15)
 
     def test_softmax_evaluation(self):
-        p = mix_policy(np.array([math.log(3.0), 0.0]), 0.0).p
+        p = mix_policy(np.array([math.log(3.0), 0.0]), 0.0)
         assert np.allclose(p, [0.75, 0.25], atol=1e-12)
 
     def test_formula_evaluation(self):
         # Independent scalar route: 0.8 * sigmoid(10) + 0.1.
         sigmoid = 1.0 / (1.0 + math.exp(-10.0))
-        p = mix_policy(np.array([10.0, 0.0]), 0.2).p
+        p = mix_policy(np.array([10.0, 0.0]), 0.2)
         assert p[0] == pytest.approx(0.8 * sigmoid + 0.1, abs=1e-12)
 
     def test_rejects_non_finite(self):
@@ -113,14 +113,14 @@ class TestMixPolicy:
     @settings(deadline=None, max_examples=100)
     def test_shift_invariance(self, logits, shift, gamma):
         s = np.asarray(logits)
-        p1 = mix_policy(s, gamma).p
-        p2 = mix_policy(s + shift, gamma).p
+        p1 = mix_policy(s, gamma)
+        p2 = mix_policy(s + shift, gamma)
         assert np.abs(p1 - p2).max() < 1e-12
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8), st.floats(0, 1))
     @settings(deadline=None, max_examples=100)
     def test_floor_and_normalization(self, logits, gamma):
-        p = mix_policy(np.asarray(logits), gamma).p
+        p = mix_policy(np.asarray(logits), gamma)
         k = len(logits)
         assert p.min() >= gamma / k - 1e-12
         assert abs(p.sum() - 1.0) < 1e-12
@@ -131,10 +131,10 @@ class TestMixPolicy:
         rng = np.random.default_rng(21)
         for k in (2, 5, 7, 8, 10, 16):
             s = rng.normal(size=(3, 50, k)) * 4
-            alone = np.stack([[mix_policy(row, 0.3).p for row in block] for block in s])
+            alone = np.stack([[mix_policy(row, 0.3) for row in block] for block in s])
             for batch in (s, np.asfortranarray(s), s.reshape(150, k), np.asfortranarray(s.reshape(150, k))):
-                assert np.array_equal(mix_policy(batch, 0.3).p.reshape(s.shape), alone)
-            assert np.array_equal(mix_policy(s[:, ::-1], 0.3).p[:, ::-1], alone)
+                assert np.array_equal(mix_policy(batch, 0.3).reshape(s.shape), alone)
+            assert np.array_equal(mix_policy(s[:, ::-1], 0.3)[:, ::-1], alone)
             if k <= 7:
                 z = np.exp(s - s.max(axis=-1, keepdims=True))
                 assert np.array_equal(alone, 0.7 * (z / z.sum(axis=-1, keepdims=True)) + 0.3 / k)
