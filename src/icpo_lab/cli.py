@@ -218,7 +218,7 @@ def _train(config: Config, ds: PretrainDataset, out: Path) -> Path:
         tc = solve_ls(fs)
         log_lines.append(f"0,{_fmt(loss_quadratic(tc, fs))},{_fmt(np.linalg.norm(gradient(tc, fs)))}")
     elif solver == "gd":
-        result = train_gd(fs, **_pick(sec, "step", "max_iters", "tol"))
+        result = config.build("training", train_gd, fs, **_pick(sec, "step", "max_iters", "tol"))
         tc = result.params
         for i, (loss, gnorm) in enumerate(zip(result.losses, result.grad_norms)):
             log_lines.append(f"{i},{_fmt(loss)},{_fmt(gnorm)}")

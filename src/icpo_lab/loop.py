@@ -34,7 +34,11 @@ from .teacher import TeacherConfig, mix_policy
 
 # Rows stepped together by `closed_loop`.  Bounds the working set: one
 # block's per-round arrays are all that is held, whatever the task count.
-BLOCK_ROWS = 512
+# A round pays a fixed numpy call overhead of about 100 us, so the cost per
+# row-round falls up to 2048 rows and then levels off or rises (2-core x86-64,
+# numpy 2.4: K = 10, R = 2 took 574, 398 and 431 ns per row-round at 512,
+# 2048 and 4096 rows; BENCH_shock_fixed_costs.json has the table).
+BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -272,6 +276,10 @@ def shock_experiment(
     _check_run_size(b_test, n)
     if not 1 <= s <= n:
         raise InvalidConfigError(f"shock round {s} outside horizon [1, {n}]")
+    if not math.isfinite(delta_r):
+        raise InvalidConfigError(f"delta_r must be finite, got {delta_r}")
+    if c_b_override is not None and not (math.isfinite(c_b_override) and c_b_override >= 0):
+        raise InvalidConfigError(f"c_b must be finite and >= 0, got {c_b_override}")
     deltas = np.zeros((b_test, n))
     bounds = np.zeros((b_test, n))
     b_values = np.zeros(b_test)
@@ -287,18 +295,16 @@ def shock_experiment(
             drift = rnd.policies[0, m:] - rnd.policies[0, :m]
             deltas[tasks, rnd.t - 1] = np.sqrt(arm_fold(np.add, drift * drift))
         a_const, b_block = shock_constants(cfg, w)
-        # Each row is `shock_bound` over u, evaluated in the same left-to-right
-        # order.  C_b and the envelope stay scalar `math.exp` and `**`: numpy's
-        # SIMD exp and power can differ from them in the last bit.
-        for tau, b_val in zip(range(tasks.start, tasks.stop), b_block.tolist()):
-            # The envelope's absolute constant: exp(b) dominates the recursion product.
-            c_b = math.exp(b_val) if c_b_override is None else c_b_override
-            b_values[tau] = b_val
-            c_b_values[tau] = c_b
-            lead = a_const * (1.0 + c_b) / s
-            bounds[tau, s - 1 :] = [
-                lead * (max(u - 1, s) / s) ** (b_val - 1.0) * abs_delta_r for u in range(s, n + 1)
-            ]
+        # The envelope's absolute constant: exp(b) dominates the recursion product.
+        b_values[tasks] = b_block
+        c_b_values[tasks] = list(map(math.exp, b_block.tolist())) if c_b_override is None else c_b_override
+        lead = a_const * (1.0 + c_b_values[tasks]) / s
+        # Row tau is `shock_bound` over u, in the same left-to-right order, one
+        # column at a time.  C_b and the powers stay scalar `math.exp` and `**`:
+        # numpy's SIMD exp and power can differ from them in the last bit.
+        exponents = (b_block - 1.0).tolist()
+        powers = np.array([[x**e for e in exponents] for x in (max(u - 1, s) / s for u in range(s, n + 1))])
+        bounds[tasks, s - 1 :] = (lead * powers * abs_delta_r).T
     return ShockReport(
         rounds=np.arange(1, n + 1),
         mean=deltas.mean(axis=0),

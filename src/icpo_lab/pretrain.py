@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -190,11 +191,19 @@ def loss_quadratic(tc: TwoChannelParams | np.ndarray, fs: FisherStats) -> float 
     Also takes stacked operators W = [W_n  W_g] of shape (..., K, 2K) and
     then returns one loss per leading index.
     """
-    w = _stacked(tc)
+    return _loss(_stacked(tc), fs, *_label_terms(fs))
+
+
+def _label_terms(fs: FisherStats) -> tuple[np.ndarray, float]:
+    """Gamma Sigma_yz and 0.5 tr(Gamma Sigma_yy): the loss terms that do not depend on W."""
+    return fs.gamma_hat @ fs.sigma_yz, 0.5 * np.trace(fs.gamma_hat @ fs.sigma_yy)
+
+
+def _loss(w: np.ndarray, fs: FisherStats, gamma_yz: np.ndarray, const: float) -> float | np.ndarray:
+    # `Gamma @ Sigma_yz @ W^T` multiplies left to right, so starting from `gamma_yz` changes no bit.
     w_t = np.swapaxes(w, -1, -2)
     quad = 0.5 * np.trace(fs.gamma_hat @ w @ fs.sigma_bar @ w_t, axis1=-2, axis2=-1)
-    lin = np.trace(fs.gamma_hat @ fs.sigma_yz @ w_t, axis1=-2, axis2=-1)
-    const = 0.5 * np.trace(fs.gamma_hat @ fs.sigma_yy)
+    lin = np.trace(gamma_yz @ w_t, axis1=-2, axis2=-1)
     loss = quad - lin + const
     return float(loss) if loss.ndim == 0 else loss
 
@@ -239,17 +248,20 @@ def train_gd(
     """Full-batch gradient descent on the quadratic loss.
 
     Stops when the gradient Frobenius norm falls below `tol` or after
-    `max_iters` updates.  Raises if the loss blows up by 1000x, which only
-    happens when the step exceeds the stable range.
+    `max_iters` updates.  Raises if the loss blows up by 1000x or turns NaN,
+    which only happens when the step exceeds the stable range.
     """
     if step is None:
         step = default_step(fs)
-    if step <= 0:
-        raise InvalidConfigError(f"step size must be > 0, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise InvalidConfigError(f"step size must be finite and > 0, got {step}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidConfigError(f"tol must be finite and >= 0, got {tol}")
     k = fs.k
     w = TwoChannelParams.zeros(k) if init is None else init
     mat = w.stacked.copy()
-    losses = [loss_quadratic(mat, fs)]
+    label_terms = _label_terms(fs)  # constant across iterations
+    losses = [_loss(mat, fs, *label_terms)]
     grad_norms = []
     blowup = 1e3 * max(abs(losses[0]), 1e-12)
     converged = False
@@ -261,9 +273,9 @@ def train_gd(
             converged = True
             break
         mat = mat - step * grad
-        loss = loss_quadratic(mat, fs)
+        loss = _loss(mat, fs, *label_terms)
         losses.append(loss)
-        if loss > blowup:
+        if not loss <= blowup:
             raise StepSizeError(f"loss grew to {loss:.3e} (from {losses[0]:.3e}); reduce the step")
     else:
         grad_norms.append(float(np.linalg.norm(gradient(mat, fs))))

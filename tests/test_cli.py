@@ -517,6 +517,49 @@ class TestPipeline:
         assert main([command, "--config", str(path), *extra[command]]) == 2
         assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("step = nan", "step size must be finite and > 0, got nan"),
+            ("step = inf", "step size must be finite and > 0, got inf"),
+            ("tol = nan", "tol must be finite and >= 0, got nan"),
+            ("tol = -1e-9", "tol must be finite and >= 0, got -1e-09"),
+        ],
+    )
+    def test_unusable_gd_setting_names_file_line_and_section(self, tmp_path, capsys, setting, message):
+        """A NaN or infinite step used to train 2000 steps of NaN and exit 0."""
+        path = _write_config(tmp_path, solver="gd")
+        text = path.read_text().replace("solver = gd", f"solver = gd\nmax_iters = 2000\n{setting}")
+        path.write_text(text)
+        dataset = tmp_path / "dataset"
+        save_dataset(generate_dataset(TeacherConfig(k=3), b=4, n=3, seed=0), dataset)
+        assert main(["train", "--config", str(path), "--dataset", str(dataset)]) == 2
+        line = text.splitlines().index("[training]") + 1
+        assert capsys.readouterr().err == f"error: {path}:{line}: [training] {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("c_b", "nan", "c_b must be finite and >= 0, got nan"),
+            ("c_b", "-3", "c_b must be finite and >= 0, got -3.0"),
+            ("delta_r", "nan", "delta_r must be finite, got nan"),
+            ("delta_r", "inf", "delta_r must be finite, got inf"),
+        ],
+    )
+    def test_unusable_shock_setting_names_file_line_and_section(self, tmp_path, capsys, key, value, message):
+        """A NaN or negative c_b used to write a NaN or negative envelope; a non-finite
+        delta_r ended in an error that named no file."""
+        keys = {"kind": "shock", "b_test": "4", "n": "6", "seed": "21", "s": "2", "delta_r": "0.5", key: value}
+        experiment = "".join(f"{name} = {text}\n" for name, text in keys.items())
+        path = tmp_path / "exp.ini"
+        out = tmp_path / "out"
+        path.write_text(f"[teacher]\nk = 3\n\n[experiment]\n{experiment}\n[output]\ndir = {out}\n")
+        params = _params_file(tmp_path / "params.bin")
+        assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:4: [experiment] {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_generate_seed_comes_from_the_override_when_unset(self, tmp_path):
         path = tmp_path / "gen.ini"
         out = tmp_path / "out"

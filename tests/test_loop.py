@@ -101,16 +101,17 @@ class TestClosedLoopKernel:
                 assert np.abs(np.stack([rnd.policies[1, i] for rnd in rounds]) - scored).max() <= 1e-12
 
     def test_rows_do_not_depend_on_block(self):
-        """B=3 equals the first three of B=1100, and rows either side of a
-        block boundary equal their own one-row rollout, bit for bit."""
+        """B=3 equals the first three of a B that spans three blocks, and rows
+        either side of a block boundary equal their own one-row rollout, bit for bit."""
         cfg = _cfg(k=10, c=0.7, gamma=0.3, sigma_xi=0.5, h=np.diag(np.linspace(0.5, 3.0, 10)))
         n = 6
+        b = 2 * BLOCK_ROWS + 76
         small = generate_dataset(cfg, b=3, n=n, seed=31)
-        large = generate_dataset(cfg, b=1100, n=n, seed=31)
+        large = generate_dataset(cfg, b=b, n=n, seed=31)
         for field in ("w", "actions", "rewards", "logits", "policies"):
             assert np.array_equal(getattr(small, field), getattr(large, field)[:3])
         expert = expert_two_channel(cfg)
-        for tau in (0, BLOCK_ROWS - 1, BLOCK_ROWS, 1099):
+        for tau in (0, BLOCK_ROWS - 1, BLOCK_ROWS, b - 1):
             single = rollout(expert, large.w[tau], cfg, n, CrnStream(31, tau))
             assert np.array_equal(single.actions, large.actions[tau])
             assert np.array_equal(single.rewards, large.rewards[tau])
@@ -253,11 +254,12 @@ class TestShockConstants:
             assert want == lead * math.sqrt(cfg.k / 2.0) * (vw_norm + math.sqrt(2.0 / math.pi) * cfg.sigma_xi * u_norm)
 
     def test_distribution_matches_per_task_loop(self):
-        """600 tasks span two blocks; each task's b is its own one-task call."""
+        """The tasks span two blocks; each task's b is its own one-task call."""
         cfg = _cfg()
-        want = [shock_constants(cfg, task)[1] for _, w, _, _ in task_blocks(cfg, 600, 0, 11) for task in w]
-        assert len(want) == 600 and BLOCK_ROWS < 600
-        assert np.array_equal(sample_b_distribution(cfg, 600, seed=11), want)
+        b = BLOCK_ROWS + 88
+        want = [shock_constants(cfg, task)[1] for _, w, _, _ in task_blocks(cfg, b, 0, 11) for task in w]
+        assert len(want) == b
+        assert np.array_equal(sample_b_distribution(cfg, b, seed=11), want)
 
 
 class TestShockBound:
@@ -330,6 +332,9 @@ class TestShockExperiment:
         rep = shock_experiment(cfg, tc, b_test=b_test, n=6, s=s, delta_r=-0.7, seed=4, c_b_override=c_b_override)
         want = np.stack([self._reference_bounds(rep, task) for task in range(b_test)])
         assert np.array_equal(rep.bound, want.mean(axis=0))
+        # Scalar `math.exp` for every task: numpy's exp differs in the last bit on a few percent of them.
+        want_c_b = [math.exp(b) if c_b_override is None else c_b_override for b in rep.b_values.tolist()]
+        assert rep.c_b_values.tolist() == want_c_b
 
     def test_c_b_override_scales_bound(self):
         cfg = _cfg(k=3)

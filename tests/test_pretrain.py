@@ -602,6 +602,43 @@ class TestTrainGd:
         gap = np.linalg.norm(result.params.stacked - matching_student.stacked)
         assert gap <= 1e-6
 
+    def test_logs_each_iterates_loss_and_gradient_norm_bit_for_bit(self, matching_stats):
+        """The loss terms that do not depend on W are computed once, with no change in any bit."""
+        iters = 40
+        result = train_gd(matching_stats, max_iters=iters)
+        assert len(result.losses) == len(result.grad_norms) == iters + 1
+        mat = TwoChannelParams.zeros(matching_stats.k).stacked
+        for i in range(iters + 1):
+            if i:
+                mat = mat - result.step * grad
+            grad = gradient(mat, matching_stats)
+            assert result.losses[i] == loss_quadratic(mat, matching_stats)
+            assert result.grad_norms[i] == np.linalg.norm(grad)
+        assert np.array_equal(result.params.stacked, mat)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            dict(step=float("nan")),
+            dict(step=float("inf")),
+            dict(step=0.0),
+            dict(step=-1e-3),
+            dict(tol=float("nan")),
+            dict(tol=float("inf")),
+            dict(tol=-1e-9),
+        ],
+        ids=["step-nan", "step-inf", "step-zero", "step-negative", "tol-nan", "tol-inf", "tol-negative"],
+    )
+    def test_unusable_step_or_tol_rejected(self, matching_stats, setting):
+        with pytest.raises(InvalidConfigError, match="must be finite"):
+            train_gd(matching_stats, max_iters=10, **setting)
+
+    def test_nan_loss_is_a_blow_up(self, matching_stats):
+        init = TwoChannelParams.zeros(matching_stats.k)
+        init.w_n[0, 0] = np.nan
+        with pytest.raises(StepSizeError, match="nan"):
+            train_gd(matching_stats, max_iters=10, init=init)
+
 
 class TestSolveLs:
     def test_recovers_expert_channels(self, matching_cfg, matching_stats, matching_student):
