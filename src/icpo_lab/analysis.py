@@ -125,7 +125,7 @@ def kl_sandwich_check(
     """
     w = _stacked(tc)
     k = y.shape[-1]
-    # Next-step mixed policies on both sides.  The stored labels are
+    # Next-step mixed policies on both sides.  The labels are
     # projected logits, which is harmless: the mixture ignores constant
     # shifts.
     p_teacher = _floored_policy(y, gamma)

@@ -136,9 +136,6 @@ class MeIcpoResult:
         """Flat JSON-ready records, one per candidate per round."""
         records = []
         for rnd in self.rounds:
-            if rnd.skipped and not rnd.candidates:
-                records.append({"round": rnd.round_index, "skipped": True})
-                continue
             for j, cand in enumerate(rnd.candidates):
                 records.append(
                     {

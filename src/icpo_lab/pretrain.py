@@ -19,27 +19,29 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .bandit import _validate_simplex, arm_fold
+from .bandit import arm_fold
 from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
 from .loop import closed_loop, task_blocks
-from .lsa import TwoChannelParams, expert_two_channel, project
+from .lsa import TwoChannelParams, expert_two_channel, project, teacher_two_channel
 from .subspace import paired_helmert_basis
-from .teacher import TeacherConfig
+from .teacher import TeacherConfig, mix_policy
 
-DATASET_FORMAT_VERSION = 3
+DATASET_FORMAT_VERSION = 4
 DATASET_FILE = "dataset.bin"
 PARAMS_FORMAT_VERSION = 2
 
 
 def _layout(b: int, n: int, k: int) -> list[list]:
     """The stored arrays in file order as [name, little-endian dtype, shape],
-    the form in which the file header records them."""
+    the form in which the file header records them; B >= 1 and N >= 2."""
+    if b < 1:
+        raise InvalidConfigError(f"need at least one trajectory, got B={b}")
+    if n < 2:
+        raise InvalidConfigError(f"need at least two rounds, got N={n}")
     return [
         ["w", "<f8", [b, k]],
         ["actions", "<i8", [b, n]],
         ["rewards", "<f8", [b, n]],
-        ["logits", "<f8", [b, n - 1, k]],
-        ["policies", "<f8", [b, n - 1, k]],
     ]
 
 
@@ -47,10 +49,10 @@ def _layout(b: int, n: int, k: int) -> list[list]:
 class PretrainDataset:
     """B expert rollouts of N rounds, one row per task in stream-id order.
 
-    `logits[i, t-1]` holds the expert's next-step logits after prefix t of
-    task i and `policies[i, t-1]` the mixed policy that chose action t, for
-    t = 1..N-1.  `sha256` is the stored digest of the file the dataset was
-    loaded from, and None for a dataset built in memory.
+    Only the rollouts are kept: the labels and policies are fixed functions
+    of their prefixes and `cfg`, which `pair_matrices` evaluates.  `sha256`
+    is the stored digest of the file the dataset was loaded from, and None
+    for a dataset built in memory.
     """
 
     cfg: TeacherConfig
@@ -60,8 +62,6 @@ class PretrainDataset:
     w: np.ndarray  # (B, K)
     actions: np.ndarray  # (B, N) int64
     rewards: np.ndarray  # (B, N)
-    logits: np.ndarray  # (B, N-1, K)
-    policies: np.ndarray  # (B, N-1, K)
     sha256: str | None = None
 
     @property
@@ -83,15 +83,20 @@ class PretrainDataset:
     def pair_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Assemble (Z, Y, P): normalized statistics, projected labels, policies.
 
-        Rows are ordered trajectory-major then by prefix length, which fixes
-        the summation order of every moment estimate.  Prefix statistics are
-        running sums over one-hot actions, accumulated left to right.  Raises
+        Rows are ordered trajectory-major then by prefix length t = 1..N-1,
+        which fixes the summation order of every moment estimate.  Prefix
+        statistics are running sums over one-hot actions, accumulated left to
+        right.  Y = Z @ T^T with T = c Proj[V U], the teacher's projected
+        operators.  P's row t mixes the label of prefix t-1 (the policy that
+        chose action t), so each trajectory's first row is uniform.  Raises
         `InvalidConfigError` unless there are exactly B trajectories, each of
-        shape (N, K) with actions in [0, K).  P is a view of `policies`.
+        shape (N, K) with actions in [0, K).
         """
         self._validate()
-        k, n = self.cfg.k, self.n
-        # Z is built in place and the mask freed before Y exists: peak memory stays at (Z, Y).
+        k, n, m = self.cfg.k, self.n, self.m
+        # Z is built in place and the mask freed before P, and P's one buffer freed before Y:
+        # peak memory stays at Z plus two (M, K) arrays.  Both products run per trajectory: one
+        # (M, 2K) product raised peak RSS by 4 MiB at B = 1000, N = 30, K = 10 (OpenBLAS, 2 cores).
         actions, rewards = self.actions[:, : n - 1], self.rewards[:, : n - 1]
         onehot = actions[..., np.newaxis] == np.arange(k)
         z = np.zeros((self.b, n - 1, 2 * k))
@@ -103,20 +108,20 @@ class PretrainDataset:
         counts /= t
         sums /= t
         del onehot
-        z = z.reshape(self.m, 2 * k)
-        return z, project(self.logits.reshape(self.m, k)), self.policies.reshape(self.m, k)
+        ops = teacher_two_channel(self.cfg).stacked.T
+        prev = np.zeros((self.b, n - 1, k))  # the labels of prefixes 0..N-2
+        np.matmul(z[:, :-1], ops, out=prev[:, 1:])
+        p = mix_policy(prev.reshape(m, k), self.cfg.gamma)
+        del prev
+        return z.reshape(m, 2 * k), np.matmul(z, ops).reshape(m, k), p
 
 
 def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainDataset:
-    """Roll the expert for N steps on B independent tasks and record labels.
+    """Roll the expert for N steps on B independent tasks and record the rollouts.
 
     Each trajectory owns CRN stream id tau, so regeneration from (cfg, b, n,
     seed) is bit-exact; trajectories are stored in stream-id order.
     """
-    if b < 1:
-        raise InvalidConfigError(f"need at least one trajectory, got B={b}")
-    if n < 2:
-        raise InvalidConfigError(f"need at least two rounds, got N={n}")
     arrays = {name: np.zeros(shape, dtype) for name, dtype, shape in _layout(b, n, cfg.k)}
     ds = PretrainDataset(cfg, b, n, seed, **arrays)
     expert = expert_two_channel(cfg).stacked[np.newaxis]
@@ -125,9 +130,6 @@ def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainD
         for rnd in closed_loop(expert, w, uniforms, noise, cfg):
             ds.actions[rows, rnd.t - 1] = rnd.actions
             ds.rewards[rows, rnd.t - 1] = rnd.rewards
-            if rnd.t < n:
-                ds.policies[rows, rnd.t - 1] = rnd.policies[0]
-                ds.logits[rows, rnd.t - 1] = rnd.logits[0]
     return ds
 
 
@@ -372,8 +374,8 @@ def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
 
 
 def load_dataset(directory: str | Path) -> PretrainDataset:
-    """Read a dataset written by `save_dataset`; each array's dtype and shape must match B, N and K,
-    its float arrays must be finite, and every stored policy must pass `_validate_simplex`."""
+    """Read a dataset written by `save_dataset`: B >= 1 and N >= 2, each array's dtype and shape
+    must match B, N and K, and `w` and `rewards` must be finite."""
     directory = Path(directory)
     path = directory / DATASET_FILE
     if not path.exists():
@@ -390,18 +392,10 @@ def load_dataset(directory: str | Path) -> PretrainDataset:
         return _layout(b, n, cfg.k), (cfg, b, n, seed)
 
     (cfg, b, n, seed), arrays, digest = _read_container(path, "dataset", DATASET_FORMAT_VERSION, parse)
-    for name in ("w", "rewards", "logits", "policies"):
-        finite = np.isfinite(arrays[name]).all(axis=tuple(range(1, arrays[name].ndim)))
+    for name in ("w", "rewards"):
+        finite = np.isfinite(arrays[name]).all(axis=1)
         if not finite.all():
             raise InvalidConfigError(f"{path}: {name} of trajectory {np.argmin(finite)} is not finite")
-    try:
-        _validate_simplex(arrays["policies"])
-    except InvalidDistributionError:  # find the first trajectory at fault, and say why
-        for i, policies in enumerate(arrays["policies"]):
-            try:
-                _validate_simplex(policies)
-            except InvalidDistributionError as exc:
-                raise InvalidConfigError(f"{path}: policies of trajectory {i}: {exc}") from None
     return PretrainDataset(cfg, b, n, seed, **arrays, sha256=digest)
 
 

@@ -101,11 +101,13 @@ def softmax(s: np.ndarray) -> np.ndarray:
     this equals exp(s - max) / sum bit for bit; from K = 8 the normalizer
     can differ from numpy's pairwise row sum in the last bit.  The logits are
     taken arm-major (Fortran order) so that each pass reads one contiguous
-    column; the result keeps that layout.
+    column; the result is that one copy, worked on in place.
     """
-    s = np.asarray(s, dtype=float, order="F")
-    z = np.exp(s - arm_fold(np.maximum, s)[..., np.newaxis])
-    return z / arm_fold(np.add, z)[..., np.newaxis]
+    z = np.array(s, dtype=float, order="F")
+    z -= arm_fold(np.maximum, z)[..., np.newaxis]
+    np.exp(z, out=z)
+    z /= arm_fold(np.add, z)[..., np.newaxis]
+    return z
 
 
 def teacher_logits(history: History, cfg: TeacherConfig) -> np.ndarray:
@@ -129,7 +131,10 @@ def mix_policy(s: np.ndarray, gamma: float) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError("logits must be finite")
-    return (1.0 - gamma) * softmax(s) + gamma / s.shape[-1]
+    p = softmax(s)
+    p *= 1.0 - gamma
+    p += gamma / s.shape[-1]
+    return p
 
 
 def coverage_margin(cfg: TeacherConfig) -> float:

@@ -344,14 +344,14 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: {path}:10: [experiment] {problem}\n"
         assert not (tmp_path / "out" / "lemma_suite.json").exists()
 
-    def test_train_on_a_dataset_with_a_nan_policy_names_the_file(self, tmp_path, capsys):
+    def test_train_on_a_dataset_with_a_nan_reward_names_the_file(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         ds = generate_dataset(teacher_from_config(load_config(cfg)), b=8, n=6, seed=11)
-        ds.policies[5, 2, 0] = np.nan
+        ds.rewards[5, 2] = np.nan
         save_dataset(ds, tmp_path / "damaged")
         assert main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "damaged")]) == 2
         path = tmp_path / "damaged" / DATASET_FILE
-        assert capsys.readouterr().err == f"error: {path}: policies of trajectory 5 is not finite\n"
+        assert capsys.readouterr().err == f"error: {path}: rewards of trajectory 5 is not finite\n"
         assert not (tmp_path / "out" / "params.bin").exists()
 
     def test_params_header_records_dataset_digest(self, tmp_path):

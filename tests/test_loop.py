@@ -106,16 +106,26 @@ class TestClosedLoopKernel:
         cfg = _cfg(k=10, c=0.7, gamma=0.3, sigma_xi=0.5, h=np.diag(np.linspace(0.5, 3.0, 10)))
         n = 6
         b = 2 * BLOCK_ROWS + 76
+        expert = expert_two_channel(cfg)
+
+        def kernel_policies(tasks):
+            policies = np.zeros((tasks, n, cfg.k))
+            for rows, w, uniforms, noise in task_blocks(cfg, tasks, n, 31):
+                for rnd in closed_loop(expert.stacked[np.newaxis], w, uniforms, noise, cfg):
+                    policies[rows, rnd.t - 1] = rnd.policies[0]
+            return policies
+
         small = generate_dataset(cfg, b=3, n=n, seed=31)
         large = generate_dataset(cfg, b=b, n=n, seed=31)
-        for field in ("w", "actions", "rewards", "logits", "policies"):
+        for field in ("w", "actions", "rewards"):
             assert np.array_equal(getattr(small, field), getattr(large, field)[:3])
-        expert = expert_two_channel(cfg)
+        policies = kernel_policies(b)
+        assert np.array_equal(kernel_policies(3), policies[:3])
         for tau in (0, BLOCK_ROWS - 1, BLOCK_ROWS, b - 1):
             single = rollout(expert, large.w[tau], cfg, n, CrnStream(31, tau))
             assert np.array_equal(single.actions, large.actions[tau])
             assert np.array_equal(single.rewards, large.rewards[tau])
-            assert np.array_equal(single.policies[: n - 1], large.policies[tau])
+            assert np.array_equal(single.policies, policies[tau])
 
     def test_running_logits_equal_the_full_product(self):
         """Every yielded logits array is ops @ [counts | reward sums] / t, rebuilt

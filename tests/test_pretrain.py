@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from icpo_lab import atomic
+from icpo_lab.bandit import History
 from icpo_lab.errors import (
     InvalidConfigError,
     InvalidDistributionError,
@@ -18,6 +19,8 @@ from icpo_lab.errors import (
 from icpo_lab.lsa import TwoChannelParams, project, teacher_two_channel
 from icpo_lab.pretrain import (
     DATASET_FILE,
+    _layout,
+    _write_container,
     default_step,
     empirical_stats,
     fisher_matrix,
@@ -32,7 +35,7 @@ from icpo_lab.pretrain import (
     train_gd,
 )
 from icpo_lab.subspace import helmert_basis, restricted_eigenvalues
-from icpo_lab.teacher import TeacherConfig, mix_policy
+from icpo_lab.teacher import TeacherConfig, mix_policy, teacher_logits
 
 
 def _small_cfg(**kwargs):
@@ -41,7 +44,7 @@ def _small_cfg(**kwargs):
     return TeacherConfig(**defaults)
 
 
-ARRAY_FIELDS = ("w", "actions", "rewards", "logits", "policies")
+ARRAY_FIELDS = ("w", "actions", "rewards")
 
 
 def _assert_same_arrays(d1, d2):
@@ -68,20 +71,18 @@ def _rewrite(path, header=None, body=None):
 
 
 def _reference_pair_matrices(ds):
-    """Prefix statistics accumulated one step at a time."""
+    """Each prefix replayed into a `History`: its statistics, the expert's
+    projected logits on it, and the mixed policy of the prefix one shorter."""
     k = ds.cfg.k
     z, y, p = np.zeros((ds.m, 2 * k)), np.zeros((ds.m, k)), np.zeros((ds.m, k))
     row = 0
-    for i in range(ds.b):
-        n_vec, g_vec = np.zeros(k), np.zeros(k)
+    for actions, rewards in zip(ds.actions, ds.rewards):
+        history = History(k)
         for t in range(1, ds.n):
-            a = int(ds.actions[i, t - 1])
-            n_vec[a] += 1.0
-            g_vec[a] += ds.rewards[i, t - 1]
-            z[row, :k] = n_vec / t
-            z[row, k:] = g_vec / t
-            y[row] = project(ds.logits[i, t - 1])
-            p[row] = ds.policies[i, t - 1]
+            p[row] = mix_policy(teacher_logits(history, ds.cfg), ds.cfg.gamma)
+            history.append(int(actions[t - 1]), rewards[t - 1])
+            z[row] = np.concatenate([history.n, history.g]) / t
+            y[row] = project(teacher_logits(history, ds.cfg))
             row += 1
     return z, y, p
 
@@ -95,7 +96,7 @@ class TestGenerateDataset:
 
     def test_full_exploration_policies_are_uniform(self):
         ds = generate_dataset(_small_cfg(gamma=1.0), b=1, n=3, seed=0)
-        assert np.array_equal(ds.policies[0], np.full((2, 4), 0.25))
+        assert np.array_equal(ds.pair_matrices()[2], np.full((2, 4), 0.25))
 
     def test_pair_count(self):
         ds = generate_dataset(_small_cfg(), b=7, n=5, seed=1)
@@ -110,19 +111,18 @@ class TestGenerateDataset:
             generate_dataset(_small_cfg(), b=1, n=1, seed=0)
 
     def test_labels_match_recorded_prefix_statistics(self):
-        """Stored logits equal a fresh evaluation of the update rule per prefix."""
+        """Derived labels equal a fresh evaluation of the update rule per prefix."""
         cfg = _small_cfg()
         ds = generate_dataset(cfg, b=3, n=6, seed=4)
         z, y, _ = ds.pair_matrices()
         row = 0
-        for actions, rewards, logits in zip(ds.actions, ds.rewards, ds.logits):
+        for actions, rewards in zip(ds.actions, ds.rewards):
             for t in range(1, ds.n):
                 n_vec = np.bincount(actions[:t], minlength=cfg.k).astype(float)
                 g_vec = np.zeros(cfg.k)
                 for a, r in zip(actions[:t], rewards[:t]):
                     g_vec[a] += r
                 s = (cfg.c / t) * (cfg.u @ g_vec + cfg.v @ n_vec)
-                assert np.allclose(logits[t - 1], s, atol=1e-12)
                 assert np.allclose(z[row, : cfg.k], n_vec / t, atol=1e-15)
                 assert np.allclose(y[row], project(s), atol=1e-12)
                 row += 1
@@ -148,9 +148,20 @@ class TestGenerateDataset:
 
 class TestPairMatrices:
     def test_equals_stepwise_reference(self, matching_dataset):
-        for ds in (matching_dataset, generate_dataset(_small_cfg(), b=7, n=5, seed=1)):
+        h = np.diag(np.linspace(0.5, 3.0, 4))
+        for ds in (matching_dataset, generate_dataset(_small_cfg(h=h), b=7, n=5, seed=1)):
             for got, want in zip(ds.pair_matrices(), _reference_pair_matrices(ds)):
-                assert np.array_equal(got, want)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("k", [2, 5, 10, 16])
+    def test_policies_start_uniform_and_lie_on_the_simplex(self, k, gamma):
+        ds = generate_dataset(_small_cfg(k=k, gamma=gamma, c=3.0), b=6, n=12, seed=k)
+        p = ds.pair_matrices()[2]
+        eps = np.finfo(float).eps
+        assert np.abs(p.reshape(ds.b, ds.n - 1, k)[:, 0] - 1.0 / k).max() <= eps
+        assert p.min() >= 0.0
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= 4 * k * eps
 
     def test_missing_trajectory_rejected(self):
         ds = generate_dataset(_small_cfg(), b=4, n=5, seed=2)
@@ -161,8 +172,8 @@ class TestPairMatrices:
 
     def test_wrong_shape_rejected(self):
         ds = generate_dataset(_small_cfg(), b=4, n=5, seed=2)
-        ds = dataclasses.replace(ds, logits=ds.logits[:, :-1])
-        with pytest.raises(InvalidConfigError, match=r"logits has shape \(4, 3, 4\), expected \(4, 4, 4\)"):
+        ds = dataclasses.replace(ds, rewards=ds.rewards[:, :-1])
+        with pytest.raises(InvalidConfigError, match=r"rewards has shape \(4, 4\), expected \(4, 5\)"):
             ds.pair_matrices()
 
     def test_action_out_of_range_rejected(self):
@@ -178,7 +189,7 @@ class TestDatasetIntegrity:
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
         path = tmp_path / DATASET_FILE
         blob = path.read_bytes()
-        path.write_bytes(blob[: -8 * (4 + 5 + 5 + 2 * 4 * 4)])
+        path.write_bytes(blob[: -8 * (4 + 5 + 5)])
         with pytest.raises(InvalidConfigError, match="SHA-256"):
             load_dataset(tmp_path)
 
@@ -239,7 +250,7 @@ class TestDatasetIntegrity:
         [
             (lambda h: h.update(b=3), "header lists arrays"),
             (lambda h: h["arrays"][1].__setitem__(1, "<f8"), "header lists arrays"),
-            (lambda h: h["arrays"][3][2].__setitem__(1, 5), "header lists arrays"),
+            (lambda h: h["arrays"][2][2].__setitem__(1, 6), "header lists arrays"),
             (lambda h: h.update(version=2), "unsupported dataset version 2"),
             (lambda h: h.pop("seed"), "malformed header"),
         ],
@@ -265,9 +276,7 @@ class TestDatasetIntegrity:
             load_dataset(tmp_path)
         assert str(info.value) == f"{path}: malformed header: step-size constant must be > 0, got -1.0"
 
-    @pytest.mark.parametrize(
-        "name, value", [("w", np.nan), ("rewards", np.inf), ("logits", -np.inf), ("policies", np.nan)]
-    )
+    @pytest.mark.parametrize("name, value", [("w", np.nan), ("rewards", np.inf), ("rewards", -np.inf)])
     def test_non_finite_value_names_the_file_array_and_trajectory(self, tmp_path, name, value):
         """`save_dataset` hashes the arrays as given, so the loader checks their values."""
         ds = generate_dataset(_small_cfg(), b=4, n=5, seed=12)
@@ -278,20 +287,43 @@ class TestDatasetIntegrity:
         assert str(info.value) == f"{tmp_path / DATASET_FILE}: {name} of trajectory 2 is not finite"
 
     @pytest.mark.parametrize(
-        "edit, problem",
+        "b, n, problem",
         [
-            (lambda p: p.__imul__(2.0), "probabilities sum to"),
-            (lambda p: p.__iadd__([-0.5, 0.5, 0.0, 0.0]), "negative probability"),
+            (0, 5, "need at least one trajectory, got B=0"),
+            (2, 1, "need at least two rounds, got N=1"),
+            (2, 0, "need at least two rounds, got N=0"),
         ],
-        ids=["sum", "negative"],
     )
-    def test_policy_off_the_simplex_names_the_file_and_trajectory(self, tmp_path, edit, problem):
-        ds = generate_dataset(_small_cfg(), b=4, n=5, seed=12)
-        edit(ds.policies[3, 1])
-        save_dataset(ds, tmp_path)
+    def test_header_size_rules_behind_a_valid_digest(self, tmp_path, b, n, problem):
+        """The loader applies `generate_dataset`'s size rules, so no empty dataset reaches training."""
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        _, header = _header(path.read_bytes())
+        header.update(b=b, n=n)
+        _rewrite(path, header=header)
         with pytest.raises(InvalidConfigError) as info:
             load_dataset(tmp_path)
-        assert str(info.value).startswith(f"{tmp_path / DATASET_FILE}: policies of trajectory 3: {problem}")
+        assert str(info.value) == f"{path}: malformed header: {problem}"
+
+    def test_file_holds_only_the_rollouts(self, tmp_path):
+        b, n, k = 4, 5, 4
+        save_dataset(generate_dataset(_small_cfg(k=k), b=b, n=n, seed=12), tmp_path)
+        blob = (tmp_path / DATASET_FILE).read_bytes()
+        size, header = _header(blob)
+        assert header["version"] == 4
+        assert [name for name, _, _ in header["arrays"]] == ["w", "actions", "rewards"]
+        assert len(blob) == 40 + size + 8 * b * (k + 2 * n)
+
+    def test_format_version_3_rejected(self, tmp_path):
+        """A format 3 file, which also stored logits and policies, names its version."""
+        b, n, k = 2, 3, 4
+        layout = _layout(b, n, k) + [["logits", "<f8", [b, n - 1, k]], ["policies", "<f8", [b, n - 1, k]]]
+        header = dict(version=3, teacher=_small_cfg(k=k).to_dict(), b=b, n=n, seed=12)
+        arrays = {name: np.zeros(shape, dtype) for name, dtype, shape in layout}
+        _write_container(tmp_path / DATASET_FILE, header, layout, arrays)
+        with pytest.raises(InvalidConfigError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == f"{tmp_path / DATASET_FILE}: unsupported dataset version 3"
 
     def test_loaded_arrays_are_read_only_views(self, tmp_path):
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
@@ -372,7 +404,7 @@ class TestDatasetIntegrity:
 
         monkeypatch.setattr("icpo_lab.pretrain.write_atomic", spy)
         save_dataset(ds, tmp_path)
-        assert sizes[-5:] == [getattr(ds, field).nbytes for field in ARRAY_FIELDS]
+        assert sizes[-3:] == [getattr(ds, field).nbytes for field in ARRAY_FIELDS]
         assert sum(sizes) == (tmp_path / DATASET_FILE).stat().st_size
 
 
