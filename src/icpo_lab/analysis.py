@@ -14,7 +14,7 @@ import numpy as np
 from .bandit import arm_fold
 from .errors import InvalidConfigError, InvalidDistributionError
 from .lsa import TwoChannelParams
-from .pretrain import FisherStats, PretrainDataset, _stacked, fisher_matrix, gradient, loss_quadratic
+from .pretrain import FisherStats, PretrainDataset, _stacked, fisher_matrix, gradient, loss_quadratic, pair_stats
 from .subspace import helmert_basis, paired_helmert_basis, restricted_eigenvalues
 from .teacher import mix_policy, softmax
 
@@ -189,7 +189,6 @@ def _chunks(total: int) -> list[int]:
 
 def run_lemma_suite(
     ds: PretrainDataset,
-    fs: FisherStats,
     seed: int = 0,
     spectrum_samples: int = 10_000,
     lipschitz_samples: int = 100_000,
@@ -200,7 +199,8 @@ def run_lemma_suite(
 
     Each entry records the sample count and the worst slack observed, where
     slack >= 0 means the inequality held.  The sandwich's upper constant is
-    K/(4 gamma), so the teacher's gamma must be > 0.
+    K/(4 gamma), so the teacher's gamma must be > 0.  The pair matrices are
+    built once: the Fisher statistics and the sandwich's (Z, Y) share them.
     """
     k = ds.cfg.k
     gamma = ds.cfg.gamma
@@ -233,7 +233,8 @@ def run_lemma_suite(
 
     # Pair d is W_n then W_g, drawn in the same order as one pair at a time.
     pairs = rng.normal(size=(sandwich_draws, 2, k, k)) * sandwich_scale
-    z, y, _ = ds.pair_matrices()
+    z, y, p = ds.pair_matrices()
+    fs = pair_stats(z, y, p)
     sample = kl_sandwich_check(np.concatenate([pairs[:, 0], pairs[:, 1]], axis=-1), z, y, fs.gamma_hat, gamma)
     slacks = np.concatenate([sample.lower_slack, sample.upper_slack])
     report["checks"]["kl_sandwich"] = {

@@ -255,7 +255,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         dsec = config.require("dataset", "b", "n", "seed")
         ds = config.build("dataset", generate_dataset, cfg, **dsec)
         checks = _pick(sec, "spectrum_samples", "lipschitz_samples", "sandwich_draws", "sandwich_scale")
-        report = config.build("experiment", run_lemma_suite, ds, empirical_stats(ds), seed=seed, **checks)
+        report = config.build("experiment", run_lemma_suite, ds, seed=seed, **checks)
         sidecar["dataset"] = config.raw["dataset"]
         _write_json({"config": sidecar, "report": report}, out / "lemma_suite.json")
         print(f"lemma suite {'passed' if report['passed'] else 'FAILED'}; wrote {out}")

@@ -3,7 +3,7 @@
 Two deterministic mocks cover the test surface (a strict FIFO script and a
 pure function of the request, which also backs the offline demo generator);
 the HTTP client speaks the common JSON chat-completion shape with bearer
-auth, timeouts, and retries.
+auth, timeouts, and retries, over its own small HTTP/1.1 reader and writer.
 
 `Generator.generate(requests, then=None)` is the one way to request text.
 Slot i of its result answers `requests[i]`; with `then`, slot n + i answers
@@ -22,9 +22,12 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from ..errors import GeneratorError, InvalidConfigError
+
+if TYPE_CHECKING:
+    from .wire import Connection, RequestHeaders
 
 
 def count_tokens(text: str) -> int:
@@ -198,9 +201,18 @@ class HttpGenerator(Generator):
     without a retry.  `timeout` bounds each socket operation.  Proxy
     variables are not honoured.
 
+    The wire code, in `wire`, is HTTP/1.1 on a socket with `TCP_NODELAY`
+    (wrapped by `ssl` for `https://`).  Each POST is one `sendall` of a head
+    encoded once per call, its `Content-Length` and its body.  A response is
+    read as a status line, header fields under lower-cased names, then a
+    chunked, `Content-Length` or read-to-close body.  Protocol errors raise
+    `http.client`'s exception classes, so they are retried as transport
+    errors.
+
     Everything runs in the calling thread.  A request takes an idle keep-alive
     connection, or opens one, and its response puts the connection back in the
-    idle queue unless the server will close it; `close` closes the idle ones.
+    idle queue unless the server will close it or sent bytes past the
+    response; `close` closes the idle ones.
     """
 
     def __init__(
@@ -227,21 +239,35 @@ class HttpGenerator(Generator):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._host, self._port = url.hostname, url.port
+        default_port = 443 if url.scheme == "https" else 80
+        self._host, self._port = url.hostname, url.port or default_port
+        self._netloc = f"[{self._host}]" if ":" in self._host else self._host
+        if self._port != default_port:
+            self._netloc += f":{self._port}"
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if any(c <= " " or c == "\x7f" for c in self._path):
+            raise InvalidConfigError(f"endpoint path must not hold spaces or control characters, got {self._path!r}")
         self._tls = None
         if url.scheme == "https":
             import ssl
 
             self._tls = ssl.create_default_context()
-        self._idle: list = []
+        self._idle: list[Connection] = []
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json", "User-Agent": "icpo-lab"}
+    def _headers(self) -> RequestHeaders:
+        """This call's request header fields, and the request head `_send` writes before each body."""
+        headers = {
+            "Host": self._netloc,
+            "Accept-Encoding": "identity",
+            "Content-Type": "application/json",
+            "User-Agent": "icpo-lab",
+        }
         key = os.environ.get(self.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        return headers
+        from .wire import RequestHeaders
+
+        return RequestHeaders(f"POST {self._path} HTTP/1.1", headers)
 
     def _payload(self, request: GeneratorRequest) -> dict:
         return {
@@ -253,14 +279,13 @@ class HttpGenerator(Generator):
             "n": request.n,
         }
 
-    def _connection(self):
+    def _connection(self) -> Connection:
         """An idle keep-alive connection the peer has not closed, else a new one.
 
         A socket the peer closed polls readable (end of file), as does one
         holding bytes no request asked for; either is discarded before a
         request is spent on it.
         """
-        import http.client
         import select
 
         while self._idle:
@@ -270,33 +295,36 @@ class HttpGenerator(Generator):
             if not poll.poll(0):
                 return conn
             conn.close()
-        if self._tls is not None:
-            return http.client.HTTPSConnection(self._host, self._port, timeout=self.timeout, context=self._tls)
-        return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+        from .wire import Connection
 
-    def _send(self, body: bytes, headers: dict):
-        """Write one POST of `body` and return its connection, for `_receive`; or raise."""
+        return Connection.open(self._host, self._port, self.timeout, self._tls)
+
+    def _send(self, body: bytes, headers: RequestHeaders) -> Connection:
+        """Write one POST of `body` with one `sendall` and return its connection, for `_receive`; or raise."""
         conn = self._connection()
         try:
-            conn.request("POST", self._path, body=body, headers=headers)
+            conn.sock.sendall(b"%s%d\r\n\r\n%s" % (headers.head, len(body), body))
         except BaseException:
             conn.close()
             raise
         return conn
 
-    def _receive(self, conn) -> tuple[int, Mapping, bytes]:
-        """Read (status, headers, body) from `conn`, then queue it as idle unless the server closes it."""
+    def _receive(self, conn: Connection) -> tuple[int, Mapping, bytes]:
+        """Read (status, headers, body) from `conn`, then queue it as idle unless it is done.
+
+        It is done when the server will close it, or when it holds bytes past
+        the response, which no request asked for.
+        """
         try:
-            resp = conn.getresponse()
-            data = resp.read()
+            status, headers, body, keep_alive = conn.read_response()
         except BaseException:
             conn.close()
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        if keep_alive and not conn.buffer:
             self._idle.append(conn)
-        return resp.status, resp.headers, data
+        else:
+            conn.close()
+        return status, headers, body
 
     def close(self) -> None:
         """Close the idle connections; a later request opens new ones."""

@@ -159,8 +159,12 @@ class FisherStats:
 
 def empirical_stats(ds: PretrainDataset) -> FisherStats:
     """Average Fisher weights and second moments over all M prefix pairs."""
-    z, y, p = ds.pair_matrices()
-    m = ds.m
+    return pair_stats(*ds.pair_matrices())
+
+
+def pair_stats(z: np.ndarray, y: np.ndarray, p: np.ndarray) -> FisherStats:
+    """`FisherStats` of the pair matrices (Z, Y, P) that `PretrainDataset.pair_matrices` builds."""
+    m = z.shape[0]
     gamma_hat = np.diag(p.mean(axis=0)) - (p.T @ p) / m
     return FisherStats(
         gamma_hat=gamma_hat,

@@ -243,7 +243,6 @@ class TestCriterion6LemmaSuite:
         fs = empirical_stats(margin_ds)
         report = run_lemma_suite(
             margin_ds,
-            fs,
             seed=0,
             spectrum_samples=10_000,
             lipschitz_samples=99_999,

@@ -203,9 +203,8 @@ class TestGradientOracle:
 
 class TestLemmaSuite:
     def test_report_passes_on_margin_config(self, margin_dataset):
-        fs = empirical_stats(margin_dataset)
         report = run_lemma_suite(
-            margin_dataset, fs, seed=0, spectrum_samples=500, lipschitz_samples=3000, sandwich_draws=10
+            margin_dataset, seed=0, spectrum_samples=500, lipschitz_samples=3000, sandwich_draws=10
         )
         assert report["passed"]
         assert set(report["checks"]) == {
@@ -218,6 +217,13 @@ class TestLemmaSuite:
         }
         for check in report["checks"].values():
             assert check["worst_slack"] >= -1e-10
+
+    def test_pair_matrices_are_built_once(self, margin_dataset, monkeypatch):
+        """The Fisher statistics and the KL sandwich share one build of (Z, Y, P)."""
+        builds, build = [], type(margin_dataset).pair_matrices
+        monkeypatch.setattr(type(margin_dataset), "pair_matrices", lambda ds: builds.append(ds) or build(ds))
+        run_lemma_suite(margin_dataset, seed=0, spectrum_samples=10, lipschitz_samples=30, sandwich_draws=2)
+        assert builds == [margin_dataset]
 
 
 def _reference_lemma_sweep(ds, fs, seed, spectrum_samples, lipschitz_samples, sandwich_draws, scale=0.3):
@@ -351,7 +357,7 @@ class TestBatchedChecks:
         """
         fs = empirical_stats(margin_dataset)
         counts = dict(spectrum_samples=analysis.LEMMA_CHUNK + 300, lipschitz_samples=3 * 1100, sandwich_draws=4)
-        report = run_lemma_suite(margin_dataset, fs, seed=3, **counts)
+        report = run_lemma_suite(margin_dataset, seed=3, **counts)
         want = _reference_lemma_sweep(margin_dataset, fs, seed=3, **counts)
         checks = report["checks"]
         assert checks["fisher_spectrum"]["samples"] == counts["spectrum_samples"]
