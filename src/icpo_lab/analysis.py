@@ -234,7 +234,7 @@ def run_lemma_suite(
     # Pair d is W_n then W_g, drawn in the same order as one pair at a time.
     pairs = rng.normal(size=(sandwich_draws, 2, k, k)) * sandwich_scale
     z, y, p = ds.pair_matrices()
-    fs = pair_stats(z, y, p)
+    fs = pair_stats([(z, y, p)])
     sample = kl_sandwich_check(np.concatenate([pairs[:, 0], pairs[:, 1]], axis=-1), z, y, fs.gamma_hat, gamma)
     slacks = np.concatenate([sample.lower_slack, sample.upper_slack])
     report["checks"]["kl_sandwich"] = {

@@ -37,8 +37,9 @@ from .pretrain import (
     generate_dataset,
     gradient,
     load_dataset,
-    load_params,
+    load_params,  # unused here, but perfbench/workloads.py imports it from this module
     loss_quadratic,
+    read_params,
     save_dataset,
     save_params,
     solve_ls,
@@ -219,6 +220,10 @@ def _train(config: Config, ds: PretrainDataset, out: Path) -> Path:
         log_lines.append(f"0,{_fmt(loss_quadratic(tc, fs))},{_fmt(np.linalg.norm(gradient(tc, fs)))}")
     elif solver == "gd":
         result = config.build("training", train_gd, fs, **_pick(sec, "step", "max_iters", "tol"))
+        if not result.converged:
+            iters, gnorm = len(result.losses) - 1, result.grad_norms[-1]
+            stopped = f"gradient descent stopped after {iters} iterations without converging"
+            print(f"warning: {stopped}: |grad| {gnorm:.3e} > tol {result.tol:.3e}", file=sys.stderr)
         tc = result.params
         for i, (loss, gnorm) in enumerate(zip(result.losses, result.grad_norms)):
             log_lines.append(f"{i},{_fmt(loss)},{_fmt(gnorm)}")
@@ -264,7 +269,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     config.require("experiment", "b_test", "n", *(("s", "delta_r") if kind == "shock" else ()))
     if args.params is None:
         raise InvalidConfigError(f"experiment kind {kind!r} needs --params")
-    tc = load_params(args.params, cfg)
+    tc, fitted_from = read_params(args.params, cfg)
+    sidecar.update(fitted_from)
     if kind == "matching":
         report = config.build("experiment", matching_experiment, cfg, tc, seed=seed, **_pick(sec, "b_test", "n"))
         _write_csv(out / "matching.csv", "round,mean,std", report.rounds, report.mean, report.std)

@@ -32,8 +32,9 @@ from .errors import InvalidConfigError
 from .lsa import TwoChannelParams, expert_two_channel
 from .teacher import TeacherConfig, mix_policy
 
-# Rows stepped together by `closed_loop`.  Bounds the working set: one
-# block's per-round arrays are all that is held, whatever the task count.
+# Rows stepped together by `closed_loop`, and prefix rows per block of
+# `pretrain.empirical_stats`.  Bounds the working set: one block's arrays
+# are all that is held, whatever the task count.
 # A round pays a fixed numpy call overhead of about 100 us, so the cost per
 # row-round falls up to 2048 rows and then levels off or rises (2-core x86-64,
 # numpy 2.4: K = 10, R = 2 took 574, 398 and 431 ns per row-round at 512,
@@ -238,7 +239,9 @@ class ShockReport:
     rounds: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    bound: np.ndarray  # per-task envelopes averaged; zero before the shock round
+    # Per-task envelopes averaged; zero before the shock round.  It bounds `mean`, the drift
+    # averaged over the same tasks (criterion 5); one task's drift may exceed its own envelope.
+    bound: np.ndarray
     s: int
     delta_r: float
     b_test: int
@@ -272,6 +275,11 @@ def shock_experiment(
     covers the policy one step ahead, so round u >= s+1 uses t = u-1; round s
     itself (where the measured drift is identically zero by coupling) carries
     the envelope's peak value.
+
+    The guarantee (acceptance criterion 5) is on averages over tasks: the mean
+    drift over the b_test tasks stays at or below the mean of their envelopes,
+    round by round.  It is not a per-task claim, and a single task's drift
+    may exceed its own envelope.
     """
     _check_run_size(b_test, n)
     if not 1 <= s <= n:

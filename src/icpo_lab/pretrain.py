@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 from .atomic import write_atomic
 from .bandit import arm_fold
 from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
-from .loop import closed_loop, task_blocks
+from .loop import BLOCK_ROWS, closed_loop, task_blocks
 from .lsa import TwoChannelParams, expert_two_channel, project, teacher_two_channel
 from .subspace import paired_helmert_basis
 from .teacher import TeacherConfig, mix_policy
@@ -80,7 +81,7 @@ class PretrainDataset:
         if bad.size:
             raise InvalidConfigError(f"trajectory {bad[0]} has an action outside [0, {k})")
 
-    def pair_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pair_matrices(self, tasks: slice | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Assemble (Z, Y, P): normalized statistics, projected labels, policies.
 
         Rows are ordered trajectory-major then by prefix length t = 1..N-1,
@@ -88,18 +89,24 @@ class PretrainDataset:
         statistics are running sums over one-hot actions, accumulated left to
         right.  Y = Z @ T^T with T = c Proj[V U], the teacher's projected
         operators.  P's row t mixes the label of prefix t-1 (the policy that
-        chose action t), so each trajectory's first row is uniform.  Raises
-        `InvalidConfigError` unless there are exactly B trajectories, each of
-        shape (N, K) with actions in [0, K).
+        chose action t), so each trajectory's first row is uniform.  Without
+        `tasks`, raises `InvalidConfigError` unless there are exactly B
+        trajectories, each of shape (N, K) with actions in [0, K), and builds
+        them all; with it, builds the rows of those trajectories only, of a
+        dataset the caller has checked (`empirical_stats` checks once).
         """
-        self._validate()
-        k, n, m = self.cfg.k, self.n, self.m
+        if tasks is None:
+            self._validate()
+            tasks = slice(None)
+        k, n = self.cfg.k, self.n
         # Z is built in place and the mask freed before P, and P's one buffer freed before Y:
-        # peak memory stays at Z plus two (M, K) arrays.  Both products run per trajectory: one
-        # (M, 2K) product raised peak RSS by 4 MiB at B = 1000, N = 30, K = 10 (OpenBLAS, 2 cores).
-        actions, rewards = self.actions[:, : n - 1], self.rewards[:, : n - 1]
+        # peak memory stays at this build's Z plus two (rows, K) arrays.  Both products run per
+        # trajectory, so a row's bits do not depend on the range it is built in; one (M, 2K)
+        # product raised peak RSS by 4 MiB at B = 1000, N = 30, K = 10 (OpenBLAS, 2 cores).
+        actions, rewards = self.actions[tasks, : n - 1], self.rewards[tasks, : n - 1]
+        b = len(actions)
         onehot = actions[..., np.newaxis] == np.arange(k)
-        z = np.zeros((self.b, n - 1, 2 * k))
+        z = np.zeros((b, n - 1, 2 * k))
         counts, sums = z[..., :k], z[..., k:]
         np.cumsum(onehot, axis=1, dtype=float, out=counts)
         np.copyto(sums, rewards[..., np.newaxis], where=onehot)
@@ -109,11 +116,11 @@ class PretrainDataset:
         sums /= t
         del onehot
         ops = teacher_two_channel(self.cfg).stacked.T
-        prev = np.zeros((self.b, n - 1, k))  # the labels of prefixes 0..N-2
+        prev = np.zeros((b, n - 1, k))  # the labels of prefixes 0..N-2
         np.matmul(z[:, :-1], ops, out=prev[:, 1:])
-        p = mix_policy(prev.reshape(m, k), self.cfg.gamma)
+        p = mix_policy(prev.reshape(-1, k), self.cfg.gamma)
         del prev
-        return z.reshape(m, 2 * k), np.matmul(z, ops).reshape(m, k), p
+        return z.reshape(-1, 2 * k), np.matmul(z, ops).reshape(-1, k), p
 
 
 def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainDataset:
@@ -158,19 +165,29 @@ class FisherStats:
 
 
 def empirical_stats(ds: PretrainDataset) -> FisherStats:
-    """Average Fisher weights and second moments over all M prefix pairs."""
-    return pair_stats(*ds.pair_matrices())
+    """Average Fisher weights and second moments over all M prefix pairs, built and summed
+    in blocks of whole trajectories: at most `BLOCK_ROWS` pairs, or one trajectory when
+    N - 1 is more.  Memory does not grow with B, and up to BLOCK_ROWS pairs are one block."""
+    ds._validate()
+    per_block = max(1, BLOCK_ROWS // (ds.n - 1))
+    return pair_stats(ds.pair_matrices(slice(i, i + per_block)) for i in range(0, ds.b, per_block))
 
 
-def pair_stats(z: np.ndarray, y: np.ndarray, p: np.ndarray) -> FisherStats:
-    """`FisherStats` of the pair matrices (Z, Y, P) that `PretrainDataset.pair_matrices` builds."""
-    m = z.shape[0]
-    gamma_hat = np.diag(p.mean(axis=0)) - (p.T @ p) / m
+def pair_stats(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> FisherStats:
+    """`FisherStats` of the pair matrices (Z, Y, P) that `PretrainDataset.pair_matrices` builds,
+    given as one or more blocks of rows.  Z^T Z, Y^T Z, Y^T Y, P^T P and P's column sums are
+    summed in block order, starting from the first block's, and divided by M once."""
+    m, sums = 0, None
+    for z, y, p in blocks:
+        m += len(z)
+        terms = [z.T @ z, y.T @ z, y.T @ y, p.T @ p, p.sum(axis=0)]
+        sums = terms if sums is None else [total + term for total, term in zip(sums, terms)]
+    zz, yz, yy, pp, p_sums = sums
     return FisherStats(
-        gamma_hat=gamma_hat,
-        sigma_bar=(z.T @ z) / m,
-        sigma_yz=(y.T @ z) / m,
-        sigma_yy=(y.T @ y) / m,
+        gamma_hat=np.diag(p_sums / m) - pp / m,
+        sigma_bar=zz / m,
+        sigma_yz=yz / m,
+        sigma_yy=yy / m,
         m=m,
     )
 
@@ -233,7 +250,8 @@ class TrainResult:
     losses: np.ndarray  # loss_quadratic before each update, plus the final value
     grad_norms: np.ndarray
     step: float
-    converged: bool
+    tol: float
+    converged: bool  # the last gradient norm is at most `tol`
 
 
 def default_step(fs: FisherStats) -> float:
@@ -257,6 +275,8 @@ def train_gd(
     `max_iters` updates.  Raises if the loss blows up by 1000x or turns NaN,
     which only happens when the step exceeds the stable range.
     """
+    if max_iters < 0:
+        raise InvalidConfigError(f"max_iters must be >= 0, got {max_iters}")
     if step is None:
         step = default_step(fs)
     if not (math.isfinite(step) and step > 0):
@@ -270,13 +290,11 @@ def train_gd(
     losses = [_loss(mat, fs, *label_terms)]
     grad_norms = []
     blowup = 1e3 * max(abs(losses[0]), 1e-12)
-    converged = False
     for _ in range(max_iters):
         grad = gradient(mat, fs)
         gnorm = float(np.linalg.norm(grad))
         grad_norms.append(gnorm)
         if gnorm <= tol:
-            converged = True
             break
         mat = mat - step * grad
         loss = _loss(mat, fs, *label_terms)
@@ -290,7 +308,8 @@ def train_gd(
         losses=np.asarray(losses),
         grad_norms=np.asarray(grad_norms),
         step=step,
-        converged=converged,
+        tol=tol,
+        converged=grad_norms[-1] <= tol,
     )
 
 
@@ -420,6 +439,13 @@ def save_params(tc: TwoChannelParams, path: str | Path, ds: PretrainDataset, tra
 def load_params(path: str | Path, cfg: TeacherConfig | None = None) -> TwoChannelParams:
     """Read a parameter file written by `save_params`: finite operators and, with `cfg`, the
     same teacher.  Format 1 (no digest: uint32 K and 1, then 2*K*K float64) is to be retrained."""
+    return read_params(path, cfg)[0]
+
+
+def read_params(path: str | Path, cfg: TeacherConfig | None = None) -> tuple[TwoChannelParams, dict]:
+    """`load_params`, and what the operators were fitted from: the file's stored digest
+    (`params_sha256`) and its header's dataset digest (`dataset_sha256`, None if the
+    dataset was built in memory)."""
     path = Path(path)
 
     def format_1(blob: bytes) -> str | None:
@@ -428,11 +454,13 @@ def load_params(path: str | Path, cfg: TeacherConfig | None = None) -> TwoChanne
             return f"{path} is a format 1 parameter file, with no digest or teacher; retrain it"
 
     def parse(header: dict) -> tuple:
-        return _params_layout(TeacherConfig.from_dict(header["teacher"]).k), header["teacher"]
+        fields = header["teacher"], header["dataset_sha256"]
+        return _params_layout(TeacherConfig.from_dict(fields[0]).k), fields
 
-    teacher, arrays, _ = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse, format_1)
+    fields, arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse, format_1)
+    teacher, dataset_sha256 = fields
     if cfg is not None and (differ := [key for key, value in cfg.to_dict().items() if teacher.get(key) != value]):
         raise InvalidConfigError(f"{path} was trained for a different [teacher]: {', '.join(differ)} differ")
     if not all(np.isfinite(array).all() for array in arrays.values()):
         raise InvalidConfigError(f"{path}: parameter values must be finite")
-    return TwoChannelParams(**arrays)
+    return TwoChannelParams(**arrays), {"params_sha256": digest, "dataset_sha256": dataset_sha256}

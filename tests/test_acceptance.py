@@ -235,6 +235,27 @@ class TestCriterion5ShockStability:
         assert elapsed < 120.0
 
 
+# Two teachers from a random sweep (ROADMAP item 21) in which single tasks drift above their
+# own envelopes, by up to 1.72 and 1.12 times: (teacher, n, s, delta_r, training and test seed).
+PER_TASK_EXCEEDANCE_TEACHERS = [
+    (dict(k=2, c=0.991, gamma=0.780, lam=0.110, tau_w=1.110, sigma_xi=0.526), 14, 1, -0.423, 72, 73),
+    (dict(k=3, c=0.960, gamma=0.207, lam=0.341, tau_w=0.992, sigma_xi=0.234), 12, 3, -0.262, 129, 130),
+]
+
+
+@pytest.mark.parametrize("teacher, n, s, delta_r, train_seed, test_seed", PER_TASK_EXCEEDANCE_TEACHERS)
+def test_criterion_5_holds_on_average_over_tasks(teacher, n, s, delta_r, train_seed, test_seed):
+    """Criterion 5 compares the mean drift over tasks with the mean envelope, and it holds at
+    both teachers: the largest ratio of the two over the rounds is about 0.254 and 0.169."""
+    cfg = TeacherConfig(**teacher)
+    student = solve_ls(empirical_stats(generate_dataset(cfg, b=200, n=max(5, n), seed=train_seed)))
+    report = shock_experiment(cfg, student, b_test=128, n=n, s=s, delta_r=delta_r, seed=test_seed)
+    assert np.all(report.mean[: s - 1] == 0.0)
+    ratio = report.mean[s - 1 :] / report.bound[s - 1 :]
+    name = f"5c mean drift below mean envelope, K = {cfg.k}"
+    _report(name, bool(ratio.max() <= 1.0), f"max ratio {ratio.max():.3f}")
+
+
 class TestCriterion6LemmaSuite:
     def test_randomized_suite_all_hold(self):
         start = time.perf_counter()

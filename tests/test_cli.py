@@ -370,6 +370,25 @@ class TestPipeline:
         assert params[0] == params[1]
         assert digests[0] == digests[1] != digests[2]
 
+    @pytest.mark.parametrize("kind", ["matching", "shock"])
+    def test_sidecar_names_the_parameters_and_dataset_it_ran(self, tmp_path, kind):
+        """Two trainings on two dataset seeds: each sidecar holds its own parameter file's
+        stored digest and the dataset digest from that file's header."""
+        cfg = _write_config(tmp_path)
+        if kind == "shock":
+            cfg.write_text(cfg.read_text().replace("kind = matching", "kind = shock\ns = 2\ndelta_r = 0.5"))
+        sidecars, stored = [], []
+        for seed in ("11", "99"):
+            out = tmp_path / seed
+            main(["generate", "--config", str(cfg), "--out", str(out), "--seed-override", seed])
+            main(["train", "--config", str(cfg), "--dataset", str(out / "dataset"), "--out", str(out)])
+            params = out / "params.bin"
+            assert main(["experiment", "--config", str(cfg), "--params", str(params), "--out", str(out)]) == 0
+            sidecars.append(json.loads((out / f"{kind}.json").read_text()))
+            stored.append([(out / name).read_bytes()[:32].hex() for name in ("params.bin", f"dataset/{DATASET_FILE}")])
+        assert [[s["params_sha256"], s["dataset_sha256"]] for s in sidecars] == stored
+        assert stored[0][0] != stored[1][0] and stored[0][1] != stored[1][1]
+
     def test_params_of_another_teacher_are_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         out = tmp_path / "out"
@@ -537,6 +556,36 @@ class TestPipeline:
         line = text.splitlines().index("[training]") + 1
         assert capsys.readouterr().err == f"error: {path}:{line}: [training] {message}\n"
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_negative_max_iters_names_file_line_and_section(self, tmp_path, capsys):
+        """A negative max_iters used to write the zero operators and exit 0."""
+        path = _write_config(tmp_path, solver="gd")
+        text = path.read_text().replace("solver = gd", "solver = gd\nmax_iters = -3")
+        path.write_text(text)
+        dataset = tmp_path / "dataset"
+        save_dataset(generate_dataset(TeacherConfig(k=3), b=4, n=3, seed=0), dataset)
+        assert main(["train", "--config", str(path), "--dataset", str(dataset)]) == 2
+        line = text.splitlines().index("[training]") + 1
+        assert capsys.readouterr().err == f"error: {path}:{line}: [training] max_iters must be >= 0, got -3\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_gd_that_stops_short_says_so(self, tmp_path, capsys):
+        """Training still writes its files and exits 0, but one line names the iterations, |grad| and tol."""
+        path = _write_config(tmp_path, solver="gd")
+        out = tmp_path / "out"
+        main(["generate", "--config", str(path)])
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--dataset", str(out / "dataset")]) == 0
+        assert capsys.readouterr().err == ""  # converged: no warning
+        path.write_text(path.read_text().replace("solver = gd", "solver = gd\nmax_iters = 3"))
+        assert main(["train", "--config", str(path), "--dataset", str(out / "dataset")]) == 0
+        captured = capsys.readouterr()
+        rows = (out / "train_log.csv").read_text().splitlines()
+        assert len(rows) == 5  # header, the start and three updates
+        gnorm = float(rows[-1].split(",")[2])
+        stopped = "gradient descent stopped after 3 iterations without converging"
+        assert captured.err == f"warning: {stopped}: |grad| {gnorm:.3e} > tol 1.000e-10\n"
+        assert captured.out == f"wrote {out / 'params.bin'}\n"
 
     @pytest.mark.parametrize(
         "key, value, message",

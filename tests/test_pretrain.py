@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from icpo_lab.errors import (
     RankDeficiencyError,
     StepSizeError,
 )
+from icpo_lab.loop import BLOCK_ROWS
 from icpo_lab.lsa import TwoChannelParams, project, teacher_two_channel
 from icpo_lab.pretrain import (
     DATASET_FILE,
+    PretrainDataset,
     _layout,
     _write_container,
     default_step,
@@ -30,6 +33,7 @@ from icpo_lab.pretrain import (
     loss_direct,
     loss_quadratic,
     operator_norm,
+    pair_stats,
     save_dataset,
     solve_ls,
     train_gd,
@@ -482,6 +486,87 @@ class TestEmpiricalStats:
         assert np.linalg.eigvalsh(matching_stats.gamma_hat).min() >= -1e-10
 
 
+def _stats_fields(fs):
+    return [fs.gamma_hat, fs.sigma_bar, fs.sigma_yz, fs.sigma_yy]
+
+
+def _spy_on_builds(monkeypatch):
+    """The (Z, Y, P) of every `pair_matrices` call, in call order."""
+    builds, build = [], PretrainDataset.pair_matrices
+
+    def spy(ds, *args):
+        builds.append(build(ds, *args))
+        return builds[-1]
+
+    monkeypatch.setattr(PretrainDataset, "pair_matrices", spy)
+    return builds
+
+
+class TestStreamedStats:
+    """`empirical_stats` builds and sums blocks of whole trajectories of at most BLOCK_ROWS rows."""
+
+    def test_blocks_agree_with_one_full_build(self, monkeypatch):
+        n = 30
+        per_block = BLOCK_ROWS // (n - 1)
+        ds = generate_dataset(_small_cfg(h=np.diag([0.5, 1.0, 2.0, 3.0])), b=2 * per_block + 3, n=n, seed=6)
+        full = ds.pair_matrices()
+        builds = _spy_on_builds(monkeypatch)
+        fs = empirical_stats(ds)
+        assert [len(z) for z, _, _ in builds] == [per_block * (n - 1)] * 2 + [3 * (n - 1)]
+        for got, want in zip(zip(*builds), full):  # each block's rows are the full build's, bit for bit
+            assert np.array_equal(np.concatenate(got), want)
+        want = pair_stats([full])
+        assert fs.m == want.m == ds.m
+        for got, ref in zip(_stats_fields(fs), _stats_fields(want)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("b, n", [(200, 5), (200, 8), (BLOCK_ROWS // 32, 33)])
+    def test_one_block_is_reduced_bit_for_bit_as_before(self, b, n):
+        """The shock and lemma-suite sizes, and a dataset of exactly BLOCK_ROWS pairs, are one block."""
+        ds = generate_dataset(_small_cfg(), b=b, n=n, seed=3)
+        z, y, p = ds.pair_matrices()
+        m = len(z)
+        want = [np.diag(p.mean(axis=0)) - (p.T @ p) / m, (z.T @ z) / m, (y.T @ z) / m, (y.T @ y) / m]
+        for got, ref in zip(_stats_fields(empirical_stats(ds)), want):
+            assert np.array_equal(got, ref)
+
+    def test_a_trajectory_longer_than_a_block_is_a_block_of_its_own(self, monkeypatch):
+        n = BLOCK_ROWS + 2
+        ds = generate_dataset(_small_cfg(k=2), b=3, n=n, seed=4)
+        full = ds.pair_matrices()
+        builds = _spy_on_builds(monkeypatch)
+        fs = empirical_stats(ds)
+        assert [len(z) for z, _, _ in builds] == [n - 1] * 3
+        for got, ref in zip(_stats_fields(fs), _stats_fields(pair_stats([full]))):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_peak_memory_does_not_grow_with_b(self):
+        cfg, n = _small_cfg(k=10), 30
+        rng = np.random.default_rng(8)
+        peaks = []
+        for b in (400, 4000):
+            actions = rng.integers(0, cfg.k, size=(b, n))
+            ds = PretrainDataset(cfg, b, n, 0, rng.normal(size=(b, cfg.k)), actions, rng.normal(size=(b, n)))
+            tracemalloc.start()
+            try:
+                empirical_stats(ds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_the_dataset_is_checked_once(self, monkeypatch):
+        ds = generate_dataset(_small_cfg(), b=BLOCK_ROWS // 4 + 1, n=5, seed=2)
+        checks, check = [], PretrainDataset._validate
+        monkeypatch.setattr(PretrainDataset, "_validate", lambda ds: checks.append(ds) or check(ds))
+        builds = _spy_on_builds(monkeypatch)
+        empirical_stats(ds)
+        assert len(builds) == 2 and len(checks) == 1
+        ds.actions[-1, 0] = ds.cfg.k
+        with pytest.raises(InvalidConfigError, match=f"trajectory {ds.b - 1} has an action"):
+            empirical_stats(ds)
+
+
 class TestLosses:
     def test_quadratic_equals_direct(self, matching_dataset, matching_stats):
         rng = np.random.default_rng(17)
@@ -664,6 +749,17 @@ class TestTrainGd:
     def test_unusable_step_or_tol_rejected(self, matching_stats, setting):
         with pytest.raises(InvalidConfigError, match="must be finite"):
             train_gd(matching_stats, max_iters=10, **setting)
+
+    def test_negative_max_iters_rejected(self, matching_stats):
+        with pytest.raises(InvalidConfigError, match="max_iters must be >= 0, got -3"):
+            train_gd(matching_stats, max_iters=-3)
+
+    def test_converged_means_the_last_gradient_is_within_tol(self, matching_stats, matching_student):
+        short = train_gd(matching_stats, max_iters=3, tol=1e-10)
+        assert not short.converged and short.tol == 1e-10 and short.grad_norms[-1] > 1e-10
+        assert len(short.losses) == len(short.grad_norms) == 4
+        at_optimum = train_gd(matching_stats, max_iters=0, tol=1e-8, init=matching_student)
+        assert at_optimum.converged and len(at_optimum.grad_norms) == 1
 
     def test_nan_loss_is_a_blow_up(self, matching_stats):
         init = TwoChannelParams.zeros(matching_stats.k)
