@@ -117,8 +117,10 @@ def kl_sandwich_check(
     """Mean KL between expert and student mixed policies vs the weighted quadratic,
     on the pair matrices (Z, Y) of `PretrainDataset.pair_matrices`.
 
-    The sandwich holds per pair against the un-halved quadratic residual, so
-    mean KL is trapped between (1-gamma)^2/4 and K/(4 gamma) times its mean.
+    The claim is on means over the M pairs, for each operator: mean KL lies
+    between (1-gamma)^2/4 and K/(4 gamma) times the mean un-halved quadratic
+    residual.  It is not a per-pair claim: weighted by the averaged Gamma,
+    single pairs of the matching preset's dataset fall below the lower bound.
     Also takes stacked operators W = [W_n  W_g] of shape (D, K, 2K): the
     expert side is built once and each pair's student side in turn, and the
     means then hold one entry per pair, equal to a call with that pair alone.
@@ -179,7 +181,14 @@ def gamma_min_restricted(gamma_hat: np.ndarray) -> float:
 
 
 def pl_constant(gamma_hat: np.ndarray, sigma_bar: np.ndarray) -> float:
-    """Gradient-dominance constant: product of the two restricted minima."""
+    """Gradient-dominance constant: product of the two restricted minima.
+
+    A property of one dataset's statistics.  The PL inequality holds with it
+    for operators whose rows lie in the paired zero-sum subspace; `train_gd`'s
+    iterates keep zero column sums but not that row restriction, and over them
+    the constant uses Sigma's unrestricted minimum, which is no larger.  No code
+    checks that gap; criterion 7 asks only for half the predicted rate.
+    """
     return gamma_min_restricted(gamma_hat) * sigma_min_restricted(sigma_bar)
 
 
@@ -198,9 +207,14 @@ def run_lemma_suite(
     """Randomized sweep over every check; returns a JSON-ready report.
 
     Each entry records the sample count and the worst slack observed, where
-    slack >= 0 means the inequality held.  The sandwich's upper constant is
-    K/(4 gamma), so the teacher's gamma must be > 0.  The pair matrices are
-    built once: the Fisher statistics and the sandwich's (Z, Y) share them.
+    slack >= 0 means the inequality held on every sample: a counterexample if
+    negative, no proof if not.  The spectrum window and the Lipschitz bound
+    are claims for every input, the sandwich for the mean over this dataset's
+    pairs at each drawn operator, restricted PD and the PL floor for this one
+    dataset; the gradient check is a round-off tolerance.  The sandwich's
+    upper constant is K/(4 gamma), so the teacher's gamma must be > 0.  The
+    pair matrices are built once: the Fisher statistics and the sandwich's
+    (Z, Y) share them.
     """
     k = ds.cfg.k
     gamma = ds.cfg.gamma

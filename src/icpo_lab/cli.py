@@ -94,7 +94,7 @@ def _find_line(path: Path, section: str, key: str | None = None) -> int:
             in_section = line == f"[{section}]"
         elif key is not None and in_section:
             name = line.split("=", 1)[0].split(":", 1)[0].strip()
-            if name == key:
+            if name.lower() == key:  # configparser lower-cases key names
                 return lineno
     return 0
 
@@ -231,7 +231,6 @@ def _train(config: Config, ds: PretrainDataset, out: Path) -> Path:
         raise config.invalid("training", "solver", solver, "is not 'ls' or 'gd'")
     params_path = out / "params.bin"
     save_params(tc, params_path, ds, config.raw.get("training", {}))
-    (out / "params.json").unlink(missing_ok=True)  # an earlier version's sidecar, which no longer matches
     write_atomic(out / "train_log.csv", "\n".join(log_lines) + "\n")
     return params_path
 

@@ -160,10 +160,6 @@ class MatchingReport:
     rounds: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    b_test: int
-    n: int
-    seed: int
-    cfg: TeacherConfig
 
 
 def _check_run_size(b_test: int, n: int) -> None:
@@ -195,10 +191,6 @@ def matching_experiment(
         rounds=np.arange(1, n + 1),
         mean=gaps.mean(axis=0),
         std=gaps.std(axis=0),
-        b_test=b_test,
-        n=n,
-        seed=seed,
-        cfg=cfg,
     )
 
 
@@ -244,10 +236,7 @@ class ShockReport:
     bound: np.ndarray
     s: int
     delta_r: float
-    b_test: int
     n: int
-    seed: int
-    cfg: TeacherConfig
     a: float
     b_values: np.ndarray = field(repr=False)
     c_b_values: np.ndarray = field(repr=False)
@@ -320,10 +309,7 @@ def shock_experiment(
         bound=bounds.mean(axis=0),
         s=s,
         delta_r=delta_r,
-        b_test=b_test,
         n=n,
-        seed=seed,
-        cfg=cfg,
         a=a_const,  # the same for every task
         b_values=b_values,
         c_b_values=c_b_values,

@@ -79,21 +79,6 @@ class LsaParams:
         ]
         return max(defects)
 
-    def query_overlap_defect(self) -> float:
-        """Size of the query self-attention term the two-channel form drops.
-
-        The query column also attends to itself, adding
-        (1^T phi_1 / t) * Proj(W_pv11 @ q_x) to the projected logits.  The
-        two-channel operators reproduce the network exactly only when this
-        vanishes: either the action block of the transformed query sums to
-        zero, or the value block maps the query direction onto itself.  The
-        teacher construction satisfies the latter whenever the regularizer
-        inverse fixes the all-ones direction (identity included).
-        """
-        k = self.k
-        phi_1 = (self.w_kq @ self.query)[:k]
-        return float(np.abs(phi_1.sum() * project(self.w_pv[:k, :k] @ self.q_x)).max())
-
 
 @dataclass
 class TwoChannelParams:
@@ -197,7 +182,9 @@ def extract_two_channel(params: LsaParams) -> TwoChannelParams:
     With b = W_kq q split as (phi_1; phi_2), the channels are
     W_n = Proj(W_pv11 Diag(phi_1)) and W_g = Proj(phi_2 W_pv11).  The
     resulting operators match the projected network output exactly only when
-    `params.query_overlap_defect()` also vanishes; see that method.
+    the query's attention to itself, (1^T phi_1 / t) Proj(W_pv11 q_x), also
+    vanishes; the teacher construction satisfies this whenever H^-1 maps the
+    all-ones direction onto itself (identity included).
     """
     defect = params.normal_form_defect()
     if defect > NORMAL_FORM_ATOL:

@@ -29,7 +29,6 @@ class RunMetrics:
     per_question_mean: list[float] = field(default_factory=list)
     per_question_first: list[int] = field(default_factory=list)
     per_question_maj: list[int] = field(default_factory=list)
-    accounting: Optional[dict] = None
 
     def to_dict(self) -> dict:
         return {
@@ -42,7 +41,6 @@ class RunMetrics:
             "per_question_mean": self.per_question_mean,
             "per_question_first": self.per_question_first,
             "per_question_maj": self.per_question_maj,
-            "accounting": self.accounting,
         }
 
 

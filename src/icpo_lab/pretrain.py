@@ -15,6 +15,7 @@ import math
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,12 @@ class PretrainDataset:
         """Number of training pairs, B * (N - 1)."""
         return self.b * (self.n - 1)
 
+    @cached_property
+    def _label_ops(self) -> np.ndarray:
+        """(2K, K) transpose of the teacher's projected operators c Proj[V U], built once per
+        dataset: every block that `pair_matrices` builds maps Z through it."""
+        return teacher_two_channel(self.cfg).stacked.T
+
     def _validate(self) -> None:
         """Raise `InvalidConfigError` unless the arrays fit B, N and K and every action is in [0, K)."""
         k = self.cfg.k
@@ -115,7 +122,7 @@ class PretrainDataset:
         counts /= t
         sums /= t
         del onehot
-        ops = teacher_two_channel(self.cfg).stacked.T
+        ops = self._label_ops
         prev = np.zeros((b, n - 1, k))  # the labels of prefixes 0..N-2
         np.matmul(z[:, :-1], ops, out=prev[:, 1:])
         p = mix_policy(prev.reshape(-1, k), self.cfg.gamma)
@@ -319,7 +326,11 @@ def solve_ls(fs: FisherStats) -> TwoChannelParams:
 
     Works in a 2(K-1)-dimensional Helmert coordinate system per channel;
     inverting the full 2K x 2K moment would be numerically fragile along the
-    constant directions.
+    constant directions.  Exact recovery holds per dataset, not on average:
+    when the restricted moment is positive definite (checked here), the
+    result is the teacher's c Proj[V U] up to round-off if that operator is in
+    the class, i.e. if H^-1 maps the all-ones direction onto itself (H = I
+    included).  For other H it is not, and nothing here detects that.
     """
     k = fs.k
     basis = paired_helmert_basis(k)
@@ -350,16 +361,14 @@ def _write_container(path: Path, header: dict, layout: list[list], arrays: dict)
     write_atomic(path, [digest.digest(), *buffers])
 
 
-def _read_container(path: Path, kind: str, version: int, parse, older=None) -> tuple:
+def _read_container(path: Path, kind: str, version: int, parse) -> tuple:
     """(fields, arrays, digest hex) of a container.  The digest is checked before anything is
-    parsed (`older(blob)` may then name an older format), then the version; `parse(header)`
-    gives (the layout the header implies, its fields), which the header must list and the file
-    end with; a header `parse` rejects, range errors included, is malformed.  The arrays are
-    read-only views of the file's bytes."""
+    parsed, then the version; `parse(header)` gives (the layout the header implies, its fields),
+    which the header must list and the file end with; a header `parse` rejects, range errors
+    included, is malformed.  The arrays are read-only views of the file's bytes."""
     blob = path.read_bytes()
     if len(blob) < 40 or hashlib.sha256(memoryview(blob)[32:]).digest() != blob[:32]:
-        damaged = f"{path}: SHA-256 does not match the stored digest (file damaged or edited)"
-        raise InvalidConfigError((older and older(blob)) or damaged)
+        raise InvalidConfigError(f"{path}: SHA-256 does not match the stored digest (file damaged or edited)")
     (size,) = struct.unpack_from("<Q", blob, 32)
     try:
         header = json.loads(blob[40 : 40 + size])
@@ -380,33 +389,21 @@ def _read_container(path: Path, kind: str, version: int, parse, older=None) -> t
 
 def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
     """Write `ds` to DATASET_FILE in `directory`; the bytes depend on the dataset alone.
-
-    Once the file is in place, the files of a format 1 or 2 dataset in
-    `directory` (`manifest.json`, `config.json`, `traj_*.bin`) are removed.
-    """
+    No other file in `directory` is touched."""
     ds._validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = dict(version=DATASET_FORMAT_VERSION, teacher=ds.cfg.to_dict(), b=ds.b, n=ds.n, seed=ds.seed)
     layout = _layout(ds.b, ds.n, ds.cfg.k)
     _write_container(directory / DATASET_FILE, header, layout, {name: getattr(ds, name) for name, _, _ in layout})
-    if (directory / "manifest.json").exists():  # a format 1 or 2 dataset this one replaces
-        for stale in [directory / "manifest.json", directory / "config.json", *directory.glob("traj_*.bin")]:
-            stale.unlink(missing_ok=True)
     return directory
 
 
 def load_dataset(directory: str | Path) -> PretrainDataset:
     """Read a dataset written by `save_dataset`: B >= 1 and N >= 2, each array's dtype and shape
     must match B, N and K, and `w` and `rewards` must be finite."""
-    directory = Path(directory)
-    path = directory / DATASET_FILE
+    path = Path(directory) / DATASET_FILE
     if not path.exists():
-        if (directory / "manifest.json").exists():
-            raise InvalidConfigError(
-                f"{directory} holds a format 1 or 2 dataset (manifest.json, one file per trajectory); "
-                f"format {DATASET_FORMAT_VERSION} is a single file, so regenerate the dataset"
-            )
         raise InvalidConfigError(f"dataset not found: {path}")
 
     def parse(header: dict) -> tuple:
@@ -438,7 +435,7 @@ def save_params(tc: TwoChannelParams, path: str | Path, ds: PretrainDataset, tra
 
 def load_params(path: str | Path, cfg: TeacherConfig | None = None) -> TwoChannelParams:
     """Read a parameter file written by `save_params`: finite operators and, with `cfg`, the
-    same teacher.  Format 1 (no digest: uint32 K and 1, then 2*K*K float64) is to be retrained."""
+    same teacher."""
     return read_params(path, cfg)[0]
 
 
@@ -448,16 +445,11 @@ def read_params(path: str | Path, cfg: TeacherConfig | None = None) -> tuple[Two
     dataset was built in memory)."""
     path = Path(path)
 
-    def format_1(blob: bytes) -> str | None:
-        k, version = struct.unpack_from("<II", blob) if len(blob) >= 8 else (0, 0)
-        if version == 1 and len(blob) == 8 + 16 * k * k:
-            return f"{path} is a format 1 parameter file, with no digest or teacher; retrain it"
-
     def parse(header: dict) -> tuple:
         fields = header["teacher"], header["dataset_sha256"]
         return _params_layout(TeacherConfig.from_dict(fields[0]).k), fields
 
-    fields, arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse, format_1)
+    fields, arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse)
     teacher, dataset_sha256 = fields
     if cfg is not None and (differ := [key for key, value in cfg.to_dict().items() if teacher.get(key) != value]):
         raise InvalidConfigError(f"{path} was trained for a different [teacher]: {', '.join(differ)} differ")

@@ -95,6 +95,17 @@ class TestConfigParsing:
         assert "bogus" in str(info.value)
         assert ":3:" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("K = abc", "[teacher] k = 'abc' is not an int"), ("Bogus = 1", "unknown key 'bogus' in [teacher]")],
+    )
+    def test_upper_case_key_errors_name_its_line(self, tmp_path, capsys, line, message):
+        """configparser lower-cases key names; the line is still found."""
+        path = tmp_path / "upper.ini"
+        path.write_text(f"[teacher]\n{line}\n")
+        assert main(["generate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[nonsense]\nx = 1\n")
@@ -233,19 +244,16 @@ class TestParamsFile:
             _params_file(tmp_path / "p.bin", TwoChannelParams.zeros(4))
         assert not (tmp_path / "p.bin").exists()
 
-    def test_format_1_file_is_rejected_with_a_message_to_retrain(self, tmp_path, capsys):
+    def test_format_1_file_fails_on_the_digest(self, tmp_path, capsys):
+        """A retired format holds no digest, so the digest check rejects it before anything is parsed."""
         rng = np.random.default_rng(1)
         path = tmp_path / "p.bin"
         path.write_bytes(_format_1(TwoChannelParams(w_n=rng.normal(size=(3, 3)), w_g=rng.normal(size=(3, 3)))))
-        message = f"{path} is a format 1 parameter file, with no digest or teacher; retrain it"
-        with pytest.raises(InvalidConfigError, match="format 1 parameter file"):
-            load_params(path)
         cfg = _write_config(tmp_path)
         assert main(["experiment", "--config", str(cfg), "--params", str(path)]) == 2
+        message = f"{path}: SHA-256 does not match the stored digest (file damaged or edited)"
         assert capsys.readouterr().err == f"error: {message}\n"
-        path.write_bytes(_format_1(TwoChannelParams.zeros(3))[:-1])  # not format 1 either: only damaged
-        with pytest.raises(InvalidConfigError, match="SHA-256 does not match"):
-            load_params(path)
+        assert not (tmp_path / "out" / "matching.csv").exists()
 
 
 class TestPipeline:
@@ -272,15 +280,6 @@ class TestPipeline:
         assert header["training"] == {"solver": "ls"}
         artifacts = ["dataset", "matching.csv", "matching.json", "params.bin", "train_log.csv"]
         assert sorted(p.name for p in out.iterdir()) == artifacts  # no params.json beside params.bin
-
-    def test_train_removes_a_params_json_left_by_an_earlier_version(self, tmp_path):
-        """That sidecar's `params_sha256` named the old `params.bin`, not the one written now."""
-        cfg = _write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["generate", "--config", str(cfg)]) == 0
-        (out / "params.json").write_text(json.dumps({"params_sha256": "a6b78f1b"}) + "\n")
-        assert main(["train", "--config", str(cfg), "--dataset", str(out / "dataset")]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["dataset", "params.bin", "train_log.csv"]
 
     def test_gd_solver_logs_monotone_loss(self, tmp_path):
         cfg = _write_config(tmp_path, solver="gd")
@@ -316,6 +315,17 @@ class TestPipeline:
         code = main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "nope")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_train_on_a_format_2_directory_names_the_missing_file(self, tmp_path, capsys):
+        """A directory in the retired per-trajectory layout holds no dataset of this version."""
+        cfg = _write_config(tmp_path)
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "manifest.json").write_text(json.dumps({"version": 2, "k": 3, "b": 1, "n": 3, "seed": 12}))
+        (old / "config.json").write_text(json.dumps({"version": 2}))
+        (old / "traj_00000.bin").write_bytes(b"\x00" * 8)
+        assert main(["train", "--config", str(cfg), "--dataset", str(old)]) == 2
+        assert capsys.readouterr().err == f"error: dataset not found: {old / DATASET_FILE}\n"
 
     def test_empty_dataset_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

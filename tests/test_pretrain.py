@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icpo_lab import atomic
+from icpo_lab import atomic, pretrain
 from icpo_lab.bandit import History
 from icpo_lab.errors import (
     InvalidConfigError,
@@ -343,30 +343,15 @@ class TestDatasetIntegrity:
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=13), tmp_path / "b")
         assert load_dataset(tmp_path / "a").sha256 != load_dataset(tmp_path / "b").sha256
 
-    def test_format_version_1_rejected_for_its_stream_layout(self, tmp_path):
-        for name in ("config.json", "manifest.json"):
-            (tmp_path / name).write_text(json.dumps({"version": 1, "k": 4, "b": 2, "n": 3, "seed": 12}))
-        (tmp_path / "traj_00000.bin").write_bytes(b"\x00" * 8)
-        with pytest.raises(InvalidConfigError, match="regenerate the dataset"):
-            load_dataset(tmp_path)
-
-    def test_format_version_2_directory_rejected(self, tmp_path):
-        """A directory the per-trajectory writer left behind names the fix."""
-        manifest = {"version": 2, "k": 4, "b": 1, "n": 3, "seed": 12, "trajectories": ["traj_00000.bin"]}
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        (tmp_path / "config.json").write_text(json.dumps({"version": 2}))
-        (tmp_path / "traj_00000.bin").write_bytes(b"\x00" * 8)
-        with pytest.raises(InvalidConfigError, match="format 1 or 2 dataset .*regenerate the dataset"):
-            load_dataset(tmp_path)
-
-    def test_save_over_a_format_2_directory_removes_its_files(self, tmp_path):
+    def test_save_leaves_files_it_did_not_write(self, tmp_path):
+        """Even the files of the retired per-trajectory layout stay where they are."""
         (tmp_path / "manifest.json").write_text(json.dumps({"version": 2}))
         (tmp_path / "config.json").write_text(json.dumps({"version": 2}))
-        for i in range(3):
-            (tmp_path / f"traj_{i:05d}.bin").write_bytes(b"\x00" * 8)
+        (tmp_path / "traj_00000.bin").write_bytes(b"\x00" * 8)
         (tmp_path / "notes.txt").write_text("kept")
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [DATASET_FILE, "notes.txt"]
+        names = sorted([DATASET_FILE, "config.json", "manifest.json", "notes.txt", "traj_00000.bin"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
         assert load_dataset(tmp_path).b == 4
 
     def test_missing_dataset_names_the_file(self, tmp_path):
@@ -565,6 +550,18 @@ class TestStreamedStats:
         ds.actions[-1, 0] = ds.cfg.k
         with pytest.raises(InvalidConfigError, match=f"trajectory {ds.b - 1} has an action"):
             empirical_stats(ds)
+
+
+def test_teacher_operators_are_built_once_per_dataset(monkeypatch):
+    """Every block's labels use the teacher's projected operators; a multi-block pass builds them once."""
+    calls, build = [], pretrain.teacher_two_channel
+    monkeypatch.setattr(pretrain, "teacher_two_channel", lambda cfg: calls.append(cfg) or build(cfg))
+    ds = generate_dataset(_small_cfg(), b=BLOCK_ROWS // 2 + 1, n=5, seed=2)
+    builds = _spy_on_builds(monkeypatch)
+    empirical_stats(ds)
+    assert len(builds) == 3 and len(calls) == 1
+    empirical_stats(ds)
+    assert len(calls) == 1
 
 
 class TestLosses:
