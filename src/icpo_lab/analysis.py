@@ -1,4 +1,5 @@
-"""Executable checks of the curvature, Lipschitz, sandwich, and PL facts.
+"""Executable checks of the curvature, Lipschitz, sandwich, and PL facts, and
+the zero-sum subspace basis they restrict to.
 
 Each function instantiates one inequality numerically and returns the
 quantities a caller needs to assert it, so the test suite and the lemma-suite
@@ -15,13 +16,36 @@ from .bandit import arm_fold
 from .errors import InvalidConfigError, InvalidDistributionError
 from .lsa import TwoChannelParams
 from .pretrain import FisherStats, PretrainDataset, _stacked, fisher_matrix, gradient, loss_quadratic, pair_stats
-from .subspace import helmert_basis, paired_helmert_basis, restricted_eigenvalues
 from .teacher import mix_policy, softmax
 
 # Samples per batch in the randomized sweep: bounds its working set, since
 # whole-sweep batches add tens of MiB of peak memory and no speed.
 LEMMA_CHUNK = 1024
 FD_EPS = 1e-5  # central-difference step of `finite_difference_gradient`
+
+
+def helmert_basis(k: int) -> np.ndarray:
+    """K x (K-1) matrix whose orthonormal columns span the zero-sum subspace.
+
+    Column j (1-based) is (1, ..., 1, -j, 0, ..., 0) / sqrt(j (j+1)) with j
+    leading ones.  The basis is fixed and fully deterministic, so every
+    restricted eigenvalue reported anywhere in the package is reproducible
+    bit for bit.
+    """
+    if k < 2:
+        raise ValueError(f"need K >= 2, got {k}")
+    q = np.zeros((k, k - 1))
+    for j in range(1, k):
+        q[:j, j - 1] = 1.0
+        q[j, j - 1] = -float(j)
+        q[:, j - 1] /= np.sqrt(j * (j + 1))
+    return q
+
+
+def restricted_eigenvalues(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric matrix m restricted to span(basis)."""
+    m = np.asarray(m, dtype=float)
+    return np.linalg.eigvalsh(basis.T @ m @ basis)
 
 
 def fisher_spectrum_check(p: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -165,12 +189,9 @@ def gradient_fd_relative_error(tc: TwoChannelParams, fs: FisherStats) -> float:
     return float(np.linalg.norm(analytic - numeric)) / scale
 
 
-def sigma_min_restricted(sigma_bar: np.ndarray) -> float:
-    """Smallest eigenvalue of the second moment on the paired zero-sum subspace."""
-    sigma_bar = np.asarray(sigma_bar, dtype=float)
-    k = sigma_bar.shape[0] // 2
-    eigs = restricted_eigenvalues(sigma_bar, paired_helmert_basis(k))
-    return float(eigs.min())
+def sigma_min(sigma_bar: np.ndarray) -> float:
+    """Smallest eigenvalue of the second moment of the normalized statistics."""
+    return float(np.linalg.eigvalsh(sigma_bar)[0])
 
 
 def gamma_min_restricted(gamma_hat: np.ndarray) -> float:
@@ -181,15 +202,15 @@ def gamma_min_restricted(gamma_hat: np.ndarray) -> float:
 
 
 def pl_constant(gamma_hat: np.ndarray, sigma_bar: np.ndarray) -> float:
-    """Gradient-dominance constant: product of the two restricted minima.
+    """Gradient-dominance constant: Gamma's minimum on the zero-sum subspace
+    times Sigma's smallest eigenvalue.
 
-    A property of one dataset's statistics.  The PL inequality holds with it
-    for operators whose rows lie in the paired zero-sum subspace; `train_gd`'s
-    iterates keep zero column sums but not that row restriction, and over them
-    the constant uses Sigma's unrestricted minimum, which is no larger.  No code
-    checks that gap; criterion 7 asks only for half the predicted rate.
+    A property of one dataset's statistics.  The PL inequality
+    ||grad||^2 >= 2 mu (loss - min loss) holds with it over operators with zero
+    column sums and free inputs: the class `train_gd`'s iterates live in and
+    `solve_ls` minimizes over, so it bounds gradient descent's linear rate.
     """
-    return gamma_min_restricted(gamma_hat) * sigma_min_restricted(sigma_bar)
+    return gamma_min_restricted(gamma_hat) * sigma_min(sigma_bar)
 
 
 def _chunks(total: int) -> list[int]:
@@ -210,11 +231,11 @@ def run_lemma_suite(
     slack >= 0 means the inequality held on every sample: a counterexample if
     negative, no proof if not.  The spectrum window and the Lipschitz bound
     are claims for every input, the sandwich for the mean over this dataset's
-    pairs at each drawn operator, restricted PD and the PL floor for this one
-    dataset; the gradient check is a round-off tolerance.  The sandwich's
-    upper constant is K/(4 gamma), so the teacher's gamma must be > 0.  The
-    pair matrices are built once: the Fisher statistics and the sandwich's
-    (Z, Y) share them.
+    pairs at each drawn operator, Sigma's positive definiteness and the PL
+    floor for this one dataset; the gradient check is a round-off tolerance.
+    The sandwich's upper constant is K/(4 gamma), so the teacher's gamma must
+    be > 0.  The pair matrices are built once: the Fisher statistics and the
+    sandwich's (Z, Y) share them.
     """
     k = ds.cfg.k
     gamma = ds.cfg.gamma
@@ -257,8 +278,8 @@ def run_lemma_suite(
         "worst_slack": float(slacks.min(initial=np.inf)),
     }
 
-    sig = sigma_min_restricted(fs.sigma_bar)
-    report["checks"]["sigma_restricted_pd"] = {"samples": fs.m, "worst_slack": sig}
+    sig = sigma_min(fs.sigma_bar)
+    report["checks"]["sigma_pd"] = {"samples": fs.m, "worst_slack": sig}
 
     worst = np.inf
     for _ in range(100):
@@ -268,7 +289,7 @@ def run_lemma_suite(
     report["checks"]["gradient_vs_fd"] = {"samples": 100, "worst_slack": worst}
 
     mu = pl_constant(fs.gamma_hat, fs.sigma_bar)
-    floor = (gamma / k) * sigma_min_restricted(fs.sigma_bar)
+    floor = (gamma / k) * sig
     report["checks"]["pl_constant"] = {
         "samples": fs.m,
         "mu": mu,

@@ -1,10 +1,12 @@
 """One-layer linear self-attention student.
 
-Three equivalent views of the same forward map are implemented side by side:
-the raw attention pass over the full embedding matrix, the query-column
-closed form q_x + (1/t) R G b, and the two-channel operator form
-Proj(s) = (W_n n + W_g g) / t that training and analysis work in.  The tests
-pin their pairwise agreement to 1e-10.
+Three views of the same forward map are implemented side by side: the raw
+attention pass over the full embedding matrix, the query-column closed form
+q_x + (1/t) R G b, and the two-channel operator form
+Proj(s) = (W_n n + W_g g) / t that training and analysis work in.  The first
+two agree for all weights; the operator form agrees with them for
+normal-form weights whose query attends to itself with no projected effect
+(`extract_two_channel`).  The tests pin each agreement to 1e-10.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ def extract_two_channel(params: LsaParams) -> TwoChannelParams:
     W_n = Proj(W_pv11 Diag(phi_1)) and W_g = Proj(phi_2 W_pv11).  The
     resulting operators match the projected network output exactly only when
     the query's attention to itself, (1^T phi_1 / t) Proj(W_pv11 q_x), also
-    vanishes; the teacher construction satisfies this whenever H^-1 maps the
+    vanishes.  For `realize_teacher_params` that term is
+    -(lambda K c / t) Proj(H^-1 1), zero only when lambda = 0 or H^-1 maps the
     all-ones direction onto itself (identity included).
     """
     defect = params.normal_form_defect()
@@ -204,8 +207,12 @@ def realize_teacher_params(cfg: TeacherConfig) -> LsaParams:
 
     Construction: the key-query top-left block is -lambda I (so phi_1 is
     constant at -lambda), its bottom row is 1/K (so phi_2 = 1), and the value
-    top-left block is c H^-1.  In closed loop these weights reproduce the
-    expert's mixed policy exactly.
+    top-left block is c H^-1.  The extracted operators equal the teacher's for
+    every H, but the network's own projected `closed_form_logits` differ from
+    the teacher's by exactly -(lambda K c / t) Proj(H^-1 1), the query's
+    attention to itself.  So the network realizes the expert's mixed policy
+    exactly when lambda = 0 or H^-1 maps the all-ones direction onto itself
+    (H = I included).
     """
     k = cfg.k
     w_kq = np.zeros((k + 1, k + 1))

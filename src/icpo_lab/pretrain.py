@@ -2,9 +2,8 @@
 
 Covers trajectory generation, the empirical Fisher weight and second moments,
 the weighted logit-matching loss in both per-pair and moment form, its
-analytic gradient, plain gradient descent, the exact restricted
-least-squares solve, and the digest-checked files that hold datasets and
-fitted operators.
+analytic gradient, plain gradient descent, the exact least-squares solve,
+and the digest-checked files that hold datasets and fitted operators.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .bandit import arm_fold
 from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
 from .loop import BLOCK_ROWS, closed_loop, task_blocks
 from .lsa import TwoChannelParams, expert_two_channel, project, teacher_two_channel
-from .subspace import paired_helmert_basis
 from .teacher import TeacherConfig, mix_policy
 
 DATASET_FORMAT_VERSION = 4
@@ -321,29 +319,20 @@ def train_gd(
 
 
 def solve_ls(fs: FisherStats) -> TwoChannelParams:
-    """Exact minimizer of the quadratic loss over operators supported on the
-    per-channel zero-sum subspace.
+    """Exact minimizer of the quadratic loss over operators with zero column sums
+    and free inputs, the class `train_gd`'s iterates live in: Proj(Sigma_yz Sigma^-1).
 
-    Works in a 2(K-1)-dimensional Helmert coordinate system per channel;
-    inverting the full 2K x 2K moment would be numerically fragile along the
-    constant directions.  Exact recovery holds per dataset, not on average:
-    when the restricted moment is positive definite (checked here), the
-    result is the teacher's c Proj[V U] up to round-off if that operator is in
-    the class, i.e. if H^-1 maps the all-ones direction onto itself (H = I
-    included).  For other H it is not, and nothing here detects that.
+    Gamma-hat annihilates the constants, so the loss sees W only through Proj(W),
+    and it is minimized where W Sigma = Sigma_yz.  Exact recovery holds per
+    dataset, not on average: when Sigma is positive definite (checked here), the
+    result is the teacher's c Proj[V U] up to round-off, for every SPD H.
     """
-    k = fs.k
-    basis = paired_helmert_basis(k)
-    reduced = basis.T @ fs.sigma_bar @ basis
-    eigs = np.linalg.eigvalsh(reduced)
-    if eigs.min() <= 1e-10:
-        raise RankDeficiencyError(
-            f"restricted second moment is singular (min eigenvalue {eigs.min():.3e})",
-            eigenvalue=float(eigs.min()),
-        )
-    rhs = fs.sigma_yz @ basis
-    coeffs = np.linalg.solve(reduced, rhs.T).T
-    return TwoChannelParams.from_stacked(project(coeffs @ basis.T, axis=0))  # exact zero column sums
+    eig_min = float(np.linalg.eigvalsh(fs.sigma_bar)[0])
+    if eig_min <= 1e-10:
+        raise RankDeficiencyError(f"second moment is singular (min eigenvalue {eig_min:.3e})", eigenvalue=eig_min)
+    # Sigma is symmetric, so solving Sigma X = Sigma_yz^T gives X^T = Sigma_yz Sigma^-1.
+    w = np.linalg.solve(fs.sigma_bar, fs.sigma_yz.T).T
+    return TwoChannelParams.from_stacked(project(w, axis=0))  # exact zero column sums
 
 
 def _write_container(path: Path, header: dict, layout: list[list], arrays: dict) -> None:

@@ -19,7 +19,7 @@ from icpo_lab.analysis import (
     kl_sandwich_check,
     pl_constant,
     run_lemma_suite,
-    sigma_min_restricted,
+    sigma_min,
 )
 from icpo_lab.cli import main
 from icpo_lab.lsa import (
@@ -283,16 +283,16 @@ class TestCriterion6LemmaSuite:
             )
             sample = kl_sandwich_check(tc, z, y, stats.gamma_hat, cfg.gamma)
             sandwich_ok = sandwich_ok and sample.lower_slack >= -1e-10 and sample.upper_slack >= -1e-10
-        restricted_pd = sigma_min_restricted(fs.sigma_bar)
+        sigma_pd = sigma_min(fs.sigma_bar)
         grad_rel = gradient_fd_relative_error(
             TwoChannelParams(w_n=rng.normal(size=(5, 5)), w_g=rng.normal(size=(5, 5))), fs
         )
         elapsed = time.perf_counter() - start
         _report(
             "6 lemma suite",
-            report["passed"] and sandwich_ok and restricted_pd > 0 and grad_rel <= 1e-6 and elapsed < 60.0,
+            report["passed"] and sandwich_ok and sigma_pd > 0 and grad_rel <= 1e-6 and elapsed < 60.0,
             f"worst slack {min(c['worst_slack'] for c in report['checks'].values()):.3e}, "
-            f"restricted PD {restricted_pd:.3e}, grad rel {grad_rel:.3e}, {elapsed:.1f}s",
+            f"sigma PD {sigma_pd:.3e}, grad rel {grad_rel:.3e}, {elapsed:.1f}s",
         )
 
 

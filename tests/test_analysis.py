@@ -8,18 +8,19 @@ from icpo_lab.analysis import (
     finite_difference_gradient,
     gamma_min_restricted,
     gradient_fd_relative_error,
+    helmert_basis,
     kl_divergence,
     kl_sandwich_check,
     pl_constant,
+    restricted_eigenvalues,
     run_lemma_suite,
-    sigma_min_restricted,
+    sigma_min,
     softmax_lipschitz_check,
 )
 from icpo_lab import analysis
 from icpo_lab.errors import InvalidDistributionError
 from icpo_lab.lsa import TwoChannelParams, teacher_two_channel
 from icpo_lab.pretrain import empirical_stats, fisher_matrix, gradient, loss_quadratic
-from icpo_lab.subspace import helmert_basis, paired_helmert_basis, restricted_eigenvalues
 from icpo_lab.teacher import coverage_margin, mix_policy, softmax
 
 
@@ -35,13 +36,6 @@ class TestHelmertBasis:
             q = helmert_basis(k)
             assert np.allclose(q.T @ q, np.eye(k - 1), atol=1e-14)
             assert np.abs(q.sum(axis=0)).max() < 1e-14
-
-    def test_paired_layout(self):
-        qq = paired_helmert_basis(3)
-        assert qq.shape == (6, 4)
-        assert np.allclose(qq.T @ qq, np.eye(4), atol=1e-14)
-        assert np.allclose(qq[:3, 2:], 0.0)
-        assert np.allclose(qq[3:, :2], 0.0)
 
 
 class TestFisherSpectrum:
@@ -153,7 +147,7 @@ class TestKlSandwich:
 
 class TestRestrictedMinima:
     def test_identity(self):
-        assert sigma_min_restricted(np.eye(8)) == pytest.approx(1.0, abs=1e-12)
+        assert sigma_min(np.eye(8)) == pytest.approx(1.0, abs=1e-12)
 
     def test_constructed_kernel(self):
         k = 4
@@ -161,27 +155,29 @@ class TestRestrictedMinima:
         sigma = np.zeros((2 * k, 2 * k))
         sigma[:k, :k] = block
         sigma[k:, k:] = block
-        assert sigma_min_restricted(sigma) == pytest.approx(0.0, abs=1e-14)
+        assert sigma_min(sigma) == pytest.approx(0.0, abs=1e-14)
 
     def test_positive_under_positive_margin(self, margin_cfg, margin_dataset):
         assert coverage_margin(margin_cfg) > 0
         fs = empirical_stats(margin_dataset)
-        assert sigma_min_restricted(fs.sigma_bar) > 0
+        assert sigma_min(fs.sigma_bar) > 0
 
 
 class TestPlConstant:
     def test_synthetic_half(self):
+        """Gamma's minimum on the zero-sum subspace (0.5) times Sigma's unrestricted minimum (0.25)."""
         k = 4
-        pi = np.eye(k) - np.ones((k, k)) / k
+        j = np.ones((k, k)) / k
+        pi = np.eye(k) - j
         gamma_hat = 0.5 * pi
         sigma = np.zeros((2 * k, 2 * k))
-        sigma[:k, :k] = pi
-        sigma[k:, k:] = pi
-        assert pl_constant(gamma_hat, sigma) == pytest.approx(0.5, abs=1e-12)
+        sigma[:k, :k] = pi + 0.25 * j
+        sigma[k:, k:] = pi + 0.25 * j
+        assert pl_constant(gamma_hat, sigma) == pytest.approx(0.125, abs=1e-12)
 
     def test_definitional_consistency(self, matching_cfg, matching_stats):
         mu = pl_constant(matching_stats.gamma_hat, matching_stats.sigma_bar)
-        floor = (matching_cfg.gamma / matching_cfg.k) * sigma_min_restricted(matching_stats.sigma_bar)
+        floor = (matching_cfg.gamma / matching_cfg.k) * sigma_min(matching_stats.sigma_bar)
         assert mu > 0
         assert mu >= floor - 1e-12
         assert gamma_min_restricted(matching_stats.gamma_hat) >= matching_cfg.gamma / matching_cfg.k - 1e-10
@@ -211,7 +207,7 @@ class TestLemmaSuite:
             "fisher_spectrum",
             "softmax_lipschitz",
             "kl_sandwich",
-            "sigma_restricted_pd",
+            "sigma_pd",
             "gradient_vs_fd",
             "pl_constant",
         }

@@ -20,7 +20,7 @@ from icpo_lab.analysis import run_lemma_suite
 from icpo_lab.cli import load_config, main, teacher_from_config
 from icpo_lab.errors import IcpoError, InvalidConfigError
 from icpo_lab.loop import shock_experiment
-from icpo_lab.lsa import TwoChannelParams
+from icpo_lab.lsa import TwoChannelParams, teacher_two_channel
 from icpo_lab.meicpo.generator import HttpGenerator
 from icpo_lab.meicpo.loop import MeIcpoConfig
 from icpo_lab.pretrain import (
@@ -289,6 +289,27 @@ class TestPipeline:
         rows = (out / "train_log.csv").read_text().splitlines()[1:]
         losses = [float(r.split(",")[1]) for r in rows]
         assert all(a >= b - 1e-14 for a, b in zip(losses, losses[1:]))
+
+    def test_both_solvers_recover_a_diagonal_h_teacher(self, tmp_path):
+        """The matching preset with a non-identity diagonal H: `ls` and `gd` train the same
+        operators, the teacher's, and the trained student matches the expert's policy."""
+        preset = (Path(__file__).resolve().parents[1] / "presets" / "matching.ini").read_text()
+        path = tmp_path / "matching.ini"
+        path.write_text(preset.replace("h = identity", "h = 0.5, 1, 1.5, 2, 3, 0.7, 1.2, 2.5, 0.9, 1.8"))
+        target = teacher_two_channel(teacher_from_config(load_config(path))).stacked
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        dataset, trained = tmp_path / "dataset", {}
+        for solver in ("ls", "gd"):
+            path.write_text(re.sub(r"solver = \w+", f"solver = {solver}", path.read_text()))
+            out = tmp_path / solver
+            params = out / "params.bin"
+            assert main(["train", "--config", str(path), "--dataset", str(dataset), "--out", str(out)]) == 0
+            trained[solver] = load_params(params).stacked
+            assert np.linalg.norm(trained[solver] - target) <= 1e-6, solver
+            assert main(["experiment", "--config", str(path), "--params", str(params), "--out", str(out)]) == 0
+            gaps = [float(row.split(",")[1]) for row in (out / "matching.csv").read_text().splitlines()[1:]]
+            assert max(gaps) <= 1e-6, solver
+        assert np.linalg.norm(trained["ls"] - trained["gd"]) <= 1e-6
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = _write_config(tmp_path, name="a.ini", out=str(tmp_path / "a"))

@@ -1,5 +1,6 @@
 """Attention-student tests: the three logit forms must agree, and the
-teacher-realizing construction must reproduce the expert policy exactly."""
+teacher-realizing construction must reproduce the expert policy exactly in its
+class (H = I or lambda = 0) and miss it by its closed-form defect outside it."""
 
 import numpy as np
 import pytest
@@ -261,19 +262,25 @@ class TestTeacherRealization:
         assert np.abs(p1 - p2).max() <= 1e-12
 
     def test_closed_form_route_realizes_expert(self):
-        """The attention network itself (not just the extracted operators)
-        reproduces the expert's projected logits with the identity regularizer."""
+        """The attention network itself (not just the extracted operators) reproduces
+        the expert's projected logits with the identity regularizer or lambda = 0.  For
+        a dense H it misses them by exactly -(lambda K c / t) Proj(H^-1 1)."""
         rng = np.random.default_rng(41)
-        for k, lam in ((2, 0.1), (5, 0.7)):
-            cfg = TeacherConfig(k=k, c=1.2, lam=lam)
+        cases = [(2, 0.1, None), (5, 0.7, None)]
+        for k in (3, 6, 10):
+            a = rng.normal(size=(k, k))
+            dense = a @ a.T + 0.5 * np.eye(k)
+            cases += [(k, 0.0, dense), (k, float(rng.uniform(0.2, 1.0)), dense)]
+        for k, lam, h_mat in cases:
+            cfg = TeacherConfig(k=k, c=1.2, lam=lam, h=h_mat)
             params = realize_teacher_params(cfg)
             h = History(k)
             h.append(0, 1.0)
-            got = project(closed_form_logits(h, params))
-            want = project(teacher_logits(h, cfg))
-            assert np.abs(got - want).max() <= 1e-10
-            for t in (3, 10):
-                hist = _random_history(rng, k, t)
+            histories = [h, _random_history(rng, k, 3), _random_history(rng, k, 10)]
+            for hist in histories:
                 got = project(closed_form_logits(hist, params))
                 want = project(teacher_logits(hist, cfg))
-                assert np.abs(got - want).max() <= 1e-10
+                defect = -(lam * k * cfg.c / hist.t) * project(cfg.u @ np.ones(k))
+                assert np.abs(got - want - defect).max() <= 1e-12
+                if h_mat is None or lam == 0.0:
+                    assert np.abs(got - want).max() <= 1e-10

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from icpo_lab import atomic, pretrain
+from icpo_lab.analysis import helmert_basis, restricted_eigenvalues
 from icpo_lab.bandit import History
 from icpo_lab.errors import (
     InvalidConfigError,
@@ -38,7 +39,6 @@ from icpo_lab.pretrain import (
     solve_ls,
     train_gd,
 )
-from icpo_lab.subspace import helmert_basis, restricted_eigenvalues
 from icpo_lab.teacher import TeacherConfig, mix_policy, teacher_logits
 
 
@@ -779,6 +779,36 @@ class TestSolveLs:
     def test_channel_columns_are_centered(self, matching_student):
         assert np.abs(matching_student.w_n.sum(axis=0)).max() <= 1e-10
         assert np.abs(matching_student.w_g.sum(axis=0)).max() <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
+    def test_both_solvers_recover_the_teacher_for_every_h(self, kind):
+        """solve_ls and train_gd reach c Proj[V U] within criterion 4's 1e-6, and each other,
+        for K = 2..12 with random c, gamma, lambda and sigma_xi: no H leaves their class."""
+        rng = np.random.default_rng({"identity": 2401, "diagonal": 2402, "dense": 2403}[kind])
+        for k in range(2, 13):
+            if kind == "identity":
+                h = None
+            elif kind == "diagonal":
+                h = np.diag(rng.uniform(0.5, 3.0, size=k))
+            else:
+                a = rng.normal(size=(k, k))
+                h = a @ a.T / k + 0.5 * np.eye(k)
+            cfg = TeacherConfig(
+                k=k,
+                c=float(rng.uniform(0.2, 2.0)),
+                gamma=float(rng.uniform(0.1, 0.9)),
+                lam=float(rng.uniform(0.0, 1.0)),
+                sigma_xi=float(rng.uniform(0.1, 1.0)),
+                h=h,
+            )
+            fs = empirical_stats(generate_dataset(cfg, b=200, n=8, seed=int(rng.integers(2**31))))
+            target = teacher_two_channel(cfg).stacked
+            ls = solve_ls(fs).stacked
+            gd = train_gd(fs, tol=1e-11).params.stacked
+            where = f"{kind} H, K = {k}"
+            assert np.linalg.norm(ls - target) <= 1e-6, where
+            assert np.linalg.norm(gd - target) <= 1e-6, where
+            assert np.linalg.norm(ls - gd) <= 1e-6, where
 
 
 class TestConcentrationShrinkage:
