@@ -107,23 +107,10 @@ class SandwichSample:
         """Upper bound minus mean KL; must be >= 0."""
         return self.upper_const * self.mean_quad - self.mean_kl
 
-    @property
-    def holds(self) -> bool:
-        """Both bounds hold, for every operator pair of a stack."""
-        return bool(np.all(self.lower_slack >= -1e-10) and np.all(self.upper_slack >= -1e-10))
-
 
 def _check_positive(*ps: np.ndarray) -> None:
     if any(np.any(p <= 0) for p in ps):
         raise InvalidDistributionError("KL requires strictly positive probabilities")
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise KL(p || q) in nats over (..., K); inputs must be strictly positive."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_positive(p, q)
-    return arm_fold(np.add, p * (np.log(p) - np.log(q)))
 
 
 def _floored_policy(s: np.ndarray, gamma: float) -> np.ndarray:
@@ -234,13 +221,20 @@ def run_lemma_suite(
     pairs at each drawn operator, Sigma's positive definiteness and the PL
     floor for this one dataset; the gradient check is a round-off tolerance.
     The sandwich's upper constant is K/(4 gamma), so the teacher's gamma must
-    be > 0.  The pair matrices are built once: the Fisher statistics and the
+    be > 0.  A check with no samples would pass vacuously, so each count must
+    give at least one: the Lipschitz samples are split over three dimensions.
+    The pair matrices are built once: the Fisher statistics and the
     sandwich's (Z, Y) share them.
     """
     k = ds.cfg.k
     gamma = ds.cfg.gamma
     if gamma <= 0:
         raise InvalidConfigError(f"the lemma suite needs gamma > 0 (the KL sandwich divides by it), got {gamma}")
+    if spectrum_samples < 1 or lipschitz_samples < 3 or sandwich_draws < 1 or not np.isfinite(sandwich_scale):
+        raise InvalidConfigError(
+            "the lemma suite needs spectrum_samples >= 1, lipschitz_samples >= 3, sandwich_draws >= 1 and a finite "
+            f"sandwich_scale, got {spectrum_samples}, {lipschitz_samples}, {sandwich_draws} and {sandwich_scale}"
+        )
     rng = np.random.default_rng(seed)
     report = {"seed": seed, "k": k, "gamma": gamma, "checks": {}}
 

@@ -9,11 +9,10 @@ perturbed) runs structural rather than a matter of careful call ordering.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDistributionError
+from .errors import InvalidDistributionError
 
 SIMPLEX_ATOL = 1e-12
 
@@ -64,41 +63,6 @@ def crn_draws(seed: int, stream_ids: Iterable[int], purpose: int, n: int) -> np.
         else:
             gen.standard_normal(out=row)
     return out
-
-
-class CrnStream:
-    """Deterministic per-trajectory randomness addressed by purpose.
-
-    Backed by Philox, a counter-based generator keyed by (seed, stream_id).
-    A purpose's draws form one sequence, with round t at position t-1, so a
-    value never depends on the horizon or on draws made for other purposes.
-    This is the one-stream form of `crn_draws`.
-    """
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Action-selection uniforms in [0, 1) for rounds 1..n."""
-        return crn_draws(self.seed, [self.stream_id], PURPOSE_ACTION, n)[0]
-
-    def normals(self, n: int) -> np.ndarray:
-        """Standard-normal reward-noise draws for rounds 1..n."""
-        return crn_draws(self.seed, [self.stream_id], PURPOSE_NOISE, n)[0]
-
-    def task_normals(self, k: int) -> np.ndarray:
-        """K standard normals for sampling the task vector."""
-        return crn_draws(self.seed, [self.stream_id], PURPOSE_TASK, k)[0]
-
-
-def sample_task(rng: CrnStream, k: int, tau_w: float) -> np.ndarray:
-    """Draw a task vector with i.i.d. zero-mean normal entries of std tau_w."""
-    if k < 2:
-        raise InvalidConfigError(f"need at least 2 arms, got K={k}")
-    if tau_w < 0:
-        raise InvalidConfigError(f"task prior std must be >= 0, got {tau_w}")
-    return tau_w * rng.task_normals(k)
 
 
 def draw_reward(
@@ -177,51 +141,3 @@ def coupled_sample(p: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
         index += below
     return int(index) if index.ndim == 0 else index
 
-
-@dataclass
-class HistoryStep:
-    """One (action, reward) interaction."""
-
-    action: int
-    r: float
-
-
-@dataclass
-class History:
-    """Ordered interaction record with maintained count and reward sums.
-
-    `n[i]` counts pulls of arm i and `g[i]` accumulates its rewards; both are
-    kept in sync with `steps` on every append.
-    """
-
-    k: int
-    steps: list[HistoryStep] = field(default_factory=list)
-    n: np.ndarray = field(init=False)
-    g: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.n = np.zeros(self.k)
-        self.g = np.zeros(self.k)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def t(self) -> int:
-        return len(self.steps)
-
-    def append(self, action: int, reward: float) -> None:
-        if not 0 <= action < self.k:
-            raise IndexError(f"action {action} out of range for {self.k} arms")
-        self.steps.append(HistoryStep(action=action, r=float(reward)))
-        self.n[action] += 1.0
-        self.g[action] += float(reward)
-
-    def recompute_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rebuild (n, g) from the raw steps, in append order."""
-        n = np.zeros(self.k)
-        g = np.zeros(self.k)
-        for step in self.steps:
-            n[step.action] += 1.0
-            g[step.action] += step.r
-        return n, g

@@ -189,7 +189,7 @@ def _write_csv(path: Path, header: str, rounds: np.ndarray, *columns: np.ndarray
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _out_dir(config: Config, override: str | None) -> Path:
@@ -279,10 +279,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     shock = _pick(sec, "b_test", "n", "s", "delta_r")
     report = config.build("experiment", shock_experiment, cfg, tc, seed=seed, c_b_override=sec.get("c_b"), **shock)
     _write_csv(out / "shock.csv", "round,mean,std,bound", report.rounds, report.mean, report.std, report.bound)
-    sidecar["a"] = report.a
-    sidecar["b_min"] = float(report.b_values.min())
-    sidecar["b_max"] = float(report.b_values.max())
-    sidecar["b_mean"] = float(report.b_values.mean())
+    b_values = report.b_values
+    sidecar.update(a=report.a, b_min=float(b_values.min()), b_max=float(b_values.max()), b_mean=float(b_values.mean()))
     _write_json(sidecar, out / "shock.json")
     print(f"post-shock peak {report.post_shock_max:.3e}; wrote {out}")
     return 0

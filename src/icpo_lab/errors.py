@@ -13,10 +13,6 @@ class InvalidDistributionError(IcpoError):
     """A probability vector is off the simplex beyond tolerance."""
 
 
-class InvalidParamsError(IcpoError):
-    """Attention parameters violate the required normal form."""
-
-
 class RankDeficiencyError(IcpoError):
     """The restricted second moment is numerically singular."""
 

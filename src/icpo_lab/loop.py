@@ -22,7 +22,6 @@ from .bandit import (
     PURPOSE_ACTION,
     PURPOSE_NOISE,
     PURPOSE_TASK,
-    CrnStream,
     arm_fold,
     coupled_sample,
     crn_draws,
@@ -103,54 +102,10 @@ def task_blocks(
         ids = range(start, min(b, start + size))
         yield (
             slice(ids.start, ids.stop),
-            cfg.tau_w * crn_draws(seed, ids, PURPOSE_TASK, cfg.k),  # as `sample_task` scales them
+            cfg.tau_w * crn_draws(seed, ids, PURPOSE_TASK, cfg.k),  # as `reference.sample_task` scales them
             crn_draws(seed, ids, PURPOSE_ACTION, t_max),
             crn_draws(seed, ids, PURPOSE_NOISE, t_max),
         )
-
-
-@dataclass
-class RolloutResult:
-    """Per-round mixed policies plus the realized actions and observed rewards."""
-
-    policies: np.ndarray  # (T, K)
-    actions: np.ndarray  # (T,)
-    rewards: np.ndarray  # (T,) as observed (shock included)
-
-
-def rollout(
-    tc: TwoChannelParams,
-    w: np.ndarray,
-    cfg: TeacherConfig,
-    t_max: int,
-    stream: CrnStream,
-    shock: tuple[int, float] | None = None,
-) -> RolloutResult:
-    """Run the student loop for `t_max` rounds on task w.
-
-    When `shock = (s, delta_r)` is given, the reward observed at round s is
-    bumped by delta_r before entering the history; the environment draw
-    itself is untouched, so a coupled baseline sees identical randomness.
-    """
-    if t_max < 1:
-        raise InvalidConfigError(f"horizon must be >= 1, got {t_max}")
-    if shock is not None and not 1 <= shock[0] <= t_max:
-        raise InvalidConfigError(f"shock round {shock[0]} outside horizon [1, {t_max}]")
-    rounds = list(
-        closed_loop(
-            tc.stacked[np.newaxis],
-            np.asarray(w, dtype=float)[np.newaxis],
-            stream.uniforms(t_max)[np.newaxis],
-            stream.normals(t_max)[np.newaxis],
-            cfg,
-            shock,
-        )
-    )
-    return RolloutResult(
-        policies=np.stack([rnd.policies[0, 0] for rnd in rounds]),
-        actions=np.array([rnd.actions[0] for rnd in rounds]),
-        rewards=np.array([rnd.rewards[0] for rnd in rounds]),
-    )
 
 
 @dataclass
@@ -211,19 +166,6 @@ def shock_constants(cfg: TeacherConfig, w: np.ndarray) -> tuple[float, float | n
     return a, float(b) if b.ndim == 0 else b
 
 
-def shock_bound(a: float, b: float, c_b: float, s: int, t: int, delta_r: float) -> float:
-    """Envelope value a(1+C_b)/s * (t/s)^(b-1) * |delta_r| for rounds s <= t."""
-    if not 1 <= s <= t:
-        raise ValueError(f"need 1 <= s <= t, got s={s}, t={t}")
-    return a * (1.0 + c_b) / s * (t / s) ** (b - 1.0) * abs(delta_r)
-
-
-def sample_b_distribution(cfg: TeacherConfig, n_tasks: int, seed: int) -> np.ndarray:
-    """Per-task envelope exponents b over freshly sampled tasks."""
-    blocks = [shock_constants(cfg, w)[1] for _, w, _, _ in task_blocks(cfg, n_tasks, 0, seed)]
-    return np.concatenate(blocks) if blocks else np.zeros(0)
-
-
 @dataclass
 class ShockReport:
     """Measured policy drift under a one-shot reward bump plus its envelope."""
@@ -277,36 +219,40 @@ def shock_experiment(
         raise InvalidConfigError(f"delta_r must be finite, got {delta_r}")
     if c_b_override is not None and not (math.isfinite(c_b_override) and c_b_override >= 0):
         raise InvalidConfigError(f"c_b must be finite and >= 0, got {c_b_override}")
-    deltas = np.zeros((b_test, n))
-    bounds = np.zeros((b_test, n))
-    b_values = np.zeros(b_test)
-    c_b_values = np.zeros(b_test)
+    deltas, bounds = np.zeros((b_test, n)), np.zeros((b_test, n))
+    b_values, c_b_values = np.zeros(b_test), np.zeros(b_test)
     ops = tc.stacked[np.newaxis]
     abs_delta_r = abs(delta_r)
-    for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed, rows_per_task=2):
-        # Rows [0, m) are the baselines and rows [m, 2m) their shocked copies.
-        m = len(w)
-        pair = [np.concatenate([x, x]) for x in (w, uniforms, noise)]
-        bump = np.repeat([0.0, delta_r], m)
-        for rnd in closed_loop(ops, *pair, cfg, shock=(s, bump)):
-            drift = rnd.policies[0, m:] - rnd.policies[0, :m]
-            deltas[tasks, rnd.t - 1] = np.sqrt(arm_fold(np.add, drift * drift))
-        a_const, b_block = shock_constants(cfg, w)
-        # The envelope's absolute constant: exp(b) dominates the recursion product.
-        b_values[tasks] = b_block
-        c_b_values[tasks] = list(map(math.exp, b_block.tolist())) if c_b_override is None else c_b_override
-        lead = a_const * (1.0 + c_b_values[tasks]) / s
-        # Row tau is `shock_bound` over u, in the same left-to-right order, one
-        # column at a time.  C_b and the powers stay scalar `math.exp` and `**`:
-        # numpy's SIMD exp and power can differ from them in the last bit.
-        exponents = (b_block - 1.0).tolist()
-        powers = np.array([[x**e for e in exponents] for x in (max(u - 1, s) / s for u in range(s, n + 1))])
-        bounds[tasks, s - 1 :] = (lead * powers * abs_delta_r).T
+    try:
+        for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed, rows_per_task=2):
+            # Rows [0, m) are the baselines and rows [m, 2m) their shocked copies.
+            m = len(w)
+            pair = [np.concatenate([x, x]) for x in (w, uniforms, noise)]
+            bump = np.repeat([0.0, delta_r], m)
+            for rnd in closed_loop(ops, *pair, cfg, shock=(s, bump)):
+                drift = rnd.policies[0, m:] - rnd.policies[0, :m]
+                deltas[tasks, rnd.t - 1] = np.sqrt(arm_fold(np.add, drift * drift))
+            a_const, b_block = shock_constants(cfg, w)
+            b_values[tasks] = b_block
+            # Row tau is `reference.shock_bound` over u, in the same left-to-right order, one
+            # column at a time.  C_b = exp(b), the envelope's absolute constant, and the powers
+            # stay scalar `math.exp` and `**`: numpy's SIMD exp and power can differ from them
+            # in the last bit.  Past float64 they raise OverflowError, and numpy FloatingPointError.
+            with np.errstate(over="raise"):
+                c_b_values[tasks] = list(map(math.exp, b_block.tolist())) if c_b_override is None else c_b_override
+                lead = a_const * (1.0 + c_b_values[tasks]) / s
+                exponents = (b_block - 1.0).tolist()
+                powers = np.array([[x**e for e in exponents] for x in (max(u - 1, s) / s for u in range(s, n + 1))])
+                bounds[tasks, s - 1 :] = (lead * powers * abs_delta_r).T
+        with np.errstate(over="raise"):
+            bound = bounds.mean(axis=0)
+    except ArithmeticError:
+        raise InvalidConfigError(f"the drift envelope overflows float64: b reaches {b_values.max():.6g}") from None
     return ShockReport(
         rounds=np.arange(1, n + 1),
         mean=deltas.mean(axis=0),
         std=deltas.std(axis=0),
-        bound=bounds.mean(axis=0),
+        bound=bound,
         s=s,
         delta_r=delta_r,
         n=n,

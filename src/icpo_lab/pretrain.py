@@ -1,9 +1,9 @@
 """Supervised pretraining of the two-channel student on expert rollouts.
 
 Covers trajectory generation, the empirical Fisher weight and second moments,
-the weighted logit-matching loss in both per-pair and moment form, its
-analytic gradient, plain gradient descent, the exact least-squares solve,
-and the digest-checked files that hold datasets and fitted operators.
+the weighted logit-matching loss in moment form, its analytic gradient, plain
+gradient descent, the exact least-squares solve, and the digest-checked files
+that hold datasets and fitted operators.
 """
 
 from __future__ import annotations
@@ -195,18 +195,6 @@ def pair_stats(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> F
         sigma_yy=yy / m,
         m=m,
     )
-
-
-def loss_direct(tc: TwoChannelParams, ds: PretrainDataset, gamma_hat: np.ndarray) -> float:
-    """Weighted loss by explicit summation: (1/2M) sum of residual quadratics.
-
-    Kept as an independent per-pair computation so it can cross-check the
-    moment form below.
-    """
-    z, y, _ = ds.pair_matrices()
-    resid = z @ tc.stacked.T - y
-    per_pair = np.einsum("mi,ij,mj->m", resid, gamma_hat, resid)
-    return 0.5 * float(per_pair.mean())
 
 
 def _stacked(tc: TwoChannelParams | np.ndarray) -> np.ndarray:

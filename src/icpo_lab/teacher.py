@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit import History, arm_fold
+from .bandit import arm_fold
 from .errors import InvalidConfigError
 
 _EIG_FLOOR = 1e-10
@@ -38,6 +38,9 @@ class TeacherConfig:
     def __post_init__(self):
         if self.k < 2:
             raise InvalidConfigError(f"need at least 2 arms, got K={self.k}")
+        for name, value in (("c", self.c), ("lambda", self.lam), ("tau_w", self.tau_w), ("sigma_xi", self.sigma_xi)):
+            if not np.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite, got {value}")
         if self.c <= 0:
             raise InvalidConfigError(f"step-size constant must be > 0, got {self.c}")
         # gamma = 1 (pure uniform play) is allowed as a degenerate limit.
@@ -108,16 +111,6 @@ def softmax(s: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= arm_fold(np.add, z)[..., np.newaxis]
     return z
-
-
-def teacher_logits(history: History, cfg: TeacherConfig) -> np.ndarray:
-    """Expert logits after `history`: (c/t)(U g + V n); zeros for an empty history."""
-    if history.k != cfg.k:
-        raise InvalidConfigError(f"history has {history.k} arms but config has {cfg.k}")
-    t = history.t
-    if t == 0:
-        return np.zeros(cfg.k)
-    return (cfg.c / t) * (cfg.u @ history.g + cfg.v @ history.n)
 
 
 def mix_policy(s: np.ndarray, gamma: float) -> np.ndarray:

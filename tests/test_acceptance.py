@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icpo_lab.bandit import CrnStream, History, coupled_sample, draw_reward, sample_task
+from icpo_lab.bandit import coupled_sample, draw_reward
 from icpo_lab.analysis import (
     gradient_fd_relative_error,
     kl_sandwich_check,
@@ -22,23 +22,8 @@ from icpo_lab.analysis import (
     sigma_min,
 )
 from icpo_lab.cli import main
-from icpo_lab.lsa import (
-    LsaParams,
-    TwoChannelParams,
-    build_embedding,
-    closed_form_logits,
-    extract_two_channel,
-    lsa_forward,
-    project,
-    teacher_two_channel,
-    two_channel_logits,
-)
-from icpo_lab.loop import (
-    matching_experiment,
-    rollout,
-    sample_b_distribution,
-    shock_experiment,
-)
+from icpo_lab.lsa import TwoChannelParams, project, teacher_two_channel
+from icpo_lab.loop import matching_experiment, shock_experiment
 from icpo_lab.meicpo.answers import canonicalize, majority_vote
 from icpo_lab.meicpo.generator import FunctionGenerator
 from icpo_lab.meicpo.loop import MeIcpoConfig, run_me_icpo
@@ -51,7 +36,21 @@ from icpo_lab.pretrain import (
     solve_ls,
     train_gd,
 )
-from icpo_lab.teacher import TeacherConfig, mix_policy, teacher_logits
+from icpo_lab.reference import (
+    CrnStream,
+    History,
+    LsaParams,
+    build_embedding,
+    closed_form_logits,
+    extract_two_channel,
+    lsa_forward,
+    rollout,
+    sample_b_distribution,
+    sample_task,
+    teacher_logits,
+    two_channel_logits,
+)
+from icpo_lab.teacher import TeacherConfig, mix_policy
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 

@@ -9,7 +9,6 @@ from icpo_lab.analysis import (
     gamma_min_restricted,
     gradient_fd_relative_error,
     helmert_basis,
-    kl_divergence,
     kl_sandwich_check,
     pl_constant,
     restricted_eigenvalues,
@@ -18,9 +17,10 @@ from icpo_lab.analysis import (
     softmax_lipschitz_check,
 )
 from icpo_lab import analysis
-from icpo_lab.errors import InvalidDistributionError
+from icpo_lab.errors import InvalidConfigError, InvalidDistributionError
 from icpo_lab.lsa import TwoChannelParams, teacher_two_channel
 from icpo_lab.pretrain import empirical_stats, fisher_matrix, gradient, loss_quadratic
+from icpo_lab.reference import kl_divergence
 from icpo_lab.teacher import coverage_margin, mix_policy, softmax
 
 
@@ -100,13 +100,15 @@ class TestKlSandwich:
         sample = kl_sandwich_check(teacher_two_channel(matching_cfg), *_sandwich_args(matching_dataset, matching_stats))
         assert abs(sample.mean_kl) <= 1e-12
         assert sample.mean_quad <= 1e-12
-        assert sample.holds
+        assert sample.lower_slack >= -1e-10
+        assert sample.upper_slack >= -1e-10
 
     def test_zero_student(self, matching_dataset, matching_stats):
         sample = kl_sandwich_check(TwoChannelParams.zeros(10), *_sandwich_args(matching_dataset, matching_stats))
         assert sample.mean_kl > 0
         assert sample.mean_quad > 0
-        assert sample.holds
+        assert sample.lower_slack >= -1e-10
+        assert sample.upper_slack >= -1e-10
 
     def test_random_draw_sweep(self, matching_dataset, matching_stats):
         rng = np.random.default_rng(4)
@@ -129,7 +131,8 @@ class TestKlSandwich:
             got = getattr(sample, name)
             assert got.shape == (7,)
             assert got.tolist() == [getattr(one, name) for one in singles]
-        assert sample.holds
+        assert np.all(sample.lower_slack >= -1e-10)
+        assert np.all(sample.upper_slack >= -1e-10)
         assert isinstance(singles[0].mean_kl, float)
 
     def test_kl_requires_positive_inputs(self):
@@ -220,6 +223,27 @@ class TestLemmaSuite:
         monkeypatch.setattr(type(margin_dataset), "pair_matrices", lambda ds: builds.append(ds) or build(ds))
         run_lemma_suite(margin_dataset, seed=0, spectrum_samples=10, lipschitz_samples=30, sandwich_draws=2)
         assert builds == [margin_dataset]
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"spectrum_samples": 0},
+            {"spectrum_samples": -5},
+            {"lipschitz_samples": 2},  # split over three dimensions, that is no sample at all
+            {"sandwich_draws": 0},
+            {"sandwich_scale": float("nan")},
+            {"sandwich_scale": float("inf")},
+        ],
+    )
+    def test_a_vacuous_check_is_refused(self, margin_dataset, counts):
+        """A check with no samples used to pass with a worst slack of infinity."""
+        settings = {"spectrum_samples": 10, "lipschitz_samples": 30, "sandwich_draws": 2, **counts}
+        with pytest.raises(InvalidConfigError, match="^the lemma suite needs spectrum_samples >= 1, "):
+            run_lemma_suite(margin_dataset, seed=0, **settings)
+
+    def test_smallest_counts_give_finite_slacks(self, margin_dataset):
+        report = run_lemma_suite(margin_dataset, seed=0, spectrum_samples=1, lipschitz_samples=3, sandwich_draws=1)
+        assert all(np.isfinite(check["worst_slack"]) for check in report["checks"].values())
 
 
 def _reference_lemma_sweep(ds, fs, seed, spectrum_samples, lipschitz_samples, sandwich_draws, scale=0.3):

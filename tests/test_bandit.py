@@ -10,16 +10,14 @@ from icpo_lab.bandit import (
     PURPOSE_NOISE,
     PURPOSE_TASK,
     SIMPLEX_ATOL,
-    CrnStream,
-    History,
     _stream_generators,
     arm_fold,
     coupled_sample,
     crn_draws,
     draw_reward,
-    sample_task,
 )
 from icpo_lab.errors import InvalidConfigError, InvalidDistributionError
+from icpo_lab.reference import CrnStream, History, sample_task
 
 
 class TestCrnStream:

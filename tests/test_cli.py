@@ -144,6 +144,7 @@ class TestConfigParsing:
             ("c = 1.0", "c = -1", "step-size constant must be > 0, got -1.0"),
             ("k = 3", "k = 1", "need at least 2 arms, got K=1"),
             ("gamma = 0.3", "gamma = 1.5", "exploration mix must be in [0, 1], got 1.5"),
+            ("lambda = 0.2", "lambda = nan", "lambda must be finite, got nan"),
         ],
     )
     def test_out_of_range_teacher_value_names_file_and_section(self, tmp_path, capsys, old, new, message):
@@ -361,6 +362,24 @@ class TestPipeline:
         )
         assert main(["experiment", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: config is missing the [dataset] section\n"
+
+    @pytest.mark.parametrize(
+        "key, value", [("spectrum_samples", "0"), ("lipschitz_samples", "2"), ("sandwich_draws", "0")]
+    )
+    def test_lemma_suite_with_a_vacuous_check_is_clear_error(self, tmp_path, capsys, key, value):
+        """A check with no samples used to pass, and wrote `"worst_slack": Infinity`, which is not JSON."""
+        counts = {"spectrum_samples": "10", "lipschitz_samples": "30", "sandwich_draws": "2", key: value}
+        experiment = "".join(f"{name} = {text}\n" for name, text in counts.items())
+        path = tmp_path / "lemma.ini"
+        path.write_text(
+            f"[teacher]\nk = 3\n\n[dataset]\nb = 8\nn = 4\nseed = 7\n\n[experiment]\nkind = lemma-suite\n{experiment}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["experiment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:9: [experiment] the lemma suite needs spectrum_samples >= 1, ")
+        assert err.endswith(f"got {', '.join(list(counts.values())[:2])}, {counts['sandwich_draws']} and 0.3\n")
+        assert not (tmp_path / "out" / "lemma_suite.json").exists()
 
     def test_lemma_suite_at_gamma_zero_is_clear_error(self, tmp_path, capsys):
         """The KL sandwich's upper constant is K/(4 gamma): gamma = 0 is refused before any check runs."""
@@ -640,6 +659,21 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: {path}:4: [experiment] {message}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("c_b", ["auto", "1.0"])
+    def test_envelope_past_float64_names_file_line_and_section(self, tmp_path, capsys, c_b):
+        """At c = 3000 the envelope exponent b passes 700: exp(b), or (t/s)^(b-1), used to end
+        in an OverflowError traceback with exit status 1."""
+        teacher = "k = 5\nc = 3000\ngamma = 0.8\nlambda = 0.1\ntau_w = 0.5\nsigma_xi = 0.1\n"
+        experiment = f"kind = shock\nb_test = 20\nn = 10\ns = 2\ndelta_r = 1.0\nc_b = {c_b}\n"
+        path = tmp_path / "exp.ini"
+        out = tmp_path / "out"
+        path.write_text(f"[teacher]\n{teacher}\n[experiment]\n{experiment}\n[output]\ndir = {out}\n")
+        params = _params_file(tmp_path / "params.bin", cfg=teacher_from_config(load_config(path)))
+        assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
+        problem = "the drift envelope overflows float64: b reaches 710.61"
+        assert capsys.readouterr().err == f"error: {path}:9: [experiment] {problem}\n"
+        assert list(out.iterdir()) == []
+
     def test_generate_seed_comes_from_the_override_when_unset(self, tmp_path):
         path = tmp_path / "gen.ini"
         out = tmp_path / "out"
@@ -790,6 +824,13 @@ class TestAtomicWrites:
         assert main(["me-icpo", "--config", str(cfg)]) == 2
         assert "No space left" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path, value):
+        """NaN and Infinity are not JSON: the artifact is refused, not written."""
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json({"worst_slack": value}, tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_same_bytes_as_a_plain_write(self, tmp_path):
         text = "round,mean\n1,0.5\n"
@@ -1025,6 +1066,10 @@ class TestImportGraph:
 
     def test_text_side_loads_no_numpy(self):
         probe = "import sys, icpo_lab.meicpo.loop, icpo_lab.meicpo.generator; print('numpy' in sys.modules)"
+        assert _probe(probe) == "False"
+
+    def test_commands_do_not_load_the_reference_module(self):
+        probe = "import sys, icpo_lab.cli; print('icpo_lab.reference' in sys.modules)"
         assert _probe(probe) == "False"
 
     def test_every_module_in_the_readme_table_imports(self):

@@ -5,22 +5,29 @@ import math
 import numpy as np
 import pytest
 
-from icpo_lab.bandit import CrnStream, History, coupled_sample, draw_reward, sample_task
+from icpo_lab.bandit import coupled_sample, draw_reward
 from icpo_lab.errors import InvalidConfigError
 from icpo_lab.loop import (
     BLOCK_ROWS,
     closed_loop,
     matching_experiment,
-    rollout,
-    sample_b_distribution,
-    shock_bound,
     shock_constants,
     shock_experiment,
     task_blocks,
 )
-from icpo_lab.lsa import TwoChannelParams, expert_two_channel, teacher_two_channel, two_channel_logits
+from icpo_lab.lsa import TwoChannelParams, expert_two_channel, teacher_two_channel
 from icpo_lab.pretrain import generate_dataset
-from icpo_lab.teacher import TeacherConfig, mix_policy, teacher_logits
+from icpo_lab.reference import (
+    CrnStream,
+    History,
+    rollout,
+    sample_b_distribution,
+    sample_task,
+    shock_bound,
+    teacher_logits,
+    two_channel_logits,
+)
+from icpo_lab.teacher import TeacherConfig, mix_policy
 
 
 def _cfg(**kwargs):
@@ -345,6 +352,26 @@ class TestShockExperiment:
         # Scalar `math.exp` for every task: numpy's exp differs in the last bit on a few percent of them.
         want_c_b = [math.exp(b) if c_b_override is None else c_b_override for b in rep.b_values.tolist()]
         assert rep.c_b_values.tolist() == want_c_b
+
+    @pytest.mark.parametrize(
+        "c, b_test, n, s, c_b_override, delta_r",
+        [
+            (3000.0, 20, 10, 2, None, 1.0),
+            (3000.0, 20, 10, 2, 1.0, 1.0),
+            (2535.0, 20, 3, 1, None, 1.0),
+            (0.5, 2, 2, 1, 1e300, 2e9),
+        ],
+        ids=["exp", "power", "product", "mean"],
+    )
+    def test_envelope_past_float64_is_a_config_error(self, c, b_test, n, s, c_b_override, delta_r):
+        """At c = 3000 some task's b passes 709.78, where exp(b) leaves float64, and (t/s)^(b-1)
+        does too.  Near b = 600 both stay finite but the envelope, their product, does not.  With
+        C_b = 1e300 and delta_r = 2e9 each task's envelope is about 1e308, but the mean's sum is not."""
+        cfg = _cfg(c=c)
+        b_max = sample_b_distribution(cfg, b_test, 0).max()
+        tc = TwoChannelParams.zeros(cfg.k)
+        with pytest.raises(InvalidConfigError, match=rf"^the drift envelope overflows float64: b reaches {b_max:.6g}$"):
+            shock_experiment(cfg, tc, b_test=b_test, n=n, s=s, delta_r=delta_r, seed=0, c_b_override=c_b_override)
 
     def test_c_b_override_scales_bound(self):
         cfg = _cfg(k=3)

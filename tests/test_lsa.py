@@ -7,21 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icpo_lab.bandit import History
-from icpo_lab.errors import InvalidConfigError, InvalidParamsError
-from icpo_lab.lsa import (
+from icpo_lab.errors import InvalidConfigError
+from icpo_lab.lsa import TwoChannelParams, project, teacher_two_channel
+from icpo_lab.reference import (
+    History,
+    InvalidParamsError,
     LsaParams,
-    TwoChannelParams,
     build_embedding,
     closed_form_logits,
     extract_two_channel,
     lsa_forward,
-    project,
     realize_teacher_params,
-    teacher_two_channel,
+    teacher_logits,
     two_channel_logits,
 )
-from icpo_lab.teacher import TeacherConfig, mix_policy, teacher_logits
+from icpo_lab.teacher import TeacherConfig, mix_policy
 
 
 def _random_history(rng, k, t):

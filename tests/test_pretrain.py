@@ -11,7 +11,6 @@ import pytest
 
 from icpo_lab import atomic, pretrain
 from icpo_lab.analysis import helmert_basis, restricted_eigenvalues
-from icpo_lab.bandit import History
 from icpo_lab.errors import (
     InvalidConfigError,
     InvalidDistributionError,
@@ -31,7 +30,6 @@ from icpo_lab.pretrain import (
     generate_dataset,
     gradient,
     load_dataset,
-    loss_direct,
     loss_quadratic,
     operator_norm,
     pair_stats,
@@ -39,7 +37,8 @@ from icpo_lab.pretrain import (
     solve_ls,
     train_gd,
 )
-from icpo_lab.teacher import TeacherConfig, mix_policy, teacher_logits
+from icpo_lab.reference import History, loss_direct, teacher_logits
+from icpo_lab.teacher import TeacherConfig, mix_policy
 
 
 def _small_cfg(**kwargs):

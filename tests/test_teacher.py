@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icpo_lab.bandit import History
 from icpo_lab.errors import InvalidConfigError
-from icpo_lab.teacher import TeacherConfig, coverage_margin, mix_policy, teacher_logits
+from icpo_lab.reference import History, teacher_logits
+from icpo_lab.teacher import TeacherConfig, coverage_margin, mix_policy
 
 
 def _history(k, steps):
@@ -39,6 +39,12 @@ class TestTeacherConfig:
             TeacherConfig(k=2, h=np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
         with pytest.raises(InvalidConfigError):
             TeacherConfig(k=2, h=np.array([[1.0, 0.0], [0.0, -1.0]]))  # not PD
+        non_finite = [("c", math.nan), ("c", math.inf), ("lam", math.nan), ("tau_w", math.inf), ("sigma_xi", math.nan)]
+        for key, value in non_finite:
+            with pytest.raises(InvalidConfigError, match=f"must be finite, got {value}"):
+                TeacherConfig(k=3, **{key: value})
+        with pytest.raises(InvalidConfigError, match="c must be finite, got nan"):
+            TeacherConfig.from_dict({**TeacherConfig(k=3).to_dict(), "c": math.nan})  # a dataset or params header
 
     def test_dict_round_trip(self):
         cfg = TeacherConfig(k=3, c=0.7, gamma=0.3, lam=0.2, tau_w=0.9, sigma_xi=0.1)
