@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import arm_fold
+from .bandit import arm_fold, check_simplex
 from .errors import InvalidConfigError, InvalidDistributionError
 from .lsa import TwoChannelParams
 from .pretrain import FisherStats, PretrainDataset, _stacked, fisher_matrix, gradient, loss_quadratic, pair_stats
@@ -55,13 +55,8 @@ def fisher_spectrum_check(p: np.ndarray, gamma: float) -> tuple[np.ndarray, np.n
     (..., K); the (min, max) pair has the leading shape.  `eigvalsh` returns
     each row's eigenvalues in ascending order, so they are its ends.
     """
-    p = np.asarray(p, dtype=float)
-    k = p.shape[-1]
-    if np.any(p < gamma / k - 1e-12):
-        raise InvalidDistributionError(
-            f"not a gamma-mixture: min entry {p.min()} below floor {gamma / k}"
-        )
-    eigs = restricted_eigenvalues(fisher_matrix(p), helmert_basis(k))
+    k = np.shape(p)[-1]
+    eigs = restricted_eigenvalues(fisher_matrix(check_simplex(p, gamma / k)), helmert_basis(k))
     return eigs[..., 0], eigs[..., -1]
 
 
@@ -115,9 +110,7 @@ def _check_positive(*ps: np.ndarray) -> None:
 
 def _floored_policy(s: np.ndarray, gamma: float) -> np.ndarray:
     """Mixed policy of logits `s`, checked against its floor gamma/K, which keeps KL finite."""
-    p = mix_policy(s, gamma)
-    if np.any(p < gamma / p.shape[-1] - 1e-12):
-        raise InvalidDistributionError(f"mixed policy falls below its floor gamma/K = {gamma / p.shape[-1]}")
+    p = check_simplex(mix_policy(s, gamma), gamma / np.shape(s)[-1])
     _check_positive(p)
     return p
 

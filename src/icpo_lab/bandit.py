@@ -99,15 +99,16 @@ def arm_fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_simplex(p: np.ndarray) -> np.ndarray:
-    """Check every (..., K) row is a probability vector."""
+def check_simplex(p: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """`p` as floats, once each (..., K) row is a probability vector: finite, no entry below
+    floor - SIMPLEX_ATOL, and a sum within max(SIMPLEX_ATOL, 4 K eps) of 1.  The one such check."""
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
         raise InvalidDistributionError(f"expected a vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise InvalidDistributionError("probabilities must be finite")
-    if np.any(p < -SIMPLEX_ATOL):
-        raise InvalidDistributionError(f"negative probability: min={p.min()}")
+    if np.any(p < floor - SIMPLEX_ATOL):
+        raise InvalidDistributionError(f"probability {p.min()} is below the floor {floor}")
     totals = arm_fold(np.add, p)
     off = np.abs(totals - 1.0)
     if np.any(off > max(SIMPLEX_ATOL, 4 * p.shape[-1] * np.finfo(float).eps)):
@@ -127,7 +128,7 @@ def coupled_sample(p: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
     still <= u, built in one whole-batch pass per arm; the running masses are
     exactly `cumsum`'s.  It is K-1 when u lands beyond the rounded total.
     """
-    p = _validate_simplex(p)
+    p = check_simplex(p)
     u = np.asarray(u, dtype=float)
     valid = (u >= 0.0) & (u < 1.0)  # NaN fails both
     if not np.all(valid):

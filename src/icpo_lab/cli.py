@@ -270,14 +270,19 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"experiment kind {kind!r} needs --params")
     tc, fitted_from = read_params(args.params, cfg)
     sidecar.update(fitted_from)
+    run, keys = matching_experiment, _pick(sec, "b_test", "n")
+    if kind == "shock":
+        run, keys = shock_experiment, dict(keys, c_b_override=sec.get("c_b"), **_pick(sec, "s", "delta_r"))
+    try:  # set once per run, not in the closed loop: logits past float64 are the operators' doing
+        with np.errstate(over="raise", invalid="raise"):
+            report = config.build("experiment", run, cfg, tc, seed=seed, **keys)
+    except FloatingPointError:
+        raise InvalidConfigError(f"{args.params}: the operators overflow float64 in the closed loop") from None
     if kind == "matching":
-        report = config.build("experiment", matching_experiment, cfg, tc, seed=seed, **_pick(sec, "b_test", "n"))
         _write_csv(out / "matching.csv", "round,mean,std", report.rounds, report.mean, report.std)
         _write_json(sidecar, out / "matching.json")
         print(f"max mean policy gap {report.mean.max():.3e}; wrote {out}")
         return 0
-    shock = _pick(sec, "b_test", "n", "s", "delta_r")
-    report = config.build("experiment", shock_experiment, cfg, tc, seed=seed, c_b_override=sec.get("c_b"), **shock)
     _write_csv(out / "shock.csv", "round,mean,std,bound", report.rounds, report.mean, report.std, report.bound)
     b_values = report.b_values
     sidecar.update(a=report.a, b_min=float(b_values.min()), b_max=float(b_values.max()), b_mean=float(b_values.mean()))

@@ -222,29 +222,28 @@ def shock_experiment(
     deltas, bounds = np.zeros((b_test, n)), np.zeros((b_test, n))
     b_values, c_b_values = np.zeros(b_test), np.zeros(b_test)
     ops = tc.stacked[np.newaxis]
-    abs_delta_r = abs(delta_r)
+    for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed, rows_per_task=2):
+        # Rows [0, m) are the baselines and rows [m, 2m) their shocked copies.
+        m = len(w)
+        pair = [np.concatenate([x, x]) for x in (w, uniforms, noise)]
+        bump = np.repeat([0.0, delta_r], m)
+        for rnd in closed_loop(ops, *pair, cfg, shock=(s, bump)):
+            drift = rnd.policies[0, m:] - rnd.policies[0, :m]
+            deltas[tasks, rnd.t - 1] = np.sqrt(arm_fold(np.add, drift * drift))
+        a_const, b_values[tasks] = shock_constants(cfg, w)
+    # Row tau is `reference.shock_bound` over u, in the same left-to-right order, one column at
+    # a time, for up to BLOCK_ROWS tasks at once.  C_b = exp(b), the envelope's absolute constant,
+    # and the powers stay scalar `math.exp` and `**`: numpy's SIMD exp and power can differ from
+    # them in the last bit.  Past float64 they raise OverflowError, and numpy FloatingPointError.
+    steps = [max(u - 1, s) / s for u in range(s, n + 1)]
     try:
-        for tasks, w, uniforms, noise in task_blocks(cfg, b_test, n, seed, rows_per_task=2):
-            # Rows [0, m) are the baselines and rows [m, 2m) their shocked copies.
-            m = len(w)
-            pair = [np.concatenate([x, x]) for x in (w, uniforms, noise)]
-            bump = np.repeat([0.0, delta_r], m)
-            for rnd in closed_loop(ops, *pair, cfg, shock=(s, bump)):
-                drift = rnd.policies[0, m:] - rnd.policies[0, :m]
-                deltas[tasks, rnd.t - 1] = np.sqrt(arm_fold(np.add, drift * drift))
-            a_const, b_block = shock_constants(cfg, w)
-            b_values[tasks] = b_block
-            # Row tau is `reference.shock_bound` over u, in the same left-to-right order, one
-            # column at a time.  C_b = exp(b), the envelope's absolute constant, and the powers
-            # stay scalar `math.exp` and `**`: numpy's SIMD exp and power can differ from them
-            # in the last bit.  Past float64 they raise OverflowError, and numpy FloatingPointError.
-            with np.errstate(over="raise"):
-                c_b_values[tasks] = list(map(math.exp, b_block.tolist())) if c_b_override is None else c_b_override
-                lead = a_const * (1.0 + c_b_values[tasks]) / s
-                exponents = (b_block - 1.0).tolist()
-                powers = np.array([[x**e for e in exponents] for x in (max(u - 1, s) / s for u in range(s, n + 1))])
-                bounds[tasks, s - 1 :] = (lead * powers * abs_delta_r).T
         with np.errstate(over="raise"):
+            c_b_values[:] = list(map(math.exp, b_values.tolist())) if c_b_override is None else c_b_override
+            lead = a_const * (1.0 + c_b_values) / s
+            for start in range(0, b_test, BLOCK_ROWS):
+                tasks = slice(start, start + BLOCK_ROWS)
+                powers = np.array([[x**e for e in (b_values[tasks] - 1.0).tolist()] for x in steps])
+                bounds[tasks, s - 1 :] = (lead[tasks] * powers * abs(delta_r)).T
             bound = bounds.mean(axis=0)
     except ArithmeticError:
         raise InvalidConfigError(f"the drift envelope overflows float64: b reaches {b_values.max():.6g}") from None

@@ -45,6 +45,8 @@ class TwoChannelParams:
         shape = self.w_n.shape
         if shape != self.w_g.shape or len(shape) != 2 or shape[0] != shape[1]:
             raise InvalidConfigError(f"channel operators must be square and same shape, got {shape} and {self.w_g.shape}")
+        if not (np.isfinite(self.w_n).all() and np.isfinite(self.w_g).all()):
+            raise InvalidConfigError("parameter values must be finite")
 
     @property
     def k(self) -> int:

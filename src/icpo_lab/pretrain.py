@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .bandit import arm_fold
-from .errors import InvalidConfigError, InvalidDistributionError, RankDeficiencyError, StepSizeError
+from .bandit import check_simplex
+from .errors import InvalidConfigError, RankDeficiencyError, StepSizeError
 from .loop import BLOCK_ROWS, closed_loop, task_blocks
 from .lsa import TwoChannelParams, expert_two_channel, project, teacher_two_channel
 from .teacher import TeacherConfig, mix_policy
@@ -45,14 +45,15 @@ def _layout(b: int, n: int, k: int) -> list[list]:
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretrainDataset:
     """B expert rollouts of N rounds, one row per task in stream-id order.
 
     Only the rollouts are kept: the labels and policies are fixed functions
     of their prefixes and `cfg`, which `pair_matrices` evaluates.  `sha256`
     is the stored digest of the file the dataset was loaded from, and None
-    for a dataset built in memory.
+    for a dataset built in memory.  It checks itself when built and keeps
+    read-only views of its arrays; `dataclasses.replace` checks again.
     """
 
     cfg: TeacherConfig
@@ -63,6 +64,21 @@ class PretrainDataset:
     actions: np.ndarray  # (B, N) int64
     rewards: np.ndarray  # (B, N)
     sha256: str | None = None
+
+    def __post_init__(self):
+        """The one dataset check: the arrays fit B, N and K, actions lie in [0, K), w and rewards are finite."""
+        k = self.cfg.k
+        for name, _, shape in _layout(self.b, self.n, k):
+            array = np.asarray(getattr(self, name)).view()
+            if array.shape != tuple(shape):
+                want = f"{tuple(shape)} for B={self.b}, N={self.n}"
+                raise InvalidConfigError(f"{name} has shape {array.shape}, expected {want}")
+            ok = ((array >= 0) & (array < k) if name == "actions" else np.isfinite(array)).all(axis=1)
+            if not ok.all():
+                problem = f"has an entry outside [0, {k})" if name == "actions" else "is not finite"
+                raise InvalidConfigError(f"{name} of trajectory {np.argmin(ok)} {problem}")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def m(self) -> int:
@@ -75,18 +91,7 @@ class PretrainDataset:
         dataset: every block that `pair_matrices` builds maps Z through it."""
         return teacher_two_channel(self.cfg).stacked.T
 
-    def _validate(self) -> None:
-        """Raise `InvalidConfigError` unless the arrays fit B, N and K and every action is in [0, K)."""
-        k = self.cfg.k
-        for name, _, shape in _layout(self.b, self.n, k):
-            if (got := np.shape(getattr(self, name))) != tuple(shape):
-                want = f"{tuple(shape)} for B={self.b}, N={self.n}"
-                raise InvalidConfigError(f"{name} has shape {got}, expected {want}")
-        bad = np.flatnonzero(((self.actions < 0) | (self.actions >= k)).any(axis=1))
-        if bad.size:
-            raise InvalidConfigError(f"trajectory {bad[0]} has an action outside [0, {k})")
-
-    def pair_matrices(self, tasks: slice | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pair_matrices(self, tasks: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Assemble (Z, Y, P): normalized statistics, projected labels, policies.
 
         Rows are ordered trajectory-major then by prefix length t = 1..N-1,
@@ -94,15 +99,9 @@ class PretrainDataset:
         statistics are running sums over one-hot actions, accumulated left to
         right.  Y = Z @ T^T with T = c Proj[V U], the teacher's projected
         operators.  P's row t mixes the label of prefix t-1 (the policy that
-        chose action t), so each trajectory's first row is uniform.  Without
-        `tasks`, raises `InvalidConfigError` unless there are exactly B
-        trajectories, each of shape (N, K) with actions in [0, K), and builds
-        them all; with it, builds the rows of those trajectories only, of a
-        dataset the caller has checked (`empirical_stats` checks once).
+        chose action t), so each trajectory's first row is uniform.  Builds
+        the rows of the trajectories `tasks` selects, all of them by default.
         """
-        if tasks is None:
-            self._validate()
-            tasks = slice(None)
         k, n = self.cfg.k, self.n
         # Z is built in place and the mask freed before P, and P's one buffer freed before Y:
         # peak memory stays at this build's Z plus two (rows, K) arrays.  Both products run per
@@ -135,22 +134,18 @@ def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainD
     seed) is bit-exact; trajectories are stored in stream-id order.
     """
     arrays = {name: np.zeros(shape, dtype) for name, dtype, shape in _layout(b, n, cfg.k)}
-    ds = PretrainDataset(cfg, b, n, seed, **arrays)
     expert = expert_two_channel(cfg).stacked[np.newaxis]
     for rows, w, uniforms, noise in task_blocks(cfg, b, n, seed):
-        ds.w[rows] = w
+        arrays["w"][rows] = w
         for rnd in closed_loop(expert, w, uniforms, noise, cfg):
-            ds.actions[rows, rnd.t - 1] = rnd.actions
-            ds.rewards[rows, rnd.t - 1] = rnd.rewards
-    return ds
+            arrays["actions"][rows, rnd.t - 1] = rnd.actions
+            arrays["rewards"][rows, rnd.t - 1] = rnd.rewards
+    return PretrainDataset(cfg, b, n, seed, **arrays)
 
 
 def fisher_matrix(p: np.ndarray) -> np.ndarray:
     """Softmax curvature Diag(p) - p p^T; (..., K) rows give (..., K, K)."""
-    p = np.asarray(p, dtype=float)
-    sums = arm_fold(np.add, p)
-    if np.any(p < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
-        raise InvalidDistributionError(f"not a probability vector (sums in [{sums.min()}, {sums.max()}])")
+    p = check_simplex(p)
     return np.eye(p.shape[-1]) * p[..., np.newaxis, :] - p[..., :, np.newaxis] * p[..., np.newaxis, :]
 
 
@@ -173,7 +168,6 @@ def empirical_stats(ds: PretrainDataset) -> FisherStats:
     """Average Fisher weights and second moments over all M prefix pairs, built and summed
     in blocks of whole trajectories: at most `BLOCK_ROWS` pairs, or one trajectory when
     N - 1 is more.  Memory does not grow with B, and up to BLOCK_ROWS pairs are one block."""
-    ds._validate()
     per_block = max(1, BLOCK_ROWS // (ds.n - 1))
     return pair_stats(ds.pair_matrices(slice(i, i + per_block)) for i in range(0, ds.b, per_block))
 
@@ -364,10 +358,17 @@ def _read_container(path: Path, kind: str, version: int, parse) -> tuple:
     return fields, {name: record[name] for name in arrays.names}, blob[:32].hex()
 
 
+def _from_file(path: Path, factory, *args, **kwargs):
+    """`factory(*args, **kwargs)` on values read from `path`; a value it rejects names the file."""
+    try:
+        return factory(*args, **kwargs)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from None
+
+
 def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
     """Write `ds` to DATASET_FILE in `directory`; the bytes depend on the dataset alone.
     No other file in `directory` is touched."""
-    ds._validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = dict(version=DATASET_FORMAT_VERSION, teacher=ds.cfg.to_dict(), b=ds.b, n=ds.n, seed=ds.seed)
@@ -378,7 +379,7 @@ def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
 
 def load_dataset(directory: str | Path) -> PretrainDataset:
     """Read a dataset written by `save_dataset`: B >= 1 and N >= 2, each array's dtype and shape
-    must match B, N and K, and `w` and `rewards` must be finite."""
+    must match B, N and K, and the arrays must pass the dataset's own check."""
     path = Path(directory) / DATASET_FILE
     if not path.exists():
         raise InvalidConfigError(f"dataset not found: {path}")
@@ -389,11 +390,7 @@ def load_dataset(directory: str | Path) -> PretrainDataset:
         return _layout(b, n, cfg.k), (cfg, b, n, seed)
 
     (cfg, b, n, seed), arrays, digest = _read_container(path, "dataset", DATASET_FORMAT_VERSION, parse)
-    for name in ("w", "rewards"):
-        finite = np.isfinite(arrays[name]).all(axis=1)
-        if not finite.all():
-            raise InvalidConfigError(f"{path}: {name} of trajectory {np.argmin(finite)} is not finite")
-    return PretrainDataset(cfg, b, n, seed, **arrays, sha256=digest)
+    return _from_file(path, PretrainDataset, cfg, b, n, seed, **arrays, sha256=digest)
 
 
 def _params_layout(k: int) -> list[list]:
@@ -426,10 +423,7 @@ def read_params(path: str | Path, cfg: TeacherConfig | None = None) -> tuple[Two
         fields = header["teacher"], header["dataset_sha256"]
         return _params_layout(TeacherConfig.from_dict(fields[0]).k), fields
 
-    fields, arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse)
-    teacher, dataset_sha256 = fields
+    (teacher, dataset_sha256), arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse)
     if cfg is not None and (differ := [key for key, value in cfg.to_dict().items() if teacher.get(key) != value]):
         raise InvalidConfigError(f"{path} was trained for a different [teacher]: {', '.join(differ)} differ")
-    if not all(np.isfinite(array).all() for array in arrays.values()):
-        raise InvalidConfigError(f"{path}: parameter values must be finite")
-    return TwoChannelParams(**arrays), {"params_sha256": digest, "dataset_sha256": dataset_sha256}
+    return _from_file(path, TwoChannelParams, **arrays), {"params_sha256": digest, "dataset_sha256": dataset_sha256}

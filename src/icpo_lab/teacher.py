@@ -21,7 +21,7 @@ _EIG_FLOOR = 1e-10
 class TeacherConfig:
     """All expert/environment constants plus the derived operator pair.
 
-    `h` must be symmetric positive definite; `u = h^-1` and `v = -lam * u`
+    `h` must be finite, symmetric and positive definite; `u = h^-1` and `v = -lam * u`
     are computed once at construction and validated.
     """
 
@@ -54,6 +54,8 @@ class TeacherConfig:
         h = np.eye(self.k) if self.h is None else np.asarray(self.h, dtype=float)
         if h.shape != (self.k, self.k):
             raise InvalidConfigError(f"regularizer must be {self.k}x{self.k}, got {h.shape}")
+        if not np.isfinite(h).all():
+            raise InvalidConfigError("regularizer must be finite")
         if not np.allclose(h, h.T, atol=1e-10):
             raise InvalidConfigError("regularizer must be symmetric")
         eigs = np.linalg.eigvalsh(h)

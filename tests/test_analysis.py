@@ -65,6 +65,12 @@ class TestFisherSpectrum:
         with pytest.raises(InvalidDistributionError):
             fisher_spectrum_check(np.array([0.9, 0.05, 0.05]), gamma=0.6)
 
+    @pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [[0.4, 0.3, 0.3], [0.5, np.nan, 0.5]]])
+    def test_non_finite_rejected(self, p):
+        """A NaN used to pass the floor comparison and come out as a (nan, nan) window."""
+        with pytest.raises(InvalidDistributionError, match="finite"):
+            fisher_spectrum_check(np.array(p), gamma=0.2)
+
 
 class TestSoftmaxLipschitz:
     def test_equal_inputs_ratio_zero(self):

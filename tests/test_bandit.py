@@ -12,6 +12,7 @@ from icpo_lab.bandit import (
     SIMPLEX_ATOL,
     _stream_generators,
     arm_fold,
+    check_simplex,
     coupled_sample,
     crn_draws,
     draw_reward,
@@ -148,6 +149,25 @@ class TestDrawReward:
     def test_batch_rejects_one_bad_action(self):
         with pytest.raises(IndexError):
             draw_reward(np.zeros((3, 2)), np.array([0, 1, 2]), np.zeros(3), sigma_xi=1.0)
+
+
+class TestCheckSimplex:
+    def test_returns_the_checked_floats(self):
+        p = check_simplex([[1, 0], [0.25, 0.75]])
+        assert p.dtype == float and np.array_equal(p, [[1.0, 0.0], [0.25, 0.75]])
+
+    def test_floor_allows_round_off_below_it(self):
+        floor = 0.1
+        check_simplex(np.array([floor - SIMPLEX_ATOL / 2, 1.0 - floor + SIMPLEX_ATOL / 2]), floor)
+        with pytest.raises(InvalidDistributionError, match="below the floor 0.1"):
+            check_simplex(np.array([0.05, 0.95]), floor)
+        with pytest.raises(InvalidDistributionError, match="below the floor 0.0"):
+            check_simplex(np.array([-1e-9, 1.0 + 1e-9]))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [0.5, np.inf], 1.0, [0.5, 0.5 + 1e-11]])
+    def test_rejects(self, bad):
+        with pytest.raises(InvalidDistributionError):
+            check_simplex(np.array(bad))
 
 
 class TestCoupledSample:

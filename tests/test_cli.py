@@ -33,7 +33,7 @@ from icpo_lab.pretrain import (
     train_gd,
 )
 from icpo_lab.teacher import TeacherConfig
-from test_pretrain import _header, _rewrite
+from test_pretrain import _header, _rewrite, _set_entry
 
 SMALL_CONFIG = """\
 [teacher]
@@ -240,6 +240,15 @@ class TestParamsFile:
         with pytest.raises(InvalidConfigError, match="malformed header"):
             load_params(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operators_are_never_written(self, tmp_path, value):
+        """The operator pair checks itself, so `save_params` cannot write what `read_params` refuses."""
+        w_n = np.zeros((3, 3))
+        w_n[1, 2] = value
+        with pytest.raises(InvalidConfigError, match="parameter values must be finite"):
+            _params_file(tmp_path / "p.bin", TwoChannelParams(w_n, np.zeros((3, 3))))
+        assert not (tmp_path / "p.bin").exists()
+
     def test_operators_must_fit_the_dataset_teacher(self, tmp_path):
         with pytest.raises(InvalidConfigError, match="operators are 4x4 but the dataset's teacher has k = 3"):
             _params_file(tmp_path / "p.bin", TwoChannelParams.zeros(4))
@@ -396,11 +405,10 @@ class TestPipeline:
 
     def test_train_on_a_dataset_with_a_nan_reward_names_the_file(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
-        ds = generate_dataset(teacher_from_config(load_config(cfg)), b=8, n=6, seed=11)
-        ds.rewards[5, 2] = np.nan
-        save_dataset(ds, tmp_path / "damaged")
-        assert main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "damaged")]) == 2
+        save_dataset(generate_dataset(teacher_from_config(load_config(cfg)), b=8, n=6, seed=11), tmp_path / "damaged")
         path = tmp_path / "damaged" / DATASET_FILE
+        _set_entry(path, "rewards", (5, 2), np.nan)
+        assert main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "damaged")]) == 2
         assert capsys.readouterr().err == f"error: {path}: rewards of trajectory 5 is not finite\n"
         assert not (tmp_path / "out" / "params.bin").exists()
 
@@ -673,6 +681,19 @@ class TestPipeline:
         problem = "the drift envelope overflows float64: b reaches 710.61"
         assert capsys.readouterr().err == f"error: {path}:9: [experiment] {problem}\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["matching", "shock"])
+    def test_operators_past_float64_name_the_parameter_file(self, tmp_path, capsys, kind):
+        """Finite operators whose logits overflow in the closed loop used to print numpy's
+        RuntimeWarnings and then `error: logits must be finite`, naming no file."""
+        cfg = _write_config(tmp_path)
+        if kind == "shock":
+            cfg.write_text(cfg.read_text().replace("kind = matching", "kind = shock\ns = 2\ndelta_r = 0.5"))
+        huge = np.full((3, 3), 1e308)
+        params = _params_file(tmp_path / "params.bin", TwoChannelParams(huge, huge), teacher_from_config(load_config(cfg)))
+        assert main(["experiment", "--config", str(cfg), "--params", str(params)]) == 2
+        assert capsys.readouterr().err == f"error: {params}: the operators overflow float64 in the closed loop\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_generate_seed_comes_from_the_override_when_unset(self, tmp_path):
         path = tmp_path / "gen.ini"

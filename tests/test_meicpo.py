@@ -36,7 +36,7 @@ from icpo_lab.meicpo.loop import (
     run_me_icpo,
 )
 from icpo_lab.meicpo.metrics import compute_metrics
-from icpo_lab.meicpo.prompts import system_prompt
+from icpo_lab.meicpo.prompts import MODES, system_prompt
 
 
 class TestExtractAnswer:
@@ -361,6 +361,14 @@ class TestRunMeIcpo:
         ]
         assert second_round
         assert all("reward" not in m.text for r in second_round for m in r.messages)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_untagged_system_prompt_drops_the_reward_clause(self, mode):
+        """The ablation removes the tag clause by string replacement, which would do nothing
+        to a prompt asset that words the clause differently."""
+        untagged = system_prompt(mode, include_rewards=False)
+        assert untagged != system_prompt(mode)
+        assert "reward 1" not in untagged
 
     def test_trace_is_deterministic(self):
         cfg = MeIcpoConfig(rounds=2, k=3, m=4, mode="numeric")

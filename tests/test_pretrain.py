@@ -73,6 +73,17 @@ def _rewrite(path, header=None, body=None):
     path.write_bytes(hashlib.sha256(rest).digest() + rest)
 
 
+def _set_entry(path, name, index, value):
+    """Set one entry of the array `name` in a container file and recompute the digest, so that
+    only the checks after the digest see the value."""
+    blob = path.read_bytes()
+    size, header = _header(blob)
+    layout = np.dtype([(field, dtype, tuple(shape)) for field, dtype, shape in header["arrays"]])
+    record = np.frombuffer(bytearray(blob[40 + size :]), layout)
+    record[name][0][index] = value
+    _rewrite(path, body=record.tobytes())
+
+
 def _reference_pair_matrices(ds):
     """Each prefix replayed into a `History`: its statistics, the expert's
     projected logits on it, and the mixed policy of the prefix one shorter."""
@@ -167,23 +178,34 @@ class TestPairMatrices:
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 4 * k * eps
 
     def test_missing_trajectory_rejected(self):
+        """The dataset checks itself when built, so a short array never reaches `pair_matrices`."""
         ds = generate_dataset(_small_cfg(), b=4, n=5, seed=2)
         for field in ARRAY_FIELDS:
-            short = dataclasses.replace(ds, **{field: getattr(ds, field)[:-1]})
             with pytest.raises(InvalidConfigError, match=rf"{field} has shape \(3, .*for B=4"):
-                short.pair_matrices()
+                dataclasses.replace(ds, **{field: getattr(ds, field)[:-1]})
 
     def test_wrong_shape_rejected(self):
         ds = generate_dataset(_small_cfg(), b=4, n=5, seed=2)
-        ds = dataclasses.replace(ds, rewards=ds.rewards[:, :-1])
         with pytest.raises(InvalidConfigError, match=r"rewards has shape \(4, 4\), expected \(4, 5\)"):
-            ds.pair_matrices()
+            dataclasses.replace(ds, rewards=ds.rewards[:, :-1])
 
     def test_action_out_of_range_rejected(self):
         ds = generate_dataset(_small_cfg(), b=2, n=5, seed=2)
-        ds.actions[1, 2] = 4
-        with pytest.raises(InvalidConfigError, match="trajectory 1 has an action"):
-            ds.pair_matrices()
+        actions = ds.actions.copy()
+        actions[1, 2] = 4
+        with pytest.raises(InvalidConfigError, match=r"actions of trajectory 1 has an entry outside \[0, 4\)"):
+            dataclasses.replace(ds, actions=actions)
+        actions[1, 2] = -1
+        with pytest.raises(InvalidConfigError, match="actions of trajectory 1 has an entry"):
+            PretrainDataset(ds.cfg, ds.b, ds.n, ds.seed, ds.w, actions, ds.rewards)
+
+    def test_arrays_cannot_change_after_the_check(self):
+        ds = generate_dataset(_small_cfg(), b=2, n=5, seed=2)
+        for field in ARRAY_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ds, field)[0, 0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ds, field, np.zeros_like(getattr(ds, field)))
 
 
 class TestDatasetIntegrity:
@@ -281,13 +303,31 @@ class TestDatasetIntegrity:
 
     @pytest.mark.parametrize("name, value", [("w", np.nan), ("rewards", np.inf), ("rewards", -np.inf)])
     def test_non_finite_value_names_the_file_array_and_trajectory(self, tmp_path, name, value):
-        """`save_dataset` hashes the arrays as given, so the loader checks their values."""
-        ds = generate_dataset(_small_cfg(), b=4, n=5, seed=12)
-        getattr(ds, name)[2].flat[1] = value
-        save_dataset(ds, tmp_path)
+        """Behind a valid digest, the loaded arrays pass the dataset's own check, which names the file."""
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        _set_entry(tmp_path / DATASET_FILE, name, (2, 1), value)
         with pytest.raises(InvalidConfigError) as info:
             load_dataset(tmp_path)
         assert str(info.value) == f"{tmp_path / DATASET_FILE}: {name} of trajectory 2 is not finite"
+
+    @pytest.mark.parametrize("value", [4, -1, 7])
+    def test_out_of_range_action_names_the_file_and_trajectory(self, tmp_path, value):
+        """An action outside [0, K) fails at load, not later in training."""
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        _set_entry(tmp_path / DATASET_FILE, "actions", (1, 3), value)
+        with pytest.raises(InvalidConfigError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == f"{tmp_path / DATASET_FILE}: actions of trajectory 1 has an entry outside [0, 4)"
+
+    def test_non_finite_regularizer_behind_a_valid_digest_names_the_file(self, tmp_path):
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        _, header = _header(path.read_bytes())
+        header["teacher"]["h"] = np.diag([1.0, np.inf, 1.0, 1.0]).tolist()
+        _rewrite(path, header=header)
+        with pytest.raises(InvalidConfigError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == f"{path}: malformed header: regularizer must be finite"
 
     @pytest.mark.parametrize(
         "b, n, problem",
@@ -407,6 +447,17 @@ class TestFisherMatrix:
     def test_off_simplex_rejected(self):
         with pytest.raises(InvalidDistributionError):
             fisher_matrix(np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]])
+    def test_non_finite_rejected(self, p):
+        with pytest.raises(InvalidDistributionError, match="finite"):
+            fisher_matrix(np.array(p))
+
+    def test_sum_tolerance_is_the_simplex_checks(self):
+        """The row sum may miss 1 by max(1e-12, 4 K eps), the rule every sampled policy meets."""
+        fisher_matrix(np.array([0.5, 0.5 + 5e-13]))
+        with pytest.raises(InvalidDistributionError, match="sum to"):
+            fisher_matrix(np.array([0.5, 0.5 + 1e-10]))
 
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(3)
@@ -540,15 +591,18 @@ class TestStreamedStats:
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_the_dataset_is_checked_once(self, monkeypatch):
+        """The dataset is checked when it is built; the blocks of the statistics pass check nothing."""
+        checks, check = [], PretrainDataset.__post_init__
+        monkeypatch.setattr(PretrainDataset, "__post_init__", lambda ds: checks.append(ds) or check(ds))
         ds = generate_dataset(_small_cfg(), b=BLOCK_ROWS // 4 + 1, n=5, seed=2)
-        checks, check = [], PretrainDataset._validate
-        monkeypatch.setattr(PretrainDataset, "_validate", lambda ds: checks.append(ds) or check(ds))
         builds = _spy_on_builds(monkeypatch)
         empirical_stats(ds)
         assert len(builds) == 2 and len(checks) == 1
-        ds.actions[-1, 0] = ds.cfg.k
-        with pytest.raises(InvalidConfigError, match=f"trajectory {ds.b - 1} has an action"):
-            empirical_stats(ds)
+        actions = ds.actions.copy()
+        actions[-1, 0] = ds.cfg.k
+        with pytest.raises(InvalidConfigError, match=f"actions of trajectory {ds.b - 1} has an entry"):
+            dataclasses.replace(ds, actions=actions)
+        assert len(checks) == 2
 
 
 def test_teacher_operators_are_built_once_per_dataset(monkeypatch):

@@ -39,6 +39,9 @@ class TestTeacherConfig:
             TeacherConfig(k=2, h=np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
         with pytest.raises(InvalidConfigError):
             TeacherConfig(k=2, h=np.array([[1.0, 0.0], [0.0, -1.0]]))  # not PD
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidConfigError, match="regularizer must be finite"):
+                TeacherConfig(k=2, h=np.array([[value, 0.0], [0.0, 1.0]]))
         non_finite = [("c", math.nan), ("c", math.inf), ("lam", math.nan), ("tau_w", math.inf), ("sigma_xi", math.nan)]
         for key, value in non_finite:
             with pytest.raises(InvalidConfigError, match=f"must be finite, got {value}"):
