@@ -8,8 +8,6 @@ perturbed) runs structural rather than a matter of careful call ordering.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
 import numpy as np
 
 from .errors import InvalidDistributionError
@@ -23,46 +21,55 @@ PURPOSE_NOISE = 1
 PURPOSE_TASK = 2
 
 _WORD = 0xFFFFFFFFFFFFFFFF
+_UNIT = 2.0**-53  # a 53-bit integer times this is a double in [0, 1)
 
 
-def _stream_generators(seed: int, stream_ids: Iterable[int], purpose: int) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to the start of each stream's purpose.
+def _philox_words(seed: int, stream_ids: range, purpose: int, blocks: int) -> np.ndarray:
+    """Philox4x64-10 words as (len(stream_ids), 4 * blocks): words 4j..4j+3 of row i are
+    block j of stream `stream_ids[i]`.
 
-    The Philox key is (seed, stream id), both masked to 64 bits.  Philox
-    advances counter word 0 on every block, so the purpose sits in word 3,
-    which no draw reaches: purposes never share a block.  The buffer starts
-    empty, as in a freshly built Philox.  Seeding with a constant reads no
-    OS entropy; the state set per stream replaces it before any draw.
+    The key is (seed mod 2**64, 0).  Stream s, block j and purpose p take counter
+    (s + 1, carry, j, p), where the carry is 1 only for s = 2**64 - 1, so no two of them
+    share a counter.  Philox adds one to counter word 0, carrying into word 1, before each
+    block, so one state set per block j covers every stream of a step-1 range.
     """
-    gen = np.random.Generator(np.random.Philox(0))
-    state = gen.bit_generator.state
+    if stream_ids.step != 1 or (stream_ids and not 0 <= stream_ids.start < stream_ids.stop <= _WORD + 1):
+        raise ValueError(f"stream ids must be a step-1 range inside [0, 2**64), got {stream_ids}")
+    bit_gen = np.random.Philox(0)  # a constant seed reads no OS entropy; the state set replaces it
+    counter = [stream_ids.start & _WORD, 0, 0, purpose]
     # Plain int lists: the state setter reads them faster than uint64 arrays.
-    state["state"]["counter"] = [0, 0, 0, purpose]
-    state["state"]["key"] = key = [int(seed) & _WORD, 0]
+    state = dict(bit_generator="Philox", state=dict(counter=counter, key=[int(seed) & _WORD, 0]))
     state.update(buffer=[0, 0, 0, 0], buffer_pos=4, has_uint32=0, uinteger=0)
-    for stream_id in stream_ids:
-        key[1] = int(stream_id) & _WORD
-        gen.bit_generator.state = state
-        yield gen
+    words = np.empty((len(stream_ids), blocks, 4), dtype=np.uint64)
+    for j in range(blocks):
+        counter[2] = j
+        bit_gen.state = state
+        words[:, j] = bit_gen.random_raw(4 * len(stream_ids)).reshape(-1, 4)
+    return words.reshape(len(stream_ids), 4 * blocks)
 
 
-def crn_draws(seed: int, stream_ids: Iterable[int], purpose: int, n: int) -> np.ndarray:
-    """The first n draws of `purpose` for each stream, as (len(stream_ids), n).
+def crn_draws(seed: int, stream_ids: range, purpose: int, n: int) -> np.ndarray:
+    """The first n draws of `purpose` for each stream of a step-1 range, as (len(stream_ids), n).
 
-    Row i is what a Philox built for stream `stream_ids[i]` alone would draw:
-    uniforms in [0, 1) for `PURPOSE_ACTION`, standard normals otherwise.
+    Draw t of a stream is made from its Philox word t (`_philox_words`), so it depends
+    only on (seed, stream, purpose, t).  `PURPOSE_ACTION` draws uniforms in [0, 1),
+    (word >> 11) * 2**-53.  The other purposes draw standard normals by Box-Muller:
+    words 2i and 2i + 1 give normals 2i and 2i + 1 as r cos(theta) and r sin(theta), with
+    r = sqrt(-2 ln(((word 2i >> 11) + 1) * 2**-53)) and theta = 2 pi (word 2i+1 >> 11) * 2**-53.
     Holds no state between calls, so threads may call it concurrently.
     """
-    stream_ids = list(stream_ids)
-    out = np.empty((len(stream_ids), n))
-    if n == 0:
-        return out
-    for row, gen in zip(out, _stream_generators(seed, stream_ids, purpose)):
-        if purpose == PURPOSE_ACTION:
-            gen.random(out=row)
-        else:
-            gen.standard_normal(out=row)
-    return out
+    words = _philox_words(seed, stream_ids, purpose, -(-n // 4))
+    if purpose == PURPOSE_ACTION:
+        return (words[:, :n] >> 11) * _UNIT
+    # The pairs that draws 0..n-1 use.  The shifts make contiguous arrays, so the
+    # transcendental ufuncs take the same path for every draw, whatever the range.
+    words = words[:, : n + n % 2]
+    radius = np.sqrt(-2.0 * np.log(((words[:, 0::2] >> 11) + 1) * _UNIT))
+    theta = (2.0 * np.pi) * ((words[:, 1::2] >> 11) * _UNIT)
+    out = np.empty(words.shape)
+    np.multiply(radius, np.cos(theta), out=out[:, 0::2])
+    np.multiply(radius, np.sin(theta), out=out[:, 1::2])
+    return out[:, :n]
 
 
 def draw_reward(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -338,6 +339,7 @@ def cmd_me_icpo(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process: every parse makes a new namespace and leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icpo-lab",

@@ -83,8 +83,8 @@ def closed_loop(
             rewards = rewards + shock[1]
         # Count `a` gains one and reward sum K+a gains r.  Each row is updated
         # on its own, so its logits do not depend on its block size or place.
-        acc += cols[:, actions]
-        acc += cols[:, k + actions] * rewards[:, np.newaxis]
+        acc += np.take(cols, actions, axis=1)
+        acc += np.take(cols, k + actions, axis=1) * rewards[:, np.newaxis]
         logits = acc / t
         yield Round(t=t, policies=policies, actions=actions, rewards=rewards, logits=logits)
 
@@ -246,7 +246,21 @@ def shock_experiment(
                 bounds[tasks, s - 1 :] = (lead[tasks] * powers * abs(delta_r)).T
             bound = bounds.mean(axis=0)
     except ArithmeticError:
-        raise InvalidConfigError(f"the drift envelope overflows float64: b reaches {b_values.max():.6g}") from None
+        # b is the cause if the envelope passes float64 at |delta_r| = 1: exp(b), a power or their
+        # product.  Otherwise |delta_r| scales a finite per-task factor past it, or the mean's sum.
+        try:
+            factor = max(
+                a_const * (1.0 + (math.exp(b) if c_b_override is None else c_b_override)) / s
+                * max(x ** (b - 1.0) for x in steps)
+                for b in b_values.tolist()
+            )
+        except OverflowError:
+            factor = math.inf
+        if math.isfinite(factor):
+            cause = f"|delta_r| = {abs(delta_r):.6g} times a per-task factor up to {factor:.6g}"
+        else:
+            cause = f"b reaches {b_values.max():.6g}"
+        raise InvalidConfigError(f"the drift envelope overflows float64: {cause}") from None
     return ShockReport(
         rounds=np.arange(1, n + 1),
         mean=deltas.mean(axis=0),

@@ -45,6 +45,16 @@ def _layout(b: int, n: int, k: int) -> list[list]:
     ]
 
 
+def _writable(array: np.ndarray) -> bool:
+    """Whether `array`'s memory can be written, through it or through an array or buffer it
+    views: numpy lets a view of it be made writable exactly then."""
+    try:
+        array.view().flags.writeable = True
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class PretrainDataset:
     """B expert rollouts of N rounds, one row per task in stream-id order.
@@ -53,7 +63,8 @@ class PretrainDataset:
     of their prefixes and `cfg`, which `pair_matrices` evaluates.  `sha256`
     is the stored digest of the file the dataset was loaded from, and None
     for a dataset built in memory.  It checks itself when built and keeps
-    read-only views of its arrays; `dataclasses.replace` checks again.
+    read-only arrays: a view of an input that nothing can write, a copy of
+    any other.  `dataclasses.replace` checks again.
     """
 
     cfg: TeacherConfig
@@ -69,7 +80,8 @@ class PretrainDataset:
         """The one dataset check: the arrays fit B, N and K, actions lie in [0, K), w and rewards are finite."""
         k = self.cfg.k
         for name, _, shape in _layout(self.b, self.n, k):
-            array = np.asarray(getattr(self, name)).view()
+            array = np.asarray(getattr(self, name))
+            array = array.copy() if _writable(array) else array.view()
             if array.shape != tuple(shape):
                 want = f"{tuple(shape)} for B={self.b}, N={self.n}"
                 raise InvalidConfigError(f"{name} has shape {array.shape}, expected {want}")
@@ -140,6 +152,8 @@ def generate_dataset(cfg: TeacherConfig, b: int, n: int, seed: int) -> PretrainD
         for rnd in closed_loop(expert, w, uniforms, noise, cfg):
             arrays["actions"][rows, rnd.t - 1] = rnd.actions
             arrays["rewards"][rows, rnd.t - 1] = rnd.rewards
+    for array in arrays.values():
+        array.flags.writeable = False  # nothing else holds them, so the dataset need not copy
     return PretrainDataset(cfg, b, n, seed, **arrays)
 
 

@@ -73,27 +73,28 @@ class History:
 class CrnStream:
     """Deterministic per-trajectory randomness addressed by purpose.
 
-    Backed by Philox, a counter-based generator keyed by (seed, stream_id).
-    A purpose's draws form one sequence, with round t at position t-1, so a
-    value never depends on the horizon or on draws made for other purposes.
-    This is the one-stream form of `bandit.crn_draws`.
+    Backed by Philox, a counter-based generator keyed by the seed, with the
+    stream id (masked to 64 bits) and the purpose in its counter.  A purpose's
+    draws form one sequence, with round t at position t-1, so a value never
+    depends on the horizon or on draws made for other purposes.  This is the
+    one-stream form of `bandit.crn_draws`.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
 
     def uniforms(self, n: int) -> np.ndarray:
         """Action-selection uniforms in [0, 1) for rounds 1..n."""
-        return crn_draws(self.seed, [self.stream_id], PURPOSE_ACTION, n)[0]
+        return crn_draws(self.seed, range(self.stream_id, self.stream_id + 1), PURPOSE_ACTION, n)[0]
 
     def normals(self, n: int) -> np.ndarray:
         """Standard-normal reward-noise draws for rounds 1..n."""
-        return crn_draws(self.seed, [self.stream_id], PURPOSE_NOISE, n)[0]
+        return crn_draws(self.seed, range(self.stream_id, self.stream_id + 1), PURPOSE_NOISE, n)[0]
 
     def task_normals(self, k: int) -> np.ndarray:
         """K standard normals for sampling the task vector."""
-        return crn_draws(self.seed, [self.stream_id], PURPOSE_TASK, k)[0]
+        return crn_draws(self.seed, range(self.stream_id, self.stream_id + 1), PURPOSE_TASK, k)[0]
 
 
 def sample_task(rng: CrnStream, k: int, tau_w: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Environment tests: CRN addressing, task sampling, rewards, coupled draws."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from icpo_lab.bandit import (
     PURPOSE_NOISE,
     PURPOSE_TASK,
     SIMPLEX_ATOL,
-    _stream_generators,
+    _philox_words,
     arm_fold,
     check_simplex,
     coupled_sample,
@@ -46,13 +48,11 @@ class TestCrnStream:
         assert s.uniforms(1)[0] != s.normals(1)[0]
 
     def test_purposes_share_no_philox_word(self):
-        """Purposes sit where the counter never advances, so no output block repeats."""
-        words = [
-            set(next(_stream_generators(1, [4], purpose)).bit_generator.random_raw(1024).tolist())
-            for purpose in range(3)
-        ]
-        assert all(len(w) == 1024 for w in words)
-        assert not words[0] & words[1] and not words[0] & words[2] and not words[1] & words[2]
+        """Stream, block and purpose each sit in their own counter word, so no two of them
+        share an output block, even where the stream id carries into word 1."""
+        ranges = [range(0, 64), range(2**63 - 2, 2**63 + 2), range(2**64 - 4, 2**64)]
+        words = np.concatenate([_philox_words(1, ids, p, 16).ravel() for ids in ranges for p in range(3)])
+        assert len(np.unique(words)) == len(words) == 72 * 16 * 4 * 3
 
     def test_distinct_streams_differ(self):
         assert CrnStream(1, 0).uniforms(1)[0] != CrnStream(1, 1).uniforms(1)[0]
@@ -64,38 +64,105 @@ class TestCrnStream:
 
 
 class TestCrnDraws:
-    IDS = [0, 1, 511, 512, 19_999, 2**63, 2**64 - 1, -1]
+    RANGES = [range(0, 2), range(511, 513), range(19_999, 20_000), range(2**63 - 1, 2**63 + 1), range(2**64 - 2, 2**64)]
 
     @staticmethod
     def _reference(seed, stream_id, purpose, n):
-        """A freshly built Philox per stream, keyed and countered by hand."""
+        """One stream built by hand: block j is the Philox4x64-10 block keyed (seed, 0) at counter
+        (stream id + 1, carry, j, purpose); Philox adds the one, with its carry, before it draws."""
         mask = 0xFFFFFFFFFFFFFFFF
-        bit_gen = np.random.Philox(
-            key=np.array([seed & mask, stream_id & mask], dtype=np.uint64),
-            counter=np.array([0, 0, 0, purpose], dtype=np.uint64),
-        )
-        gen = np.random.Generator(bit_gen)
-        return gen.random(n) if purpose == PURPOSE_ACTION else gen.standard_normal(n)
+        words = []
+        for j in range(-(-n // 4)):
+            bit_gen = np.random.Philox(
+                key=np.array([seed & mask, 0], dtype=np.uint64),
+                counter=np.array([stream_id, 0, j, purpose], dtype=np.uint64),
+            )
+            words += bit_gen.random_raw(4).tolist()
+        top = np.array([word >> 11 for word in words], dtype=float)  # 53 bits each
+        if purpose == PURPOSE_ACTION:
+            return top[:n] * 2.0**-53
+        radius = np.sqrt(-2.0 * np.log((top[0::2] + 1.0) * 2.0**-53))
+        theta = 2.0 * np.pi * (top[1::2] * 2.0**-53)
+        return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1).ravel()[:n]
 
     @pytest.mark.parametrize("seed", [7, -3])
     @pytest.mark.parametrize("purpose", [PURPOSE_ACTION, PURPOSE_NOISE, PURPOSE_TASK])
     def test_rows_match_per_stream_philox(self, seed, purpose):
-        for n in (3, 40):
-            got = crn_draws(seed, self.IDS, purpose, n)
-            assert got.shape == (len(self.IDS), n)
-            for row, stream_id in zip(got, self.IDS):
-                assert np.array_equal(row, self._reference(seed, stream_id, purpose, n))
-        assert np.array_equal(crn_draws(seed, self.IDS, purpose, 40)[:, :3], crn_draws(seed, self.IDS, purpose, 3))
+        for ids in self.RANGES:
+            for n in (3, 40):
+                got = crn_draws(seed, ids, purpose, n)
+                assert got.shape == (len(ids), n)
+                for row, stream_id in zip(got, ids):
+                    assert np.array_equal(row, self._reference(seed, stream_id, purpose, n))
+            assert np.array_equal(crn_draws(seed, ids, purpose, 40)[:, :3], crn_draws(seed, ids, purpose, 3))
+
+    def test_normals_follow_the_scalar_formulas(self):
+        """Box-Muller by `math`: numpy's vector log, cos and sin agree within a few ulp."""
+        words = _philox_words(5, range(3, 4), PURPOSE_NOISE, 4)[0].tolist()
+        want = []
+        for a, b in zip(words[0::2], words[1::2]):
+            radius = math.sqrt(-2.0 * math.log(((a >> 11) + 1) * 2.0**-53))
+            theta = 2.0 * math.pi * (b >> 11) * 2.0**-53
+            want += [radius * math.cos(theta), radius * math.sin(theta)]
+        assert np.allclose(crn_draws(5, range(3, 4), PURPOSE_NOISE, 16)[0], want, rtol=1e-14, atol=1e-15)
 
     def test_stream_form_is_one_row(self):
         s = CrnStream(seed=-3, stream_id=512)
-        assert np.array_equal(s.uniforms(9), crn_draws(-3, [512], PURPOSE_ACTION, 9)[0])
-        assert np.array_equal(s.normals(9), crn_draws(-3, [512], PURPOSE_NOISE, 9)[0])
-        assert np.array_equal(s.task_normals(4), crn_draws(-3, [512], PURPOSE_TASK, 4)[0])
+        assert np.array_equal(s.uniforms(9), crn_draws(-3, range(512, 513), PURPOSE_ACTION, 9)[0])
+        assert np.array_equal(s.normals(9), crn_draws(-3, range(512, 513), PURPOSE_NOISE, 9)[0])
+        assert np.array_equal(s.task_normals(4), crn_draws(-3, range(512, 513), PURPOSE_TASK, 4)[0])
+
+    def test_stream_form_masks_its_id(self):
+        last = range(2**64 - 1, 2**64)
+        assert CrnStream(7, -1).stream_id == 2**64 - 1
+        assert np.array_equal(CrnStream(7, -1).normals(6), crn_draws(7, last, PURPOSE_NOISE, 6)[0])
+        assert np.array_equal(CrnStream(7, 2**64).uniforms(6), crn_draws(7, range(1), PURPOSE_ACTION, 6)[0])
+
+    @pytest.mark.parametrize("ids", [range(0, 4, 2), range(-1, 1), range(2**64 - 1, 2**64 + 1)])
+    def test_ids_outside_one_step_range_rejected(self, ids):
+        with pytest.raises(ValueError, match="step-1 range inside"):
+            crn_draws(1, ids, PURPOSE_ACTION, 3)
 
     def test_empty_shapes(self):
         assert crn_draws(1, range(3), PURPOSE_ACTION, 0).shape == (3, 0)
-        assert crn_draws(1, [], PURPOSE_NOISE, 5).shape == (0, 5)
+        assert crn_draws(1, range(3), PURPOSE_NOISE, 0).shape == (3, 0)
+        assert crn_draws(1, range(0), PURPOSE_NOISE, 5).shape == (0, 5)
+
+
+class TestCrnDistribution:
+    """At fixed seeds, 10^5 draws of each kind: 200 streams x 500 rounds."""
+
+    N = 200 * 500
+    # Five standard errors for the mean and the variance, and the KS statistic's 0.1 %
+    # critical value 1.95 / sqrt(N).  Var(s^2) is about (mu_4 - sigma^4) / N: 1/80 - 1/144
+    # for U(0, 1), and 2 for N(0, 1).
+    MEAN_TOL = {"uniform": 5 * math.sqrt(1 / 12 / N), "normal": 5 * math.sqrt(1 / N)}
+    VAR_TOL = {"uniform": 5 * math.sqrt((1 / 80 - 1 / 144) / N), "normal": 5 * math.sqrt(2 / N)}
+    KS_CRIT = 1.95 / math.sqrt(N)
+
+    @staticmethod
+    def _ks(sorted_x, cdf):
+        f = np.array([cdf(x) for x in sorted_x.tolist()])
+        i = np.arange(1, len(f) + 1) / len(f)
+        return max(float(np.max(i - f)), float(np.max(f - (i - 1 / len(f)))))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("purpose", [PURPOSE_ACTION, PURPOSE_NOISE, PURPOSE_TASK])
+    def test_moments_and_ks(self, seed, purpose):
+        x = crn_draws(seed, range(200), purpose, 500)
+        kind = "uniform" if purpose == PURPOSE_ACTION else "normal"
+        mean, var = (0.5, 1 / 12) if kind == "uniform" else (0.0, 1.0)
+        assert abs(x.mean() - mean) < self.MEAN_TOL[kind]
+        assert abs(x.var() - var) < self.VAR_TOL[kind]
+        # Draws 2i and 2i + 1 (a Box-Muller pair for normals) are uncorrelated.
+        pairs = x.reshape(-1, 2)
+        assert abs(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]) < 5 / math.sqrt(len(pairs))
+        if kind == "uniform":
+            assert np.all((x >= 0.0) & (x < 1.0))
+            cdf = float
+        else:
+            cdf = lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))  # noqa: E731
+        assert self._ks(np.sort(x, axis=None), cdf) < self.KS_CRIT
 
 
 class TestSampleTask:

@@ -669,8 +669,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("c_b", ["auto", "1.0"])
     def test_envelope_past_float64_names_file_line_and_section(self, tmp_path, capsys, c_b):
-        """At c = 3000 the envelope exponent b passes 700: exp(b), or (t/s)^(b-1), used to end
-        in an OverflowError traceback with exit status 1."""
+        """At c = 3000 the envelope exponent b passes 640, so (t/s)^(b-1) leaves float64; this
+        used to end in an OverflowError traceback with exit status 1."""
         teacher = "k = 5\nc = 3000\ngamma = 0.8\nlambda = 0.1\ntau_w = 0.5\nsigma_xi = 0.1\n"
         experiment = f"kind = shock\nb_test = 20\nn = 10\ns = 2\ndelta_r = 1.0\nc_b = {c_b}\n"
         path = tmp_path / "exp.ini"
@@ -678,7 +678,7 @@ class TestPipeline:
         path.write_text(f"[teacher]\n{teacher}\n[experiment]\n{experiment}\n[output]\ndir = {out}\n")
         params = _params_file(tmp_path / "params.bin", cfg=teacher_from_config(load_config(path)))
         assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
-        problem = "the drift envelope overflows float64: b reaches 710.61"
+        problem = "the drift envelope overflows float64: b reaches 641.198"
         assert capsys.readouterr().err == f"error: {path}:9: [experiment] {problem}\n"
         assert list(out.iterdir()) == []
 
@@ -701,6 +701,18 @@ class TestPipeline:
         path.write_text(f"[teacher]\nk = 3\n\n[dataset]\nb = 4\nn = 3\n\n[output]\ndir = {out}\n")
         assert main(["generate", "--config", str(path), "--seed-override", "5"]) == 0
         assert load_dataset(out / "dataset").seed == 5
+
+    def test_one_parser_per_process_keeps_no_parse_state(self, tmp_path):
+        """The parser is built once; an option given to one call does not reach the next."""
+        assert cli.build_parser() is cli.build_parser()
+        path = tmp_path / "gen.ini"
+        out = tmp_path / "out"
+        path.write_text(f"[teacher]\nk = 3\n\n[dataset]\nb = 4\nn = 3\nseed = 2\n\n[output]\ndir = {out}\n")
+        assert main(["generate", "--config", str(path), "--seed-override", "5"]) == 0
+        assert load_dataset(out / "dataset").seed == 5
+        assert cli.build_parser().parse_args(["generate", "--config", str(path)]).seed_override is None
+        assert main(["generate", "--config", str(path)]) == 0
+        assert load_dataset(out / "dataset").seed == 2
 
 
 class TestEveryKeyReachesItsCallee:

@@ -1,6 +1,7 @@
 """Closed-loop tests: the batched kernel, rollouts, coupling, matching, shock constants and envelope."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,23 +355,33 @@ class TestShockExperiment:
         assert rep.c_b_values.tolist() == want_c_b
 
     @pytest.mark.parametrize(
-        "c, b_test, n, s, c_b_override, delta_r",
+        "cfg, b_test, n, s, c_b_override, delta_r, blames_b",
         [
-            (3000.0, 20, 10, 2, None, 1.0),
-            (3000.0, 20, 10, 2, 1.0, 1.0),
-            (2535.0, 20, 3, 1, None, 1.0),
-            (0.5, 2, 2, 1, 1e300, 2e9),
+            (_cfg(c=3400.0), 20, 10, 2, None, 1.0, True),
+            (_cfg(c=3000.0), 20, 10, 2, 1.0, 1.0, True),
+            (_cfg(c=2535.0), 20, 3, 1, None, 1.0, True),
+            (_cfg(c=0.5), 2, 2, 1, 1e300, 2e9, False),
+            (TeacherConfig(k=3), 4, 6, 2, None, 1e308, False),
         ],
-        ids=["exp", "power", "product", "mean"],
+        ids=["exp", "power", "product", "mean", "delta_r"],
     )
-    def test_envelope_past_float64_is_a_config_error(self, c, b_test, n, s, c_b_override, delta_r):
-        """At c = 3000 some task's b passes 709.78, where exp(b) leaves float64, and (t/s)^(b-1)
-        does too.  Near b = 600 both stay finite but the envelope, their product, does not.  With
-        C_b = 1e300 and delta_r = 2e9 each task's envelope is about 1e308, but the mean's sum is not."""
-        cfg = _cfg(c=c)
-        b_max = sample_b_distribution(cfg, b_test, 0).max()
+    def test_envelope_past_float64_is_a_config_error(self, cfg, b_test, n, s, c_b_override, delta_r, blames_b):
+        """At c = 3400 some task's b passes 709.78, where exp(b) leaves float64; at c = 3000,
+        (t/s)^(b-1) does.  Near b = 540 both stay finite but the envelope, their product, does not.
+        Those name b.  With C_b = 1e300 and delta_r = 2e9 each task's envelope is about 1e308, but
+        the mean's sum is not; with delta_r = 1e308 the envelope is finite at |delta_r| = 1.  Those
+        name |delta_r| and the largest per-task factor, the envelope at |delta_r| = 1."""
+        b_values = sample_b_distribution(cfg, b_test, 0)
+        if blames_b:
+            cause = f"b reaches {b_values.max():.6g}"
+        else:
+            a = shock_constants(cfg, np.zeros(cfg.k))[0]
+            c_b = np.exp(b_values) if c_b_override is None else c_b_override
+            steps = np.array([max(u - 1, s) / s for u in range(s, n + 1)])
+            factor = (a * (1.0 + c_b) / s * (steps[:, np.newaxis] ** (b_values - 1.0)).max(axis=0)).max()
+            cause = f"|delta_r| = {abs(delta_r):.6g} times a per-task factor up to {factor:.6g}"
         tc = TwoChannelParams.zeros(cfg.k)
-        with pytest.raises(InvalidConfigError, match=rf"^the drift envelope overflows float64: b reaches {b_max:.6g}$"):
+        with pytest.raises(InvalidConfigError, match=rf"^the drift envelope overflows float64: {re.escape(cause)}$"):
             shock_experiment(cfg, tc, b_test=b_test, n=n, s=s, delta_r=delta_r, seed=0, c_b_override=c_b_override)
 
     def test_c_b_override_scales_bound(self):

@@ -207,6 +207,26 @@ class TestPairMatrices:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(ds, field, np.zeros_like(getattr(ds, field)))
 
+    def test_the_callers_array_cannot_change_the_dataset(self):
+        """An input that can still be written, through itself or the array it views, is copied."""
+        ds = generate_dataset(_small_cfg(), b=2, n=5, seed=2)
+        r = ds.rewards.copy()
+        frozen_view = r.view()
+        frozen_view.flags.writeable = False
+        for rewards in (r, frozen_view):
+            built = PretrainDataset(ds.cfg, ds.b, ds.n, ds.seed, w=ds.w, actions=ds.actions, rewards=rewards)
+            r[0, 0] = np.nan
+            assert np.array_equal(built.rewards, ds.rewards)
+            r[0, 0] = ds.rewards[0, 0]
+
+    def test_generated_and_loaded_arrays_are_not_copied(self, tmp_path):
+        """Nothing can write what `generate_dataset` and `load_dataset` pass, so the dataset views it."""
+        ds = generate_dataset(_small_cfg(), b=2, n=5, seed=2)
+        save_dataset(ds, tmp_path)
+        for built in (ds, load_dataset(tmp_path), dataclasses.replace(ds)):
+            assert all(getattr(built, field).base is not None for field in ARRAY_FIELDS)
+        assert np.shares_memory(dataclasses.replace(ds).rewards, ds.rewards)
+
 
 class TestDatasetIntegrity:
     def test_dropped_trajectory_rejected(self, tmp_path):
