@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import functools
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from .loop import matching_experiment, shock_experiment
 from .meicpo.generator import HttpGenerator, ScriptedGenerator, demo_generator
 from .meicpo.loop import MeIcpoConfig, run_me_icpo, write_trace_jsonl
 from .pretrain import (
+    DATASET_FILE,
     PretrainDataset,
     empirical_stats,
     generate_dataset,
@@ -61,15 +64,23 @@ def _float_or_auto(text: str) -> float | None:
     return None if text == "auto" else float(text)
 
 
+def _seed(text: str | int) -> int:
+    """A seed: an int in [0, 2**64), where no two draw the same numbers (the draws key on the seed
+    mod 2**64).  The error names --seed-override; `Config` rewords it for a config value."""
+    if (seed := int(text)) not in range(2**64):
+        raise ValueError(f"--seed-override {seed} is not {_TYPE_NAMES[_seed]}")
+    return seed
+
+
 # Every key each section accepts, and the converter of its value.  No defaults
-# and no ranges: a command passes on only the keys the file sets, so both stay
-# with the constructor or function that takes them.
+# and no ranges but the seed's: a command passes on only the keys the file sets,
+# so both stay with the constructor or function that takes them.
 _KEYS = {
     "teacher": {"k": int, "c": float, "gamma": float, "lambda": float, "tau_w": float, "sigma_xi": float, "h": str},
-    "dataset": {"b": int, "n": int, "seed": int},
+    "dataset": {"b": int, "n": int, "seed": _seed},
     "training": {"solver": str, "step": _float_or_auto, "max_iters": int, "tol": float},
     "experiment": {
-        "kind": str, "b_test": int, "n": int, "seed": int, "s": int, "delta_r": float, "c_b": _float_or_auto,
+        "kind": str, "b_test": int, "n": int, "seed": _seed, "s": int, "delta_r": float, "c_b": _float_or_auto,
         "spectrum_samples": int, "lipschitz_samples": int, "sandwich_draws": int, "sandwich_scale": float,
     },
     "me-icpo": {
@@ -81,7 +92,7 @@ _KEYS = {
     },
     "output": {"dir": str},
 }
-_TYPE_NAMES = {int: "an int", float: "a float", _float_or_auto: "a float", _boolean: "a boolean"}
+_TYPE_NAMES = {int: "an int", _seed: "an int in [0, 2**64)", float: "a float", _float_or_auto: "a float", _boolean: "a boolean"}
 
 
 def _find_line(path: Path, section: str, key: str | None = None) -> int:
@@ -180,6 +191,17 @@ def teacher_from_config(config: Config) -> TeacherConfig:
     return config.build("teacher", TeacherConfig, **kwargs)
 
 
+@contextlib.contextmanager
+def _float64(message: str) -> Iterator[None]:
+    """The one float64 rule: numpy raises where the block takes a value past float64 or to NaN,
+    and that ends in one error, `message`, naming the input at fault."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise InvalidConfigError(message) from None
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -203,8 +225,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     cfg = teacher_from_config(config)
     sec = config.require("dataset", "b", "n", *(("seed",) if args.seed_override is None else ()))
-    seed = args.seed_override if args.seed_override is not None else sec["seed"]
-    ds = config.build("dataset", generate_dataset, cfg, b=sec["b"], n=sec["n"], seed=seed)
+    seed = _seed(args.seed_override) if args.seed_override is not None else sec["seed"]
+    with _float64(f"{config._where('teacher')} the expert's rollouts overflow float64"):
+        ds = config.build("dataset", generate_dataset, cfg, b=sec["b"], n=sec["n"], seed=seed)
     out = _out_dir(config, args.out) / "dataset"
     save_dataset(ds, out)
     print(f"wrote {ds.m} training pairs to {out}")
@@ -220,7 +243,8 @@ def _train(config: Config, ds: PretrainDataset, out: Path) -> Path:
         tc = solve_ls(fs)
         log_lines.append(f"0,{_fmt(loss_quadratic(tc, fs))},{_fmt(np.linalg.norm(gradient(tc, fs)))}")
     elif solver == "gd":
-        result = config.build("training", train_gd, fs, **_pick(sec, "step", "max_iters", "tol"))
+        with np.errstate(over="warn", invalid="warn"):  # numpy's default: a step past float64 is train_gd's to judge
+            result = config.build("training", train_gd, fs, **_pick(sec, "step", "max_iters", "tol"))
         if not result.converged:
             iters, gnorm = len(result.losses) - 1, result.grad_norms[-1]
             stopped = f"gradient descent stopped after {iters} iterations without converging"
@@ -240,7 +264,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     ds = load_dataset(args.dataset)
     out = _out_dir(config, args.out)
-    params_path = _train(config, ds, out)
+    with _float64(f"{Path(args.dataset) / DATASET_FILE}: the pair statistics overflow float64"):
+        params_path = _train(config, ds, out)
     print(f"wrote {params_path}")
     return 0
 
@@ -253,14 +278,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise config.invalid("experiment", "kind", kind, "is not 'lemma-suite', 'matching' or 'shock'")
     out = _out_dir(config, args.out)
     cfg = teacher_from_config(config)
-    seed = args.seed_override if args.seed_override is not None else sec.get("seed", 0)
+    seed = _seed(args.seed_override) if args.seed_override is not None else sec.get("seed", 0)
     sidecar = {"teacher": cfg.to_dict(), "experiment": config.raw["experiment"], "seed": seed}
 
     if kind == "lemma-suite":
         dsec = config.require("dataset", "b", "n", "seed")
-        ds = config.build("dataset", generate_dataset, cfg, **dsec)
         checks = _pick(sec, "spectrum_samples", "lipschitz_samples", "sandwich_draws", "sandwich_scale")
-        report = config.build("experiment", run_lemma_suite, ds, seed=seed, **checks)
+        with _float64(f"{config._where('teacher')} the lemma suite's rollouts or statistics overflow float64"):
+            ds = config.build("dataset", generate_dataset, cfg, **dsec)
+            report = config.build("experiment", run_lemma_suite, ds, seed=seed, **checks)
         sidecar["dataset"] = config.raw["dataset"]
         _write_json({"config": sidecar, "report": report}, out / "lemma_suite.json")
         print(f"lemma suite {'passed' if report['passed'] else 'FAILED'}; wrote {out}")
@@ -274,11 +300,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     run, keys = matching_experiment, _pick(sec, "b_test", "n")
     if kind == "shock":
         run, keys = shock_experiment, dict(keys, c_b_override=sec.get("c_b"), **_pick(sec, "s", "delta_r"))
-    try:  # set once per run, not in the closed loop: logits past float64 are the operators' doing
-        with np.errstate(over="raise", invalid="raise"):
-            report = config.build("experiment", run, cfg, tc, seed=seed, **keys)
-    except FloatingPointError:
-        raise InvalidConfigError(f"{args.params}: the operators overflow float64 in the closed loop") from None
+    with _float64(f"{args.params}: the operators overflow float64 in the closed loop"):
+        report = config.build("experiment", run, cfg, tc, seed=seed, **keys)
     if kind == "matching":
         _write_csv(out / "matching.csv", "round,mean,std", report.rounds, report.mean, report.std)
         _write_json(sidecar, out / "matching.json")

@@ -349,8 +349,8 @@ def _write_container(path: Path, header: dict, layout: list[list], arrays: dict)
 def _read_container(path: Path, kind: str, version: int, parse) -> tuple:
     """(fields, arrays, digest hex) of a container.  The digest is checked before anything is
     parsed, then the version; `parse(header)` gives (the layout the header implies, its fields),
-    which the header must list and the file end with; a header `parse` rejects, range errors
-    included, is malformed.  The arrays are read-only views of the file's bytes."""
+    which the header must list and the file end with.  A header `parse` rejects, or whose layout
+    numpy cannot build, is malformed.  The arrays are read-only views of the file's bytes."""
     blob = path.read_bytes()
     if len(blob) < 40 or hashlib.sha256(memoryview(blob)[32:]).digest() != blob[:32]:
         raise InvalidConfigError(f"{path}: SHA-256 does not match the stored digest (file damaged or edited)")
@@ -358,14 +358,14 @@ def _read_container(path: Path, kind: str, version: int, parse) -> tuple:
     try:
         header = json.loads(blob[40 : 40 + size])
         found = header["version"]
-        layout, fields = parse(header) if found == version else (None, None)
+        layout, fields = parse(header) if found == version else ([], None)
+        arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])
     except (ValueError, KeyError, TypeError, InvalidConfigError) as exc:
         raise InvalidConfigError(f"{path}: malformed header: {exc}") from exc
     if found != version:
         raise InvalidConfigError(f"{path}: unsupported {kind} version {found!r}")
     if header.get("arrays") != layout:
         raise InvalidConfigError(f"{path}: header lists arrays {header.get('arrays')}, expected {layout}")
-    arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])
     if len(blob) != 40 + size + arrays.itemsize:
         raise InvalidConfigError(f"{path}: {len(blob)} bytes, expected {40 + size + arrays.itemsize}")
     record = np.frombuffer(blob, arrays, count=1, offset=40 + size)[0]

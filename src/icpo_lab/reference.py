@@ -118,11 +118,14 @@ def teacher_logits(history: History, cfg: TeacherConfig) -> np.ndarray:
 
 @dataclass
 class LsaParams:
-    """Value/key-query weight pair plus the fixed next-token query.
+    """Value/key-query weight pair plus the fixed next-token query (q_x; q_r).
 
-    Normal form means the attention output decomposes into count and reward
-    channels: q_r = 0, q_x is constant, and the value matrix's query column
-    (rows 1..K of column K+1) is parallel to the all-ones vector.
+    Normal form means the projected attention output is exactly the count and
+    reward channels: q_x is constant, the value matrix's query column (rows
+    1..K of column K+1) is parallel to the all-ones vector, and the query's
+    attention to itself adds nothing.  With (phi_1; phi_2) = W_kq q, that term
+    is (q_x^T phi_1 + q_r phi_2) Proj(W_pv11 q_x) / t, so it vanishes when its
+    coefficient is zero or W_pv11 maps q_x onto a constant.
     """
 
     w_pv: np.ndarray
@@ -155,9 +158,13 @@ class LsaParams:
         return np.concatenate([self.q_x, [self.q_r]])
 
     def normal_form_defect(self) -> float:
-        """Largest violation of the two-channel normal form (0 when exact)."""
-        column = self.w_pv[: self.k, self.k]
-        return max(abs(self.q_r), float(np.abs(project(self.q_x)).max()), float(np.abs(project(column)).max()))
+        """Largest violation of the two-channel normal form (0 when exact); the self-attention
+        term counts as t = 1, its largest size."""
+        k = self.k
+        phi = self.w_kq @ self.query
+        self_term = (self.q_x @ phi[:k] + self.q_r * phi[k]) * project(self.w_pv[:k, :k] @ self.q_x)
+        parts = (project(self.q_x), project(self.w_pv[:k, k]), self_term)
+        return max(float(np.abs(part).max()) for part in parts)
 
 
 def build_embedding(history: History, q_x: np.ndarray | None = None, q_r: float = 0.0) -> np.ndarray:
@@ -215,12 +222,9 @@ def extract_two_channel(params: LsaParams) -> TwoChannelParams:
     """Read the (count, reward) channel operators off normal-form weights.
 
     With b = W_kq q split as (phi_1; phi_2), the channels are
-    W_n = Proj(W_pv11 Diag(phi_1)) and W_g = Proj(phi_2 W_pv11).  The
-    resulting operators match the projected network output exactly only when
-    the query's attention to itself, (1^T phi_1 / t) Proj(W_pv11 q_x), also
-    vanishes.  For `realize_teacher_params` that term is
-    -(lambda K c / t) Proj(H^-1 1), zero only when lambda = 0 or H^-1 maps the
-    all-ones direction onto itself (identity included).
+    W_n = Proj(W_pv11 Diag(phi_1)) and W_g = Proj(phi_2 W_pv11).  Weights that
+    pass the normal-form check give operators whose logits equal the projected
+    network output exactly, on every history.
     """
     defect = params.normal_form_defect()
     if defect > NORMAL_FORM_ATOL:
@@ -236,16 +240,14 @@ def extract_two_channel(params: LsaParams) -> TwoChannelParams:
 
 
 def realize_teacher_params(cfg: TeacherConfig) -> LsaParams:
-    """Weights whose two-channel extraction is (c Proj V, c Proj U).
+    """Weights whose network realizes the expert: projected logits c Proj(V n + U g) / t.
 
     Construction: the key-query top-left block is -lambda I (so phi_1 is
     constant at -lambda), its bottom row is 1/K (so phi_2 = 1), and the value
-    top-left block is c H^-1.  The extracted operators equal the teacher's for
-    every H, but the network's own projected `closed_form_logits` differ from
-    the teacher's by exactly -(lambda K c / t) Proj(H^-1 1), the query's
-    attention to itself.  So the network realizes the expert's mixed policy
-    exactly when lambda = 0 or H^-1 maps the all-ones direction onto itself
-    (H = I included).
+    top-left block is c H^-1.  The query's reward slot is q_r = lambda K, which
+    zeroes its self-attention coefficient q_x^T phi_1 + q_r phi_2, so the
+    network's projected logits are the teacher's for every SPD H.  With q_r = 0
+    they would differ by -(lambda K c / t) Proj(H^-1 1).
     """
     k = cfg.k
     w_kq = np.zeros((k + 1, k + 1))
@@ -253,7 +255,7 @@ def realize_teacher_params(cfg: TeacherConfig) -> LsaParams:
     w_kq[k, :k] = 1.0 / k
     w_pv = np.zeros((k + 1, k + 1))
     w_pv[:k, :k] = cfg.c * cfg.u
-    return LsaParams(w_pv=w_pv, w_kq=w_kq)
+    return LsaParams(w_pv=w_pv, w_kq=w_kq, q_r=cfg.lam * k)
 
 
 @dataclass

@@ -119,16 +119,11 @@ def mix_policy(s: np.ndarray, gamma: float) -> np.ndarray:
     """Softmax of the logits blended with uniform exploration weight gamma.
 
     `s` is (..., K): leading axes are a batch, mixed row by row into the
-    (..., K) probabilities returned.
+    (..., K) probabilities returned; `gamma` is a checked `TeacherConfig`'s.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise InvalidConfigError(f"exploration mix must be in [0, 1], got {gamma}")
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("logits must be finite")
     p = softmax(s)
     p *= 1.0 - gamma
-    p += gamma / s.shape[-1]
+    p += gamma / p.shape[-1]
     return p
 
 

@@ -357,12 +357,6 @@ class TestBatchedChecks:
         batch = mix_policy(s, 0.25)
         assert np.array_equal(batch, np.stack([mix_policy(row, 0.25) for row in s]))
 
-    def test_mix_policy_rejects_one_bad_row(self):
-        s = np.zeros((5, 4))
-        s[3, 1] = np.nan
-        with pytest.raises(ValueError):
-            mix_policy(s, 0.25)
-
     def test_sandwich_floor_violation_raises(self, monkeypatch, matching_dataset, matching_stats):
         """The mixed-policy floor is a real check, not an assert that -O strips."""
 

@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,15 @@ def _params_file(path, tc=None, cfg=None):
     tc = tc or TwoChannelParams.zeros(cfg.k)
     save_params(tc, path, generate_dataset(cfg, b=2, n=2, seed=0), {"solver": "ls"})
     return path
+
+
+def _main_warning_free(argv):
+    """`main(argv)`'s exit code, once it printed no warning: each one is recorded, not raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in seen] == []
+    return code
 
 
 def _format_1(tc):
@@ -229,6 +239,20 @@ class TestParamsFile:
         _rewrite(path, header={**header, "teacher": {**header["teacher"], "c": -1}})
         assert main(["experiment", "--config", str(cfg), "--params", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: malformed header: step-size constant must be > 0, got -1.0\n"
+
+    def test_dataset_layout_numpy_cannot_build_is_a_malformed_header(self, tmp_path, capsys):
+        """B = 2**62 with the arrays list to match: the header is consistent, but no dtype holds
+        the layout.  It used to escape as numpy's own ValueError, naming no file."""
+        cfg = _write_config(tmp_path)
+        save_dataset(generate_dataset(teacher_from_config(load_config(cfg)), b=8, n=6, seed=11), tmp_path / "big")
+        path = tmp_path / "big" / DATASET_FILE
+        _, header = _header(path.read_bytes())
+        arrays = [[name, dtype, [2**62, *shape[1:]]] for name, dtype, shape in header["arrays"]]
+        _rewrite(path, header={**header, "b": 2**62, "arrays": arrays})
+        assert main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "big")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed header: invalid shape") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "params.bin").exists()
 
     def test_header_must_list_the_operators_of_its_teacher(self, tmp_path):
         path = _params_file(tmp_path / "p.bin")
@@ -685,15 +709,87 @@ class TestPipeline:
     @pytest.mark.parametrize("kind", ["matching", "shock"])
     def test_operators_past_float64_name_the_parameter_file(self, tmp_path, capsys, kind):
         """Finite operators whose logits overflow in the closed loop used to print numpy's
-        RuntimeWarnings and then `error: logits must be finite`, naming no file."""
+        RuntimeWarnings and then `error: logits must be finite`, naming no file.  Now the
+        one float64 rule ends the run: one line, no warning, no artifact."""
         cfg = _write_config(tmp_path)
         if kind == "shock":
             cfg.write_text(cfg.read_text().replace("kind = matching", "kind = shock\ns = 2\ndelta_r = 0.5"))
         huge = np.full((3, 3), 1e308)
         params = _params_file(tmp_path / "params.bin", TwoChannelParams(huge, huge), teacher_from_config(load_config(cfg)))
-        assert main(["experiment", "--config", str(cfg), "--params", str(params)]) == 2
+        assert _main_warning_free(["experiment", "--config", str(cfg), "--params", str(params)]) == 2
         assert capsys.readouterr().err == f"error: {params}: the operators overflow float64 in the closed loop\n"
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, c, message",
+        [
+            ("generate", "1e308", "{config}:1: [teacher] the expert's rollouts overflow float64"),
+            ("train", "1e306", "{dataset}: the pair statistics overflow float64"),
+            ("lemma-suite", "1e308", "{config}:1: [teacher] the lemma suite's rollouts or statistics overflow float64"),
+            ("lemma-suite", "1e306", "{config}:1: [teacher] the lemma suite's rollouts or statistics overflow float64"),
+        ],
+        ids=["generate", "train", "lemma-suite-rollouts", "lemma-suite-statistics"],
+    )
+    def test_overflow_names_the_input_at_fault(self, tmp_path, capsys, command, c, message):
+        """At c = 1e308 the expert's logits leave float64 in the closed loop; at c = 1e306 the
+        rollouts stay finite and the pair statistics leave it.  `generate` used to print
+        RuntimeWarnings and `error: logits must be finite`; `train` warned and then blamed
+        parameters that did not exist yet.  Now each ends in one line naming its input."""
+        config = _write_config(tmp_path)
+        text = config.read_text().replace("c = 1.0", f"c = {c}")
+        config.write_text(text.replace("kind = matching", "kind = lemma-suite\nspectrum_samples = 10\nlipschitz_samples = 30"))
+        dataset = tmp_path / "dataset"
+        argv = {"generate": ["generate"], "lemma-suite": ["experiment"], "train": ["train", "--dataset", str(dataset)]}
+        if command == "train":
+            save_dataset(generate_dataset(teacher_from_config(load_config(config)), b=8, n=6, seed=11), dataset)
+        assert _main_warning_free([*argv[command], "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(config=config, dataset=dataset / DATASET_FILE) + "\n"
+        assert not any((tmp_path / "out").glob("**/*"))
+
+    @pytest.mark.parametrize(
+        "command, where, value",
+        [
+            ("generate", "[dataset]", "-1"),
+            ("generate", "[dataset]", str(2**64)),
+            ("lemma-suite", "[experiment]", "-1"),
+            ("generate", "--seed-override", "-1"),
+            ("lemma-suite", "--seed-override", str(2**64)),
+        ],
+    )
+    def test_seed_outside_its_range_names_its_source(self, tmp_path, capsys, command, where, value):
+        """The draws key on the seed mod 2**64, so -1 and 2**64 - 1 wrote the same arrays under
+        two digests and 2**64 aliased 0; a lemma suite with seed = -1 failed naming nothing."""
+        path = tmp_path / "seed.ini"
+        out = tmp_path / "out"
+        seeds = {"[dataset]": value if where == "[dataset]" else "3", "[experiment]": value if where == "[experiment]" else "4"}
+        path.write_text(
+            f"[teacher]\nk = 3\n\n[dataset]\nb = 4\nn = 3\nseed = {seeds['[dataset]']}\n\n"
+            f"[experiment]\nkind = lemma-suite\nseed = {seeds['[experiment]']}\nspectrum_samples = 10\n"
+            f"lipschitz_samples = 30\n\n[output]\ndir = {out}\n"
+        )
+        argv = ["generate" if command == "generate" else "experiment", "--config", str(path)]
+        if where == "--seed-override":
+            argv += ["--seed-override", value]
+        assert main(argv) == 2
+        if where == "--seed-override":
+            want = f"--seed-override {value} is not an int in [0, 2**64)"
+        else:
+            line = path.read_text().splitlines().index(f"seed = {value}") + 1
+            want = f"{path}:{line}: {where} seed = {value!r} is not an int in [0, 2**64)"
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not any(out.glob("**/*"))
+
+    def test_largest_seed_is_its_own(self, tmp_path):
+        """2**64 - 1 is a seed, and 0 another; 2**64 used to alias 0."""
+        path = tmp_path / "gen.ini"
+        path.write_text(f"[teacher]\nk = 3\n\n[dataset]\nb = 4\nn = 3\nseed = 0\n\n[output]\ndir = {tmp_path}\n")
+        rewards = []
+        for seed in (0, 2**64 - 1):
+            assert main(["generate", "--config", str(path), "--seed-override", str(seed)]) == 0
+            ds = load_dataset(tmp_path / "dataset")
+            assert ds.seed == seed
+            rewards.append(ds.rewards.copy())
+        assert not np.array_equal(*rewards)
 
     def test_generate_seed_comes_from_the_override_when_unset(self, tmp_path):
         path = tmp_path / "gen.ini"

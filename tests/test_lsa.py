@@ -1,6 +1,7 @@
 """Attention-student tests: the three logit forms must agree, and the
-teacher-realizing construction must reproduce the expert policy exactly in its
-class (H = I or lambda = 0) and miss it by its closed-form defect outside it."""
+teacher-realizing construction must reproduce the expert's projected logits
+exactly for every SPD H; without its query reward slot q_r = lambda K it
+misses them by a closed-form defect."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icpo_lab.errors import InvalidConfigError
-from icpo_lab.lsa import TwoChannelParams, project, teacher_two_channel
+from icpo_lab.lsa import TwoChannelParams, expert_two_channel, project, teacher_two_channel
 from icpo_lab.reference import (
+    CrnStream,
     History,
     InvalidParamsError,
     LsaParams,
@@ -18,6 +20,8 @@ from icpo_lab.reference import (
     extract_two_channel,
     lsa_forward,
     realize_teacher_params,
+    rollout,
+    sample_task,
     teacher_logits,
     two_channel_logits,
 )
@@ -34,10 +38,9 @@ def _random_history(rng, k, t):
 def _random_params(rng, k, scale=0.5, normal_form=False):
     """Random weights; with normal_form=True the two-channel identity is exact.
 
-    Exactness needs the query-overlap term to vanish on top of the normal
-    form, so either the transformed query's action block is centered or the
-    value block fixes the all-ones direction (both arise in practice; the
-    teacher construction is of the second kind).
+    The normal form includes the query's attention to itself, which vanishes
+    when either the transformed query's action block is centered or the value
+    block maps the all-ones direction onto a constant; each arises here.
     """
     w_pv = scale * rng.normal(size=(k + 1, k + 1))
     w_kq = scale * rng.normal(size=(k + 1, k + 1))
@@ -189,7 +192,8 @@ class TestExtraction:
     def test_identity_key_query_kills_reward_channel(self):
         k = 3
         params = LsaParams(w_pv=np.random.default_rng(0).normal(size=(k + 1, k + 1)), w_kq=np.eye(k + 1))
-        params.w_pv[:k, k] = 2.0  # keep normal form
+        params.w_pv[:k, k] = 2.0  # keep normal form: the query column parallel to ones,
+        params.w_pv[:k, :k] -= project(params.w_pv[:k, :k].sum(axis=1))[:, np.newaxis] / k  # and W11 1 too
         tc = extract_two_channel(params)
         # b = q, so phi_1 = ones and phi_2 = q_r = 0.
         assert np.allclose(tc.w_g, 0.0, atol=1e-15)
@@ -207,6 +211,18 @@ class TestExtraction:
         params.w_pv[0, 3] += 1.0  # break the query-column alignment
         with pytest.raises(InvalidParamsError):
             extract_two_channel(params)
+
+    def test_query_self_attention_must_vanish(self):
+        """The teacher's weights without the reward slot (q_r = 0) attend from the query to
+        itself with coefficient -lambda K; for a dense H that term survives projection."""
+        a = np.random.default_rng(6).normal(size=(4, 4))
+        cfg = TeacherConfig(k=4, lam=0.5, h=a @ a.T + 0.5 * np.eye(4))
+        params = realize_teacher_params(cfg)
+        assert params.q_r == 2.0 and params.normal_form_defect() <= 1e-15
+        with pytest.raises(InvalidParamsError):
+            extract_two_channel(LsaParams(params.w_pv, params.w_kq))
+        identity = realize_teacher_params(TeacherConfig(k=4, lam=0.5))
+        assert LsaParams(identity.w_pv, identity.w_kq).normal_form_defect() <= 1e-15  # H^-1 1 is constant
 
     def test_teacher_round_trip(self):
         for lam in (0.0, 0.5):
@@ -263,8 +279,9 @@ class TestTeacherRealization:
 
     def test_closed_form_route_realizes_expert(self):
         """The attention network itself (not just the extracted operators) reproduces
-        the expert's projected logits with the identity regularizer or lambda = 0.  For
-        a dense H it misses them by exactly -(lambda K c / t) Proj(H^-1 1)."""
+        the expert's projected logits for every H.  Without the reward slot (q_r = 0)
+        it misses them by exactly -(lambda K c / t) Proj(H^-1 1), zero only for the
+        identity regularizer or lambda = 0."""
         rng = np.random.default_rng(41)
         cases = [(2, 0.1, None), (5, 0.7, None)]
         for k in (3, 6, 10):
@@ -274,13 +291,41 @@ class TestTeacherRealization:
         for k, lam, h_mat in cases:
             cfg = TeacherConfig(k=k, c=1.2, lam=lam, h=h_mat)
             params = realize_teacher_params(cfg)
+            without_slot = LsaParams(params.w_pv, params.w_kq)
             h = History(k)
             h.append(0, 1.0)
             histories = [h, _random_history(rng, k, 3), _random_history(rng, k, 10)]
             for hist in histories:
-                got = project(closed_form_logits(hist, params))
                 want = project(teacher_logits(hist, cfg))
+                assert np.abs(project(closed_form_logits(hist, params)) - want).max() <= 1e-10
+                got = project(closed_form_logits(hist, without_slot))
                 defect = -(lam * k * cfg.c / hist.t) * project(cfg.u @ np.ones(k))
                 assert np.abs(got - want - defect).max() <= 1e-12
                 if h_mat is None or lam == 0.0:
                     assert np.abs(got - want).max() <= 1e-10
+
+    def test_network_realizes_the_expert_on_its_rollouts(self):
+        """Identity, diagonal and dense H, K = 2..12, lambda across [0, 1]: at every step of
+        an expert rollout, the full forward pass (rho = t) and its closed form give the
+        teacher's projected logits on the history the rollout realized."""
+        rng = np.random.default_rng(2027)
+        worst = 0.0
+        for k in range(2, 13):
+            a = rng.normal(size=(k, k))
+            regularizers = (None, np.diag(rng.uniform(0.3, 3.0, size=k)), a @ a.T + 0.5 * np.eye(k))
+            for i, (h_mat, lam) in enumerate(zip(regularizers, (0.0, 1.0, float(rng.uniform())))):
+                cfg = TeacherConfig(k=k, c=float(rng.uniform(0.2, 2.0)), lam=lam, h=h_mat)
+                params = realize_teacher_params(cfg)
+                stream = CrnStream(seed=2027, stream_id=3 * k + i)
+                run = rollout(expert_two_channel(cfg), sample_task(stream, k, cfg.tau_w), cfg, 12, stream)
+                hist = History(k)
+                for action, reward in zip(run.actions.tolist(), run.rewards.tolist()):
+                    hist.append(action, reward)
+                    want = project(teacher_logits(hist, cfg))
+                    forward = lsa_forward(build_embedding(hist, params.q_x, params.q_r), params, rho=hist.t)
+                    worst = max(
+                        worst,
+                        np.abs(project(forward[:k, hist.t]) - want).max(),
+                        np.abs(project(closed_form_logits(hist, params)) - want).max(),
+                    )
+        assert worst <= 1e-10

@@ -110,10 +110,6 @@ class TestMixPolicy:
         p = mix_policy(np.array([10.0, 0.0]), 0.2)
         assert p[0] == pytest.approx(0.8 * sigmoid + 0.1, abs=1e-12)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            mix_policy(np.array([np.nan, 0.0]), 0.1)
-
     @given(
         st.lists(st.floats(-30, 30), min_size=2, max_size=8),
         st.floats(0, 200),
