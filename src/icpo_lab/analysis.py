@@ -81,9 +81,9 @@ def softmax_lipschitz_check(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class SandwichSample:
     """Means over the training pairs entering the KL-vs-quadratic sandwich.
 
-    `mean_quad` averages the per-pair residual quadratic r^T Gamma r (no 1/2
-    factor: that is the normalization the sandwich constants are proved for),
-    and `mean_kl` the matching KL divergences.  Both are floats for one
+    `mean_quad` is 2 `loss_quadratic`, the mean residual quadratic r^T Gamma r
+    (no 1/2 factor: that is the normalization the sandwich constants are proved
+    for), and `mean_kl` the matching KL divergences.  Both are floats for one
     operator pair and (D,) arrays for a stack of D, as are the slacks.
     """
 
@@ -115,20 +115,27 @@ def _floored_policy(s: np.ndarray, gamma: float) -> np.ndarray:
     return p
 
 
-def kl_sandwich_check(
-    tc: TwoChannelParams | np.ndarray, z: np.ndarray, y: np.ndarray, gamma_hat: np.ndarray, gamma: float
-) -> SandwichSample:
-    """Mean KL between expert and student mixed policies vs the weighted quadratic,
-    on the pair matrices (Z, Y) of `PretrainDataset.pair_matrices`.
+def _check_sandwich_gamma(gamma: float) -> None:
+    """The sandwich's upper constant is K/(4 gamma), so gamma must be > 0."""
+    if not gamma > 0:
+        raise InvalidConfigError(f"the lemma suite needs gamma > 0 (the KL sandwich divides by it), got {gamma}")
 
-    The claim is on means over the M pairs, for each operator: mean KL lies
-    between (1-gamma)^2/4 and K/(4 gamma) times the mean un-halved quadratic
-    residual.  It is not a per-pair claim: weighted by the averaged Gamma,
-    single pairs of the matching preset's dataset fall below the lower bound.
-    Also takes stacked operators W = [W_n  W_g] of shape (D, K, 2K): the
-    expert side is built once and each pair's student side in turn, and the
+
+def kl_sandwich_check(
+    tc: TwoChannelParams | np.ndarray, z: np.ndarray, y: np.ndarray, fs: FisherStats, gamma: float
+) -> SandwichSample:
+    """Mean KL between expert and student mixed policies vs twice the training loss, on
+    the pair matrices (Z, Y) of `PretrainDataset.pair_matrices` and their `FisherStats`.
+
+    The claim is on means over the M pairs, for each operator, for gamma > 0: mean KL
+    lies between (1-gamma)^2/4 and K/(4 gamma) times 2 `loss_quadratic`, the mean
+    un-halved quadratic residual.  It is not a per-pair claim: weighted by the averaged
+    Gamma, single pairs of the matching preset's dataset fall below the lower bound.
+    Also takes stacked operators W = [W_n  W_g] of shape (D, K, 2K): the loss is one
+    call, the expert side is built once and each pair's student side in turn, and the
     means then hold one entry per pair, equal to a call with that pair alone.
     """
+    _check_sandwich_gamma(gamma)
     w = _stacked(tc)
     k = y.shape[-1]
     # Next-step mixed policies on both sides.  The labels are
@@ -136,16 +143,13 @@ def kl_sandwich_check(
     # shifts.
     p_teacher = _floored_policy(y, gamma)
     log_teacher = np.log(p_teacher)
-    quads, kls = [], []
+    kls = []
     for pair in w.reshape(-1, k, 2 * k):
-        student_logits = z @ pair.T
-        resid = student_logits - y
-        quads.append(np.einsum("mi,ij,mj->m", resid, gamma_hat, resid).mean())
-        p_student = _floored_policy(student_logits, gamma)
+        p_student = _floored_policy(z @ pair.T, gamma)
         kls.append(arm_fold(np.add, p_teacher * (log_teacher - np.log(p_student))).mean())
-    mean_quad, mean_kl = (np.reshape(means, w.shape[:-2]) for means in (quads, kls))
+    mean_kl = np.reshape(kls, w.shape[:-2])
     return SandwichSample(
-        mean_quad=float(mean_quad) if mean_quad.ndim == 0 else mean_quad,
+        mean_quad=2.0 * loss_quadratic(w, fs),
         mean_kl=float(mean_kl) if mean_kl.ndim == 0 else mean_kl,
         lower_const=(1.0 - gamma) ** 2 / 4.0,
         upper_const=k / (4.0 * gamma),
@@ -221,8 +225,7 @@ def run_lemma_suite(
     """
     k = ds.cfg.k
     gamma = ds.cfg.gamma
-    if gamma <= 0:
-        raise InvalidConfigError(f"the lemma suite needs gamma > 0 (the KL sandwich divides by it), got {gamma}")
+    _check_sandwich_gamma(gamma)
     if spectrum_samples < 1 or lipschitz_samples < 3 or sandwich_draws < 1 or not np.isfinite(sandwich_scale):
         raise InvalidConfigError(
             "the lemma suite needs spectrum_samples >= 1, lipschitz_samples >= 3, sandwich_draws >= 1 and a finite "
@@ -257,7 +260,7 @@ def run_lemma_suite(
     pairs = rng.normal(size=(sandwich_draws, 2, k, k)) * sandwich_scale
     z, y, p = ds.pair_matrices()
     fs = pair_stats([(z, y, p)])
-    sample = kl_sandwich_check(np.concatenate([pairs[:, 0], pairs[:, 1]], axis=-1), z, y, fs.gamma_hat, gamma)
+    sample = kl_sandwich_check(np.concatenate([pairs[:, 0], pairs[:, 1]], axis=-1), z, y, fs, gamma)
     slacks = np.concatenate([sample.lower_slack, sample.upper_slack])
     report["checks"]["kl_sandwich"] = {
         "samples": sandwich_draws,

@@ -159,9 +159,10 @@ def shock_constants(cfg: TeacherConfig, w: np.ndarray) -> tuple[float, float | n
     u_norm = float(np.linalg.norm(cfg.u, ord=2))
     lead = cfg.c * (1.0 - cfg.gamma) / 2.0
     a = lead * u_norm
-    # V + U diag(w) for every task at once: column j of U scaled by w_j.
+    # V + U diag(w) for every task at once: column j of U scaled by w_j.  Its spectral norm is
+    # the root of vw^T vw's top eigenvalue, exactly |w_j - lambda|'s maximum when H is diagonal.
     vw = cfg.v + cfg.u * np.asarray(w, dtype=float)[..., np.newaxis, :]
-    vw_norm = np.linalg.norm(vw, ord=2, axis=(-2, -1))
+    vw_norm = np.sqrt(np.linalg.eigvalsh(np.swapaxes(vw, -1, -2) @ vw)[..., -1])
     b = lead * math.sqrt(cfg.k / 2.0) * (vw_norm + math.sqrt(2.0 / math.pi) * cfg.sigma_xi * u_norm)
     return a, float(b) if b.ndim == 0 else b
 

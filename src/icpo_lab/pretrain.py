@@ -13,7 +13,7 @@ import json
 import math
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -43,6 +43,12 @@ def _layout(b: int, n: int, k: int) -> list[list]:
         ["actions", "<i8", [b, n]],
         ["rewards", "<f8", [b, n]],
     ]
+
+
+def _check_seed(seed: int) -> None:
+    """A seed lies in [0, 2**64), where no two draw the same numbers: the draws key on the seed mod 2**64."""
+    if not 0 <= seed < 2**64:
+        raise InvalidConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _writable(array: np.ndarray) -> bool:
@@ -77,7 +83,9 @@ class PretrainDataset:
     sha256: str | None = None
 
     def __post_init__(self):
-        """The one dataset check: the arrays fit B, N and K, actions lie in [0, K), w and rewards are finite."""
+        """The one dataset check: the seed is one, the arrays fit B, N and K, actions lie in [0, K),
+        w and rewards are finite."""
+        _check_seed(self.seed)
         k = self.cfg.k
         for name, _, shape in _layout(self.b, self.n, k):
             array = np.asarray(getattr(self, name))
@@ -165,13 +173,19 @@ def fisher_matrix(p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FisherStats:
-    """Moment summary of a dataset: everything the quadratic loss needs."""
+    """Moment summary of a dataset: everything the quadratic loss needs, its W-free terms built once."""
 
     gamma_hat: np.ndarray  # K x K averaged Fisher weight
     sigma_bar: np.ndarray  # 2K x 2K second moment of normalized statistics
     sigma_yz: np.ndarray  # K x 2K cross moment of labels and statistics
     sigma_yy: np.ndarray  # K x K label second moment
     m: int
+    gamma_yz: np.ndarray = field(init=False, repr=False)  # Gamma Sigma_yz
+    label_const: float = field(init=False, repr=False)  # 0.5 tr(Gamma Sigma_yy)
+
+    def __post_init__(self):
+        self.gamma_yz = self.gamma_hat @ self.sigma_yz
+        self.label_const = 0.5 * np.trace(self.gamma_hat @ self.sigma_yy)
 
     @property
     def k(self) -> int:
@@ -210,25 +224,16 @@ def _stacked(tc: TwoChannelParams | np.ndarray) -> np.ndarray:
 
 
 def loss_quadratic(tc: TwoChannelParams | np.ndarray, fs: FisherStats) -> float | np.ndarray:
-    """Same loss via moment matrices, constant label term included.
+    """The training loss, (1/2M) times the sum of r^T Gamma r over the pairs (r = W z - y), in moment form.
 
     Also takes stacked operators W = [W_n  W_g] of shape (..., K, 2K) and
     then returns one loss per leading index.
     """
-    return _loss(_stacked(tc), fs, *_label_terms(fs))
-
-
-def _label_terms(fs: FisherStats) -> tuple[np.ndarray, float]:
-    """Gamma Sigma_yz and 0.5 tr(Gamma Sigma_yy): the loss terms that do not depend on W."""
-    return fs.gamma_hat @ fs.sigma_yz, 0.5 * np.trace(fs.gamma_hat @ fs.sigma_yy)
-
-
-def _loss(w: np.ndarray, fs: FisherStats, gamma_yz: np.ndarray, const: float) -> float | np.ndarray:
-    # `Gamma @ Sigma_yz @ W^T` multiplies left to right, so starting from `gamma_yz` changes no bit.
+    w = _stacked(tc)
     w_t = np.swapaxes(w, -1, -2)
     quad = 0.5 * np.trace(fs.gamma_hat @ w @ fs.sigma_bar @ w_t, axis1=-2, axis2=-1)
-    lin = np.trace(gamma_yz @ w_t, axis1=-2, axis2=-1)
-    loss = quad - lin + const
+    lin = np.trace(fs.gamma_yz @ w_t, axis1=-2, axis2=-1)
+    loss = quad - lin + fs.label_const
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -287,8 +292,7 @@ def train_gd(
     k = fs.k
     w = TwoChannelParams.zeros(k) if init is None else init
     mat = w.stacked.copy()
-    label_terms = _label_terms(fs)  # constant across iterations
-    losses = [_loss(mat, fs, *label_terms)]
+    losses = [loss_quadratic(mat, fs)]
     grad_norms = []
     blowup = 1e3 * max(abs(losses[0]), 1e-12)
     for _ in range(max_iters):
@@ -298,7 +302,7 @@ def train_gd(
         if gnorm <= tol:
             break
         mat = mat - step * grad
-        loss = _loss(mat, fs, *label_terms)
+        loss = loss_quadratic(mat, fs)
         losses.append(loss)
         if not loss <= blowup:
             raise StepSizeError(f"loss grew to {loss:.3e} (from {losses[0]:.3e}); reduce the step")
@@ -344,6 +348,39 @@ def _write_container(path: Path, header: dict, layout: list[list], arrays: dict)
     for buf in buffers:
         digest.update(buf)
     write_atomic(path, [digest.digest(), *buffers])
+
+
+# The JSON types of the header fields that `save_dataset` and `save_params` write.  A teacher
+# constant given as an int is written as one; a bool is not an int.
+_NUMBERS = dict.fromkeys(("c", "gamma", "lambda", "tau_w", "sigma_xi"), (int, float))
+_TEACHER_FIELDS = {"k": (int,), **_NUMBERS, "h": (str, list)}
+_SOURCE_FIELDS = dict(b=(int,), n=(int,), seed=(int,))
+_DATASET_HEADER = dict(version=(int,), teacher=(dict,), **_SOURCE_FIELDS, arrays=(list,))
+_PARAMS_HEADER = dict(
+    version=(int,), teacher=(dict,), training=(dict,), dataset=(dict,), dataset_sha256=(str, type(None)), arrays=(list,)
+)
+_JSON_NAMES = {int: "an int", float: "a float", str: "a string", list: "a list", dict: "a table", type(None): "null"}
+
+
+def _fields(table: dict, kinds: dict, where: str = "") -> list:
+    """The values of the header table `table` in the order of `kinds`: it must have exactly the
+    keys of `kinds`, and each value one of the JSON types listed for its key."""
+    if table.keys() != kinds.keys():
+        raise InvalidConfigError(f"{where or 'header'} has keys {sorted(table)}, expected {sorted(kinds)}")
+    for key, types in kinds.items():
+        if type(table[key]) not in types:
+            names = " or ".join(_JSON_NAMES[t] for t in types)
+            raise InvalidConfigError(f"{where}{'.' if where else ''}{key} = {table[key]!r} is not {names}")
+    return [table[key] for key in kinds]
+
+
+def _teacher(table: dict) -> TeacherConfig:
+    """The [teacher] of a header: `TeacherConfig.to_dict`'s keys and types, and H `identity` or
+    rows of floats."""
+    h = _fields(table, _TEACHER_FIELDS, "teacher")[-1]
+    if h != "identity" and not all(type(row) is list and all(type(x) is float for x in row) for row in h):
+        raise InvalidConfigError(f"teacher.h = {h!r} is not 'identity' or rows of floats")
+    return TeacherConfig.from_dict(table)
 
 
 def _read_container(path: Path, kind: str, version: int, parse) -> tuple:
@@ -399,8 +436,8 @@ def load_dataset(directory: str | Path) -> PretrainDataset:
         raise InvalidConfigError(f"dataset not found: {path}")
 
     def parse(header: dict) -> tuple:
-        cfg = TeacherConfig.from_dict(header["teacher"])
-        b, n, seed = int(header["b"]), int(header["n"]), int(header["seed"])
+        _, teacher, b, n, seed, _ = _fields(header, _DATASET_HEADER)
+        cfg = _teacher(teacher)
         return _layout(b, n, cfg.k), (cfg, b, n, seed)
 
     (cfg, b, n, seed), arrays, digest = _read_container(path, "dataset", DATASET_FORMAT_VERSION, parse)
@@ -434,8 +471,13 @@ def read_params(path: str | Path, cfg: TeacherConfig | None = None) -> tuple[Two
     path = Path(path)
 
     def parse(header: dict) -> tuple:
-        fields = header["teacher"], header["dataset_sha256"]
-        return _params_layout(TeacherConfig.from_dict(fields[0]).k), fields
+        _, teacher, training, source, sha, _ = _fields(header, _PARAMS_HEADER)
+        _check_seed(_fields(source, _SOURCE_FIELDS, "dataset")[2])
+        if not all(type(text) is str for text in [*training, *training.values()]):
+            raise InvalidConfigError(f"training = {training!r} is not a table of strings")
+        if sha is not None and not (len(sha) == 64 and set(sha) <= set("0123456789abcdef")):
+            raise InvalidConfigError(f"dataset_sha256 = {sha!r} is not a SHA-256 digest in hex")
+        return _params_layout(_teacher(teacher).k), (teacher, sha)
 
     (teacher, dataset_sha256), arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse)
     if cfg is not None and (differ := [key for key, value in cfg.to_dict().items() if teacher.get(key) != value]):

@@ -280,7 +280,7 @@ class TestCriterion6LemmaSuite:
                 w_n=0.3 * rng.normal(size=(10, 10)),
                 w_g=0.3 * rng.normal(size=(10, 10)),
             )
-            sample = kl_sandwich_check(tc, z, y, stats.gamma_hat, cfg.gamma)
+            sample = kl_sandwich_check(tc, z, y, stats, cfg.gamma)
             sandwich_ok = sandwich_ok and sample.lower_slack >= -1e-10 and sample.upper_slack >= -1e-10
         sigma_pd = sigma_min(fs.sigma_bar)
         grad_rel = gradient_fd_relative_error(

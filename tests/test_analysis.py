@@ -19,15 +19,15 @@ from icpo_lab.analysis import (
 from icpo_lab import analysis
 from icpo_lab.errors import InvalidConfigError, InvalidDistributionError
 from icpo_lab.lsa import TwoChannelParams, teacher_two_channel
-from icpo_lab.pretrain import empirical_stats, fisher_matrix, gradient, loss_quadratic
-from icpo_lab.reference import kl_divergence
-from icpo_lab.teacher import coverage_margin, mix_policy, softmax
+from icpo_lab.pretrain import empirical_stats, fisher_matrix, generate_dataset, gradient, loss_quadratic, pair_stats
+from icpo_lab.reference import kl_divergence, loss_direct
+from icpo_lab.teacher import TeacherConfig, coverage_margin, mix_policy, softmax
 
 
 def _sandwich_args(ds, fs):
-    """`kl_sandwich_check`'s arguments after the operators: `ds`'s pair matrices Z and Y, Gamma-hat, gamma."""
+    """`kl_sandwich_check`'s arguments after the operators: `ds`'s pair matrices Z and Y, their statistics, gamma."""
     z, y, _ = ds.pair_matrices()
-    return z, y, fs.gamma_hat, ds.cfg.gamma
+    return z, y, fs, ds.cfg.gamma
 
 
 class TestHelmertBasis:
@@ -141,6 +141,14 @@ class TestKlSandwich:
         assert np.all(sample.upper_slack >= -1e-10)
         assert isinstance(singles[0].mean_kl, float)
 
+    @pytest.mark.parametrize("operators", [TwoChannelParams.zeros(3), np.zeros((0, 3, 6))], ids=["pair", "empty-stack"])
+    def test_gamma_zero_is_a_config_error(self, operators):
+        """The upper constant K/(4 gamma) used to end in a bare ZeroDivisionError at gamma = 0."""
+        ds = generate_dataset(TeacherConfig(k=3, gamma=0.0), b=4, n=3, seed=0)
+        z, y, p = ds.pair_matrices()
+        with pytest.raises(InvalidConfigError, match=r"needs gamma > 0 \(the KL sandwich divides by it\), got 0.0"):
+            kl_sandwich_check(operators, z, y, pair_stats([(z, y, p)]), 0.0)
+
     def test_kl_requires_positive_inputs(self):
         with pytest.raises(InvalidDistributionError):
             kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
@@ -152,6 +160,48 @@ class TestKlSandwich:
             tc = TwoChannelParams(w_n=rng.normal(size=(10, 10)) * 5, w_g=rng.normal(size=(10, 10)) * 5)
             sample = kl_sandwich_check(tc, *_sandwich_args(matching_dataset, matching_stats))
             assert sample.upper_slack >= -1e-10
+
+
+class TestSandwichAndGradientAcrossTeachers:
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
+    def test_sweep(self, kind):
+        """For K = 2..12 and gamma in [0.05, 0.95]: the sandwich's upper slack at scales 0.3
+        and 5, its quadratic against the per-pair sum, and the gradient against FD.  The lower
+        side is not asserted: it is a local claim, and some teachers break it at scale 0.3
+        (`test_lower_side_fails_for_a_steep_teacher`)."""
+        rng = np.random.default_rng({"identity": 3801, "diagonal": 3802, "dense": 3803}[kind])
+        for k in range(2, 13):
+            if kind == "identity":
+                h = None
+            elif kind == "diagonal":
+                h = np.diag(rng.uniform(0.5, 3.0, size=k))
+            else:
+                a = rng.normal(size=(k, k))
+                h = a @ a.T / k + 0.5 * np.eye(k)
+            gamma = float(rng.uniform(0.05, 0.95))
+            cfg = TeacherConfig(k=k, c=float(rng.uniform(0.2, 2.0)), gamma=gamma, lam=float(rng.uniform(0.0, 1.0)), h=h)
+            ds = generate_dataset(cfg, b=30, n=6, seed=int(rng.integers(2**31)))
+            fs = empirical_stats(ds)
+            z, y, _ = ds.pair_matrices()
+            where = f"{kind} H, K = {k}, gamma = {gamma:.3f}"
+            for scale in (0.3, 5.0):
+                stack = rng.normal(size=(4, k, 2 * k)) * scale
+                sample = kl_sandwich_check(stack, z, y, fs, gamma)
+                assert np.all(sample.upper_slack >= -1e-10), where
+                direct = [2 * loss_direct(TwoChannelParams.from_stacked(w), ds, fs.gamma_hat) for w in stack]
+                np.testing.assert_allclose(sample.mean_quad, direct, rtol=1e-12, atol=0, err_msg=where)
+            tc = TwoChannelParams(w_n=rng.normal(size=(k, k)), w_g=rng.normal(size=(k, k)))
+            assert gradient_fd_relative_error(tc, fs) <= 1e-6, where
+
+    def test_lower_side_fails_for_a_steep_teacher(self):
+        """A counterexample to the lower side at the suite's own scale, 0.3: with c = 2 the
+        mean KL falls 21 % short of (1-gamma)^2/4 times the quadratic.  The suite reports it."""
+        cfg = TeacherConfig(k=2, c=2.0, gamma=0.5, lam=0.1, tau_w=1.0, sigma_xi=0.5)
+        report = run_lemma_suite(
+            generate_dataset(cfg, b=200, n=8, seed=7), seed=0, spectrum_samples=10, lipschitz_samples=30
+        )
+        assert report["checks"]["kl_sandwich"]["worst_slack"] < -1e-3 and not report["passed"]
+        assert all(check["worst_slack"] >= -1e-10 for name, check in report["checks"].items() if name != "kl_sandwich")
 
 
 class TestRestrictedMinima:

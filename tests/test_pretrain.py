@@ -30,10 +30,12 @@ from icpo_lab.pretrain import (
     generate_dataset,
     gradient,
     load_dataset,
+    load_params,
     loss_quadratic,
     operator_norm,
     pair_stats,
     save_dataset,
+    save_params,
     solve_ls,
     train_gd,
 )
@@ -48,6 +50,7 @@ def _small_cfg(**kwargs):
 
 
 ARRAY_FIELDS = ("w", "actions", "rewards")
+NOT_H = "is not 'identity' or rows of floats"
 
 
 def _assert_same_arrays(d1, d2):
@@ -367,6 +370,51 @@ class TestDatasetIntegrity:
         with pytest.raises(InvalidConfigError) as info:
             load_dataset(tmp_path)
         assert str(info.value) == f"{path}: malformed header: {problem}"
+
+    @pytest.mark.parametrize(
+        "kind, edit, problem",
+        [
+            ("dataset", lambda h: h.update(seed=1.5), "seed = 1.5 is not an int"),
+            ("dataset", lambda h: h["teacher"].update(k=3.5), "teacher.k = 3.5 is not an int"),
+            ("dataset", lambda h: h.update(n="5"), "n = '5' is not an int"),
+            ("dataset", lambda h: h.update(seed=-1), "seed must be in [0, 2**64), got -1"),
+            ("dataset", lambda h: h.update(seed=2**64), f"seed must be in [0, 2**64), got {2**64}"),
+            ("params", lambda h: h.update(dataset_sha256=7), "dataset_sha256 = 7 is not a string or null"),
+            ("params", lambda h: h["teacher"].update(c="1"), "teacher.c = '1' is not an int or a float"),
+            ("params", lambda h: h.update(training=5), "training = 5 is not a table"),
+            ("params", lambda h: h.update(training={"k": 9}), "training = {'k': 9} is not a table of strings"),
+            ("params", lambda h: h.update(dataset_sha256="ab"), "dataset_sha256 = 'ab' is not a SHA-256 digest in hex"),
+            ("params", lambda h: h["dataset"].update(seed=True), "dataset.seed = True is not an int"),
+            ("dataset", lambda h: h["teacher"].update(h="eye"), f"teacher.h = 'eye' {NOT_H}"),
+            ("dataset", lambda h: h["teacher"].update(h=[["1"]]), f"teacher.h = [['1']] {NOT_H}"),
+            (
+                "dataset",
+                lambda h: h.update(note=""),
+                "header has keys ['arrays', 'b', 'n', 'note', 'seed', 'teacher', 'version'], "
+                "expected ['arrays', 'b', 'n', 'seed', 'teacher', 'version']",
+            ),
+        ],
+        ids=[
+            "seed-float", "k-float", "n-string", "seed-negative", "seed-2**64", "sha-int", "c-string", "training-int",
+            "training-value-int", "sha-short", "seed-bool", "h-string", "h-strings", "extra-key",
+        ],
+    )
+    def test_header_fields_must_have_the_types_written(self, tmp_path, kind, edit, problem):
+        """Behind a valid digest, a field no writer produces is refused, naming the file.  Each used
+        to be coerced: seed 1.5 loaded as seed 1, K = 3.5 as K = 3, and a dataset digest of 7 went
+        into every experiment sidecar."""
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        if kind == "params":
+            path = tmp_path / "params.bin"
+            save_params(TwoChannelParams.zeros(4), path, load_dataset(tmp_path), {"solver": "ls"})
+        _, header = _header(path.read_bytes())
+        edit(header)
+        _rewrite(path, header=header)
+        with pytest.raises(InvalidConfigError) as info:
+            load_dataset(tmp_path) if kind == "dataset" else load_params(path)
+        where = f"{path}: " if problem.startswith("seed must") else f"{path}: malformed header: "
+        assert str(info.value) == where + problem
 
     def test_file_holds_only_the_rollouts(self, tmp_path):
         b, n, k = 4, 5, 4
