@@ -322,6 +322,11 @@ def cmd_me_icpo(args: argparse.Namespace) -> int:
     question = sec["question"]
     loop_keys = [f.name for f in dataclasses.fields(MeIcpoConfig)]
     cfg = config.build("me-icpo", MeIcpoConfig, **_pick(sec, *loop_keys))
+    if gold := sec.get("gold"):
+        from .meicpo.answers import canonicalize
+
+        if (gold_answer := canonicalize(gold, cfg.mode)) is None:
+            raise config.invalid("me-icpo", "gold", gold, f"is not a {cfg.mode} answer")
     backend = sec.get("generator", "mock")
     if backend == "mock":
         script_path = sec.get("script")
@@ -351,11 +356,9 @@ def cmd_me_icpo(args: argparse.Namespace) -> int:
         "accounting": result.accounting.to_dict(),
         "config": config.raw["me-icpo"],
     }
-    if gold := sec.get("gold"):
-        from .meicpo.answers import canonicalize
-
+    if gold:
         payload["gold"] = gold
-        payload["correct"] = canonicalize(gold, cfg.mode) == result.final_answer
+        payload["correct"] = gold_answer == result.final_answer  # never None == None: gold_answer is an answer
     _write_json(payload, out / "result.json")
     write_trace_jsonl(result, out / "trace.jsonl")
     print(f"final answer: {result.final_answer}; wrote {out}")

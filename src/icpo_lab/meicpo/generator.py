@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 from ..errors import GeneratorError, InvalidConfigError
 
 if TYPE_CHECKING:
-    from .wire import Connection, RequestHeaders
+    from .wire import Connection
 
 
 def count_tokens(text: str) -> int:
@@ -254,8 +254,8 @@ class HttpGenerator(Generator):
             self._tls = ssl.create_default_context()
         self._idle: list[Connection] = []
 
-    def _headers(self) -> RequestHeaders:
-        """This call's request header fields, and the request head `_send` writes before each body."""
+    def _head(self) -> bytes:
+        """This call's request head, which `_send` writes before each body."""
         headers = {
             "Host": self._netloc,
             "Accept-Encoding": "identity",
@@ -265,9 +265,9 @@ class HttpGenerator(Generator):
         key = os.environ.get(self.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        from .wire import RequestHeaders
+        from .wire import request_head
 
-        return RequestHeaders(f"POST {self._path} HTTP/1.1", headers)
+        return request_head(f"POST {self._path} HTTP/1.1", headers)
 
     def _payload(self, request: GeneratorRequest) -> dict:
         return {
@@ -299,11 +299,11 @@ class HttpGenerator(Generator):
 
         return Connection.open(self._host, self._port, self.timeout, self._tls)
 
-    def _send(self, body: bytes, headers: RequestHeaders) -> Connection:
+    def _send(self, body: bytes, head: bytes) -> Connection:
         """Write one POST of `body` with one `sendall` and return its connection, for `_receive`; or raise."""
         conn = self._connection()
         try:
-            conn.sock.sendall(b"%s%d\r\n\r\n%s" % (headers.head, len(body), body))
+            conn.sock.sendall(b"%s%d\r\n\r\n%s" % (head, len(body), body))
         except BaseException:
             conn.close()
             raise
@@ -348,7 +348,7 @@ class HttpGenerator(Generator):
         """
         import http.client
 
-        headers = self._headers()
+        head = self._head()
         n = len(requests)
         requests = list(requests) + [None] * (n if then is not None else 0)
         bodies: list = [None] * len(requests)
@@ -369,7 +369,7 @@ class HttpGenerator(Generator):
                             bodies[slot] = json.dumps(self._payload(requests[slot]), allow_nan=False).encode()
                         attempts[slot] += 1
                         try:
-                            sent[slot] = self._send(bodies[slot], headers)
+                            sent[slot] = self._send(bodies[slot], head)
                         except (OSError, http.client.HTTPException) as exc:
                             outcomes[slot], waits[slot] = self._judge(requests[slot], exc)
                             doomed |= slot < n and waits[slot] is None
@@ -443,28 +443,23 @@ class HttpGenerator(Generator):
 
 @dataclass
 class CallAccounting:
-    """Plain token and call counters accumulated over a run."""
+    """Call and token counts per call purpose, accumulated over a run; the totals are their sums."""
 
-    calls: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
     by_purpose: dict = field(default_factory=dict)
 
     def add(self, purpose: str, response: GeneratorResponse) -> None:
-        self.calls += 1
-        self.prompt_tokens += response.prompt_tokens
-        self.completion_tokens += response.completion_tokens
-        slot = self.by_purpose.setdefault(
-            purpose, {"calls": 0, "prompt_tokens": 0, "completion_tokens": 0}
-        )
+        slot = self.by_purpose.setdefault(purpose, {"calls": 0, "prompt_tokens": 0, "completion_tokens": 0})
         slot["calls"] += 1
         slot["prompt_tokens"] += response.prompt_tokens
         slot["completion_tokens"] += response.completion_tokens
 
+    def _total(self, key: str) -> int:
+        return sum(slot[key] for slot in self.by_purpose.values())
+
+    calls = property(lambda self: self._total("calls"))
+    prompt_tokens = property(lambda self: self._total("prompt_tokens"))
+    completion_tokens = property(lambda self: self._total("completion_tokens"))
+
     def to_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "by_purpose": self.by_purpose,
-        }
+        totals = {key: self._total(key) for key in ("calls", "prompt_tokens", "completion_tokens")}
+        return {**totals, "by_purpose": self.by_purpose}

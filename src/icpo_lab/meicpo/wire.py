@@ -16,20 +16,14 @@ MAX_LINE = 65536
 MAX_HEADERS = 100
 
 
-class RequestHeaders(dict):
-    """One call's request header fields, and the head `HttpGenerator._send` writes before each body.
-
-    The head is the request line and every field, encoded once, ending in
-    `Content-Length: `, so a request appends only its length and its body.
-    """
-
-    def __init__(self, request_line: str, fields: dict):
-        super().__init__(fields)
-        for name, value in fields.items():
-            if "\r" in value or "\n" in value:
-                raise ValueError(f"the {name} header value holds a line break")
-        lines = [request_line, *(f"{name}: {value}" for name, value in fields.items()), "Content-Length: "]
-        self.head = "\r\n".join(lines).encode("latin-1")
+def request_head(request_line: str, fields: dict) -> bytes:
+    """The head `HttpGenerator._send` writes before each body: the request line and every field,
+    encoded once, ending in `Content-Length: `, so a request appends only its length and its body."""
+    for name, value in fields.items():
+        if "\r" in value or "\n" in value:
+            raise ValueError(f"the {name} header value holds a line break")
+    lines = [request_line, *(f"{name}: {value}" for name, value in fields.items()), "Content-Length: "]
+    return "\r\n".join(lines).encode("latin-1")
 
 
 class Fields(dict):

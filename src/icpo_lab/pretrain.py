@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -68,9 +69,9 @@ class PretrainDataset:
     Only the rollouts are kept: the labels and policies are fixed functions
     of their prefixes and `cfg`, which `pair_matrices` evaluates.  `sha256`
     is the stored digest of the file the dataset was loaded from, and None
-    for a dataset built in memory.  It checks itself when built and keeps
-    read-only arrays: a view of an input that nothing can write, a copy of
-    any other.  `dataclasses.replace` checks again.
+    for a dataset built in memory.  It checks itself when built, stores B, N
+    and the seed as ints, and keeps read-only arrays: a view of an input that
+    nothing can write, a copy of any other.  `dataclasses.replace` checks again.
     """
 
     cfg: TeacherConfig
@@ -85,6 +86,8 @@ class PretrainDataset:
     def __post_init__(self):
         """The one dataset check: the seed is one, the arrays fit B, N and K, actions lie in [0, K),
         w and rewards are finite."""
+        for name in ("b", "n", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         _check_seed(self.seed)
         k = self.cfg.k
         for name, _, shape in _layout(self.b, self.n, k):
@@ -335,13 +338,18 @@ def solve_ls(fs: FisherStats) -> TwoChannelParams:
     return TwoChannelParams.from_stacked(project(w, axis=0))  # exact zero column sums
 
 
+def _header_text(header: dict, layout: list[list]) -> bytes:
+    """`header` as stored: sorted-key JSON with `arrays` = `layout`, padded so the arrays start 8-aligned."""
+    text = json.dumps({**header, "arrays": layout}, sort_keys=True).encode()
+    return text + b" " * (-(40 + len(text)) % 8)
+
+
 def _write_container(path: Path, header: dict, layout: list[list], arrays: dict) -> None:
     """Write the one on-disk form of datasets and parameters, with one atomic rename:
     a SHA-256 digest of all that follows, the header length (uint64, little-endian), the
-    JSON header with `arrays` = `layout` space-padded to a multiple of 8 bytes, then the
-    arrays, C-ordered, each hashed and written from its own buffer."""
-    text = json.dumps({**header, "arrays": layout}, sort_keys=True).encode()
-    text += b" " * (-(40 + len(text)) % 8)
+    header's text (`_header_text`), then the arrays, C-ordered, each hashed and written from
+    its own buffer."""
+    text = _header_text(header, layout)
     buffers = [struct.pack("<Q", len(text)), text]
     buffers += [np.ascontiguousarray(arrays[name], dtype) for name, dtype, _ in layout]
     digest = hashlib.sha256()
@@ -350,44 +358,20 @@ def _write_container(path: Path, header: dict, layout: list[list], arrays: dict)
     write_atomic(path, [digest.digest(), *buffers])
 
 
-# The JSON types of the header fields that `save_dataset` and `save_params` write.  A teacher
-# constant given as an int is written as one; a bool is not an int.
-_NUMBERS = dict.fromkeys(("c", "gamma", "lambda", "tau_w", "sigma_xi"), (int, float))
-_TEACHER_FIELDS = {"k": (int,), **_NUMBERS, "h": (str, list)}
-_SOURCE_FIELDS = dict(b=(int,), n=(int,), seed=(int,))
-_DATASET_HEADER = dict(version=(int,), teacher=(dict,), **_SOURCE_FIELDS, arrays=(list,))
-_PARAMS_HEADER = dict(
-    version=(int,), teacher=(dict,), training=(dict,), dataset=(dict,), dataset_sha256=(str, type(None)), arrays=(list,)
-)
-_JSON_NAMES = {int: "an int", float: "a float", str: "a string", list: "a list", dict: "a table", type(None): "null"}
-
-
-def _fields(table: dict, kinds: dict, where: str = "") -> list:
-    """The values of the header table `table` in the order of `kinds`: it must have exactly the
-    keys of `kinds`, and each value one of the JSON types listed for its key."""
-    if table.keys() != kinds.keys():
-        raise InvalidConfigError(f"{where or 'header'} has keys {sorted(table)}, expected {sorted(kinds)}")
-    for key, types in kinds.items():
-        if type(table[key]) not in types:
-            names = " or ".join(_JSON_NAMES[t] for t in types)
-            raise InvalidConfigError(f"{where}{'.' if where else ''}{key} = {table[key]!r} is not {names}")
-    return [table[key] for key in kinds]
-
-
-def _teacher(table: dict) -> TeacherConfig:
-    """The [teacher] of a header: `TeacherConfig.to_dict`'s keys and types, and H `identity` or
-    rows of floats."""
-    h = _fields(table, _TEACHER_FIELDS, "teacher")[-1]
-    if h != "identity" and not all(type(row) is list and all(type(x) is float for x in row) for row in h):
-        raise InvalidConfigError(f"teacher.h = {h!r} is not 'identity' or rows of floats")
-    return TeacherConfig.from_dict(table)
+def _differences(stored, written, name: str = "") -> list[str]:
+    """`name = value` of each field of `stored` whose JSON text is not `written`'s, subtables field by field."""
+    if type(stored) is not dict or type(written) is not dict:
+        return [] if json.dumps(stored) == json.dumps(written) else [f"{name} = {stored!r}"]
+    labels = {key: f"{name}.{key}" if name else key for key in sorted(stored.keys() | written.keys())}
+    return [line for key, label in labels.items() for line in _differences(stored.get(key), written.get(key), label)]
 
 
 def _read_container(path: Path, kind: str, version: int, parse) -> tuple:
     """(fields, arrays, digest hex) of a container.  The digest is checked before anything is
-    parsed, then the version; `parse(header)` gives (the layout the header implies, its fields),
-    which the header must list and the file end with.  A header `parse` rejects, or whose layout
-    numpy cannot build, is malformed.  The arrays are read-only views of the file's bytes."""
+    parsed, then the version; `parse(header)` gives (the header this version writes for its values,
+    their layout, the values): the stored text must be that header's, the file end with the layout.
+    A header `parse` rejects, or whose layout numpy cannot build, is malformed.  The arrays are
+    read-only views of the file's bytes."""
     blob = path.read_bytes()
     if len(blob) < 40 or hashlib.sha256(memoryview(blob)[32:]).digest() != blob[:32]:
         raise InvalidConfigError(f"{path}: SHA-256 does not match the stored digest (file damaged or edited)")
@@ -395,14 +379,15 @@ def _read_container(path: Path, kind: str, version: int, parse) -> tuple:
     try:
         header = json.loads(blob[40 : 40 + size])
         found = header["version"]
-        layout, fields = parse(header) if found == version else ([], None)
+        written, layout, fields = parse(header) if found == version else ({}, [], None)
         arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])
-    except (ValueError, KeyError, TypeError, InvalidConfigError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, InvalidConfigError) as exc:
         raise InvalidConfigError(f"{path}: malformed header: {exc}") from exc
     if found != version:
         raise InvalidConfigError(f"{path}: unsupported {kind} version {found!r}")
-    if header.get("arrays") != layout:
-        raise InvalidConfigError(f"{path}: header lists arrays {header.get('arrays')}, expected {layout}")
+    if _header_text(written, layout) != blob[40 : 40 + size]:
+        differ = ", ".join(_differences(header, {**written, "arrays": layout})) or "its JSON text"
+        raise InvalidConfigError(f"{path}: malformed header: {differ} is not what this version writes")
     if len(blob) != 40 + size + arrays.itemsize:
         raise InvalidConfigError(f"{path}: {len(blob)} bytes, expected {40 + size + arrays.itemsize}")
     record = np.frombuffer(blob, arrays, count=1, offset=40 + size)[0]
@@ -417,28 +402,33 @@ def _from_file(path: Path, factory, *args, **kwargs):
         raise InvalidConfigError(f"{path}: {exc}") from None
 
 
+def _dataset_header(cfg: TeacherConfig, b: int, n: int, seed: int) -> dict:
+    """The header `save_dataset` writes for a dataset of B rollouts of N rounds drawn at `seed`."""
+    return dict(version=DATASET_FORMAT_VERSION, teacher=cfg.to_dict(), b=b, n=n, seed=seed)
+
+
 def save_dataset(ds: PretrainDataset, directory: str | Path) -> Path:
     """Write `ds` to DATASET_FILE in `directory`; the bytes depend on the dataset alone.
     No other file in `directory` is touched."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header = dict(version=DATASET_FORMAT_VERSION, teacher=ds.cfg.to_dict(), b=ds.b, n=ds.n, seed=ds.seed)
     layout = _layout(ds.b, ds.n, ds.cfg.k)
+    header = _dataset_header(ds.cfg, ds.b, ds.n, ds.seed)
     _write_container(directory / DATASET_FILE, header, layout, {name: getattr(ds, name) for name, _, _ in layout})
     return directory
 
 
 def load_dataset(directory: str | Path) -> PretrainDataset:
-    """Read a dataset written by `save_dataset`: B >= 1 and N >= 2, each array's dtype and shape
-    must match B, N and K, and the arrays must pass the dataset's own check."""
+    """Read a dataset written by `save_dataset`: the header `_dataset_header` builds from its values,
+    B >= 1 and N >= 2, and arrays that pass the dataset's own check."""
     path = Path(directory) / DATASET_FILE
     if not path.exists():
         raise InvalidConfigError(f"dataset not found: {path}")
 
     def parse(header: dict) -> tuple:
-        _, teacher, b, n, seed, _ = _fields(header, _DATASET_HEADER)
-        cfg = _teacher(teacher)
-        return _layout(b, n, cfg.k), (cfg, b, n, seed)
+        cfg = TeacherConfig.from_dict(header["teacher"])
+        b, n, seed = int(header["b"]), int(header["n"]), int(header["seed"])
+        return _dataset_header(cfg, b, n, seed), _layout(b, n, cfg.k), (cfg, b, n, seed)
 
     (cfg, b, n, seed), arrays, digest = _read_container(path, "dataset", DATASET_FORMAT_VERSION, parse)
     return _from_file(path, PretrainDataset, cfg, b, n, seed, **arrays, sha256=digest)
@@ -448,13 +438,26 @@ def _params_layout(k: int) -> list[list]:
     return [["w_n", "<f8", [k, k]], ["w_g", "<f8", [k, k]]]
 
 
+def _params_header(cfg: TeacherConfig, training: dict, b: int, n: int, seed: int, dataset_sha256: str | None) -> dict:
+    """The header `save_params` writes: the dataset's teacher, B, N, seed and stored digest (None or 64
+    hex digits), and the `[training]` section as written, a table of strings."""
+    if not (isinstance(training, dict) and all(type(text) is str for text in [*training, *training.values()])):
+        raise InvalidConfigError(f"training = {training!r} is not a table of strings")
+    sha = dataset_sha256
+    if sha is not None and not (type(sha) is str and len(sha) == 64 and set(sha) <= set("0123456789abcdef")):
+        raise InvalidConfigError(f"dataset_sha256 = {sha!r} is not a SHA-256 digest in hex")
+    _check_seed(seed)
+    _layout(b, n, cfg.k)  # B >= 1 and N >= 2, as for the dataset itself
+    header = dict(version=PARAMS_FORMAT_VERSION, teacher=cfg.to_dict(), training=training)
+    return dict(header, dataset=dict(b=b, n=n, seed=seed), dataset_sha256=sha)
+
+
 def save_params(tc: TwoChannelParams, path: str | Path, ds: PretrainDataset, training: dict) -> None:
-    """Write operators fitted on `ds`; the header holds its teacher, b, n, seed and
-    stored digest (None if built in memory), and the `[training]` section as written."""
+    """Write operators fitted on `ds`, with the header `_params_header` builds; a `[training]`
+    table that is not all strings is refused before anything is written."""
     if tc.k != ds.cfg.k:
         raise InvalidConfigError(f"operators are {tc.k}x{tc.k} but the dataset's teacher has k = {ds.cfg.k}")
-    header = dict(version=PARAMS_FORMAT_VERSION, teacher=ds.cfg.to_dict(), training=training)
-    header.update(dataset=dict(b=ds.b, n=ds.n, seed=ds.seed), dataset_sha256=ds.sha256)
+    header = _params_header(ds.cfg, training, ds.b, ds.n, ds.seed, ds.sha256)
     _write_container(Path(path), header, _params_layout(tc.k), {"w_n": tc.w_n, "w_g": tc.w_g})
 
 
@@ -467,19 +470,16 @@ def load_params(path: str | Path, cfg: TeacherConfig | None = None) -> TwoChanne
 def read_params(path: str | Path, cfg: TeacherConfig | None = None) -> tuple[TwoChannelParams, dict]:
     """`load_params`, and what the operators were fitted from: the file's stored digest
     (`params_sha256`) and its header's dataset digest (`dataset_sha256`, None if the
-    dataset was built in memory)."""
+    dataset was built in memory).  The header is the one `_params_header` builds from its values."""
     path = Path(path)
 
     def parse(header: dict) -> tuple:
-        _, teacher, training, source, sha, _ = _fields(header, _PARAMS_HEADER)
-        _check_seed(_fields(source, _SOURCE_FIELDS, "dataset")[2])
-        if not all(type(text) is str for text in [*training, *training.values()]):
-            raise InvalidConfigError(f"training = {training!r} is not a table of strings")
-        if sha is not None and not (len(sha) == 64 and set(sha) <= set("0123456789abcdef")):
-            raise InvalidConfigError(f"dataset_sha256 = {sha!r} is not a SHA-256 digest in hex")
-        return _params_layout(_teacher(teacher).k), (teacher, sha)
+        trained, source, sha = TeacherConfig.from_dict(header["teacher"]), header["dataset"], header["dataset_sha256"]
+        b, n, seed = int(source["b"]), int(source["n"]), int(source["seed"])
+        written = _params_header(trained, header["training"], b, n, seed, sha)
+        return written, _params_layout(trained.k), (written["teacher"], sha)
 
     (teacher, dataset_sha256), arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse)
-    if cfg is not None and (differ := [key for key, value in cfg.to_dict().items() if teacher.get(key) != value]):
+    if cfg is not None and (differ := [key for key, value in cfg.to_dict().items() if teacher[key] != value]):
         raise InvalidConfigError(f"{path} was trained for a different [teacher]: {', '.join(differ)} differ")
     return _from_file(path, TwoChannelParams, **arrays), {"params_sha256": digest, "dataset_sha256": dataset_sha256}

@@ -7,6 +7,7 @@ then acts through a softmax mixed with uniform exploration.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,8 @@ _EIG_FLOOR = 1e-10
 class TeacherConfig:
     """All expert/environment constants plus the derived operator pair.
 
-    `h` must be finite, symmetric and positive definite; `u = h^-1` and `v = -lam * u`
-    are computed once at construction and validated.
+    `k` is stored as an int and the five constants as floats.  `h` must be finite, symmetric and
+    positive definite; `u = h^-1` and `v = -lam * u` are computed once at construction and validated.
     """
 
     k: int
@@ -36,6 +37,9 @@ class TeacherConfig:
     v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
+        for name in ("c", "gamma", "lam", "tau_w", "sigma_xi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.k < 2:
             raise InvalidConfigError(f"need at least 2 arms, got K={self.k}")
         for name, value in (("c", self.c), ("lambda", self.lam), ("tau_w", self.tau_w), ("sigma_xi", self.sigma_xi)):
@@ -87,15 +91,8 @@ class TeacherConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TeacherConfig":
         """Inverse of `to_dict`; every key it writes must be present."""
-        return cls(
-            k=int(d["k"]),
-            c=float(d["c"]),
-            gamma=float(d["gamma"]),
-            lam=float(d["lambda"]),
-            tau_w=float(d["tau_w"]),
-            sigma_xi=float(d["sigma_xi"]),
-            h=None if d["h"] == "identity" else np.asarray(d["h"], dtype=float),
-        )
+        h = None if d["h"] == "identity" else d["h"]
+        return cls(int(d["k"]), d["c"], d["gamma"], d["lambda"], d["tau_w"], d["sigma_xi"], h)
 
 
 def softmax(s: np.ndarray) -> np.ndarray:

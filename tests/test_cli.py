@@ -22,7 +22,7 @@ from icpo_lab.cli import load_config, main, teacher_from_config
 from icpo_lab.errors import IcpoError, InvalidConfigError
 from icpo_lab.loop import shock_experiment
 from icpo_lab.lsa import TwoChannelParams, teacher_two_channel
-from icpo_lab.meicpo.generator import HttpGenerator
+from icpo_lab.meicpo.generator import HttpGenerator, ScriptedGenerator
 from icpo_lab.meicpo.loop import MeIcpoConfig
 from icpo_lab.pretrain import (
     DATASET_FILE,
@@ -258,7 +258,7 @@ class TestParamsFile:
         path = _params_file(tmp_path / "p.bin")
         _, header = _header(path.read_bytes())
         _rewrite(path, header={**header, "arrays": header["arrays"][:1]})
-        with pytest.raises(InvalidConfigError, match="header lists arrays"):
+        with pytest.raises(InvalidConfigError, match=r"malformed header: arrays = \[\['w_n', .*\]\] is not what"):
             load_params(path)
         _rewrite(path, header={key: value for key, value in header.items() if key != "teacher"})
         with pytest.raises(InvalidConfigError, match="malformed header"):
@@ -994,6 +994,35 @@ class TestMeIcpoCommand:
         assert result["correct"] is True
         trace = (tmp_path / "out/trace.jsonl").read_text().splitlines()
         assert len(trace) == 1
+
+    @pytest.mark.parametrize("gold, correct", [("four", None), ("5", False)])
+    def test_no_answer_is_never_correct(self, tmp_path, capsys, monkeypatch, gold, correct):
+        """A script with no boxed answer gives a null final answer.  A gold that is no numeric answer
+        is refused before any request; it used to canonicalize to None too, and the run read
+        `correct: true`."""
+        built = []
+
+        def spy(script):
+            built.append(ScriptedGenerator(script))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "ScriptedGenerator", spy)
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps([["no answer"], ["still none"]]))
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(
+            f"[me-icpo]\ngenerator = mock\nscript = {script_path}\nrounds = 1\nk = 1\nm = 2\nmode = numeric\n"
+            f"question = What is 2+2?\ngold = {gold}\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        if correct is None:
+            assert main(["me-icpo", "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {cfg}:9: [me-icpo] gold = 'four' is not a numeric answer\n"
+            assert all(gen.requests == [] for gen in built)
+            assert not (tmp_path / "out/result.json").exists()
+            return
+        assert main(["me-icpo", "--config", str(cfg)]) == 0
+        result = json.loads((tmp_path / "out/result.json").read_text())
+        assert (result["final_answer"], result["gold"], result["correct"]) == (None, gold, correct)
 
     def test_builtin_demo_mock_is_deterministic(self, tmp_path):
         for name in ("x", "y"):

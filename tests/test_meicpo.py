@@ -604,7 +604,7 @@ class TestHttpGenerator:
         assert post["json"]["model"] == "my-model"
         assert post["json"]["n"] == 2
         assert post["json"]["messages"] == [{"role": "user", "content": "hi"}]
-        assert post["headers"]["Authorization"] == "Bearer sekret"
+        assert b"\r\nAuthorization: Bearer sekret\r\n" in post["headers"]
 
     def test_retries_server_errors_then_succeeds(self):
         ok = _reply(200, {"choices": [{"text": "a"}, {"text": "b"}]})

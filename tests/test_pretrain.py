@@ -3,11 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import operator
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from icpo_lab import atomic, pretrain
 from icpo_lab.analysis import helmert_basis, restricted_eigenvalues
@@ -34,6 +38,7 @@ from icpo_lab.pretrain import (
     loss_quadratic,
     operator_norm,
     pair_stats,
+    read_params,
     save_dataset,
     save_params,
     solve_ls,
@@ -50,7 +55,8 @@ def _small_cfg(**kwargs):
 
 
 ARRAY_FIELDS = ("w", "actions", "rewards")
-NOT_H = "is not 'identity' or rows of floats"
+NOT_WRITTEN = "{} is not what this version writes"
+NOT_STRINGS = "is not a table of strings"
 
 
 def _assert_same_arrays(d1, d2):
@@ -296,9 +302,9 @@ class TestDatasetIntegrity:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda h: h.update(b=3), "header lists arrays"),
-            (lambda h: h["arrays"][1].__setitem__(1, "<f8"), "header lists arrays"),
-            (lambda h: h["arrays"][2][2].__setitem__(1, 6), "header lists arrays"),
+            (lambda h: h.update(b=3), NOT_WRITTEN.format(r"arrays = \[\['w', '<f8', \[4, 4\]\], .*")),
+            (lambda h: h["arrays"][1].__setitem__(1, "<f8"), NOT_WRITTEN.format(r"arrays = .*\['actions', '<f8', .*")),
+            (lambda h: h["arrays"][2][2].__setitem__(1, 6), NOT_WRITTEN.format(r"arrays = .*\[4, 6\]\]\]")),
             (lambda h: h.update(version=2), "unsupported dataset version 2"),
             (lambda h: h.pop("seed"), "malformed header"),
         ],
@@ -374,25 +380,27 @@ class TestDatasetIntegrity:
     @pytest.mark.parametrize(
         "kind, edit, problem",
         [
-            ("dataset", lambda h: h.update(seed=1.5), "seed = 1.5 is not an int"),
-            ("dataset", lambda h: h["teacher"].update(k=3.5), "teacher.k = 3.5 is not an int"),
-            ("dataset", lambda h: h.update(n="5"), "n = '5' is not an int"),
-            ("dataset", lambda h: h.update(seed=-1), "seed must be in [0, 2**64), got -1"),
-            ("dataset", lambda h: h.update(seed=2**64), f"seed must be in [0, 2**64), got {2**64}"),
-            ("params", lambda h: h.update(dataset_sha256=7), "dataset_sha256 = 7 is not a string or null"),
-            ("params", lambda h: h["teacher"].update(c="1"), "teacher.c = '1' is not an int or a float"),
-            ("params", lambda h: h.update(training=5), "training = 5 is not a table"),
-            ("params", lambda h: h.update(training={"k": 9}), "training = {'k': 9} is not a table of strings"),
-            ("params", lambda h: h.update(dataset_sha256="ab"), "dataset_sha256 = 'ab' is not a SHA-256 digest in hex"),
-            ("params", lambda h: h["dataset"].update(seed=True), "dataset.seed = True is not an int"),
-            ("dataset", lambda h: h["teacher"].update(h="eye"), f"teacher.h = 'eye' {NOT_H}"),
-            ("dataset", lambda h: h["teacher"].update(h=[["1"]]), f"teacher.h = [['1']] {NOT_H}"),
+            ("dataset", lambda h: h.update(seed=1.5), NOT_WRITTEN.format("seed = 1.5")),
             (
                 "dataset",
-                lambda h: h.update(note=""),
-                "header has keys ['arrays', 'b', 'n', 'note', 'seed', 'teacher', 'version'], "
-                "expected ['arrays', 'b', 'n', 'seed', 'teacher', 'version']",
+                lambda h: h["teacher"].update(k=3.5),
+                NOT_WRITTEN.format(
+                    "arrays = [['w', '<f8', [4, 4]], ['actions', '<i8', [4, 5]], ['rewards', '<f8', [4, 5]]], "
+                    "teacher.k = 3.5"
+                ),
             ),
+            ("dataset", lambda h: h.update(n="5"), NOT_WRITTEN.format("n = '5'")),
+            ("dataset", lambda h: h.update(seed=-1), "seed must be in [0, 2**64), got -1"),
+            ("dataset", lambda h: h.update(seed=2**64), f"seed must be in [0, 2**64), got {2**64}"),
+            ("params", lambda h: h.update(dataset_sha256=7), "dataset_sha256 = 7 is not a SHA-256 digest in hex"),
+            ("params", lambda h: h["teacher"].update(c="1"), NOT_WRITTEN.format("teacher.c = '1'")),
+            ("params", lambda h: h.update(training=5), "training = 5 is not a table of strings"),
+            ("params", lambda h: h.update(training={"k": 9}), "training = {'k': 9} is not a table of strings"),
+            ("params", lambda h: h.update(dataset_sha256="ab"), "dataset_sha256 = 'ab' is not a SHA-256 digest in hex"),
+            ("params", lambda h: h["dataset"].update(seed=True), NOT_WRITTEN.format("dataset.seed = True")),
+            ("dataset", lambda h: h["teacher"].update(h="eye"), "could not convert string to float: 'eye'"),
+            ("dataset", lambda h: h["teacher"].update(h=[["1"]]), "regularizer must be 4x4, got (1, 1)"),
+            ("dataset", lambda h: h.update(note=""), NOT_WRITTEN.format("note = ''")),
         ],
         ids=[
             "seed-float", "k-float", "n-string", "seed-negative", "seed-2**64", "sha-int", "c-string", "training-int",
@@ -402,7 +410,7 @@ class TestDatasetIntegrity:
     def test_header_fields_must_have_the_types_written(self, tmp_path, kind, edit, problem):
         """Behind a valid digest, a field no writer produces is refused, naming the file.  Each used
         to be coerced: seed 1.5 loaded as seed 1, K = 3.5 as K = 3, and a dataset digest of 7 went
-        into every experiment sidecar."""
+        into every experiment sidecar.  The byte rule names each field that differs."""
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
         path = tmp_path / DATASET_FILE
         if kind == "params":
@@ -502,6 +510,157 @@ class TestDatasetIntegrity:
         save_dataset(ds, tmp_path)
         assert sizes[-3:] == [getattr(ds, field).nbytes for field in ARRAY_FIELDS]
         assert sum(sizes) == (tmp_path / DATASET_FILE).stat().st_size
+
+
+# Values no writer puts where a mutation puts them, or puts there in another form: bools, signed
+# zeros, 2**64, negative numbers, strings of digits, other JSON types.
+EDGES = [True, False, 0.0, -0.0, 1.5, 2**64, -1, -(2**63), "0", "4", "12", None, [], {}, [[1.0]], "identity"]
+
+
+def _paths(table, path=()):
+    """The path of every value in a parsed header, outermost first: tables, H and its rows included,
+    the arrays list as one value (`test_header_must_agree_with_its_arrays` edits its entries)."""
+    yield path
+    if type(table) is dict:
+        items = table.items()
+    else:
+        items = enumerate(table) if type(table) is list and path != ("arrays",) else []
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+@st.composite
+def _mutations(draw, header):
+    """A header with one value replaced by an edge, a neighbour or another form of itself, one key
+    dropped, or one key added."""
+    header = json.loads(json.dumps(header))
+    path = draw(st.sampled_from(list(_paths(header))[1:]))
+    *parents, key = path
+    parent = header
+    for step in parents:
+        parent = parent[step]
+    value = parent[key]
+    kind = draw(st.sampled_from(["replace", "drop", "add"] if type(parent) is dict else ["replace"]))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "add":
+        table = value if type(value) is dict else parent
+        table[draw(st.sampled_from(["extra", "k", "seed"]))] = draw(st.sampled_from(EDGES))
+    else:
+        forms = [value, str(value)]
+        if type(value) in (int, float):
+            forms += [float(value), int(value), value + 1]
+        parent[key] = draw(st.sampled_from(forms + EDGES))
+    return header
+
+
+def _accepted_or_located(path, load, save):
+    """One example of the load-then-save property: `load()` raises an `InvalidConfigError` whose
+    message starts with `path`, or `save(loaded)` writes the bytes of `path` back."""
+    try:
+        loaded = load()
+    except InvalidConfigError as exc:
+        assert str(exc).startswith(str(path)), str(exc)
+        return
+    assert save(loaded) == path.read_bytes()
+
+
+class TestLoadThenSave:
+    """A file loads only if saving what was loaded writes the same bytes."""
+
+    @pytest.mark.parametrize(
+        "cfg, b, n, seed",
+        [
+            (_small_cfg(c=1), 4, 5, 12),
+            (_small_cfg(k=np.int64(4)), 4, 5, 12),
+            (_small_cfg(), np.int64(4), np.int32(5), np.uint64(12)),
+        ],
+        ids=["int-constant", "numpy-k", "numpy-b-n-seed"],
+    )
+    def test_each_write_loads_and_saves_back_to_its_bytes(self, tmp_path, cfg, b, n, seed):
+        """An int teacher constant and numpy ints for K, B, N and the seed are stored as the header's
+        types: the files equal those of the plain float and int inputs.  c = 1 used to be written as
+        1 and read back as 1.0, and a numpy int to fail in `json.dumps`."""
+        plain = generate_dataset(_small_cfg(), b=4, n=5, seed=12)
+        save_dataset(plain, tmp_path / "plain")
+        save_params(TwoChannelParams.zeros(4), tmp_path / "plain" / "params.bin", plain, {"solver": "ls"})
+        save_dataset(generate_dataset(cfg, b=b, n=n, seed=seed), tmp_path / "first")
+        loaded = load_dataset(tmp_path / "first")
+        save_dataset(loaded, tmp_path / "again")
+        in_memory = dataclasses.replace(loaded, sha256=None)
+        save_params(TwoChannelParams.zeros(4), tmp_path / "first" / "params.bin", in_memory, {"solver": "ls"})
+        for name in (DATASET_FILE, "params.bin"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "again" / DATASET_FILE).read_bytes() == (tmp_path / "plain" / DATASET_FILE).read_bytes()
+        load_params(tmp_path / "first" / "params.bin")
+
+    @pytest.mark.parametrize(
+        "training, sha256, problem",
+        [
+            ({"solver": "gd", "max_iters": 5}, None, "training = {'solver': 'gd', 'max_iters': 5} " + NOT_STRINGS),
+            ({1: "ls"}, None, "training = {1: 'ls'} " + NOT_STRINGS),
+            (["solver"], None, "training = ['solver'] " + NOT_STRINGS),
+            ({"solver": "ls"}, "ab", "dataset_sha256 = 'ab' is not a SHA-256 digest in hex"),
+        ],
+        ids=["int-value", "int-key", "list", "short-digest"],
+    )
+    def test_header_no_reader_accepts_is_refused_before_writing(self, tmp_path, training, sha256, problem):
+        """`save_params` used to write `max_iters = 5` as an int, which `load_params` refuses."""
+        ds = dataclasses.replace(generate_dataset(_small_cfg(), b=4, n=5, seed=12), sha256=sha256)
+        with pytest.raises(InvalidConfigError) as info:
+            save_params(TwoChannelParams.zeros(4), tmp_path / "params.bin", ds, training)
+        assert str(info.value) == problem
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        """The bytes of a small dataset file and of a parameter file fitted on it."""
+        directory = tmp_path_factory.mktemp("originals")
+        save_dataset(generate_dataset(_small_cfg(k=3, h=np.diag([1.0, 2.0, 0.5])), b=2, n=3, seed=5), directory)
+        ds = load_dataset(directory)
+        tc = TwoChannelParams(np.arange(9.0).reshape(3, 3), -np.eye(3))
+        save_params(tc, directory / "params.bin", ds, {"solver": "gd", "step": "auto"})
+        return (directory / DATASET_FILE).read_bytes(), (directory / "params.bin").read_bytes()
+
+    @staticmethod
+    def _mutated(data, blob, path):
+        """Write `blob` to `path` with its header mutated and the digest recomputed."""
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(blob)
+        _rewrite(path, header=data.draw(_mutations(_header(blob)[1])))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_dataset_header(self, tmp_path, originals, data):
+        path = tmp_path / "mutated" / DATASET_FILE
+        self._mutated(data, originals[0], path)
+
+        def save(ds):
+            save_dataset(ds, tmp_path / "again")
+            return (tmp_path / "again" / DATASET_FILE).read_bytes()
+
+        _accepted_or_located(path, lambda: load_dataset(path.parent), save)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_params_header(self, tmp_path, originals, data):
+        """The loaded object is the operators and what `read_params` reads from the header; a
+        dataset stores B, N and the seed as ints, which `save_params` is given here."""
+        path = tmp_path / "params.bin"
+        self._mutated(data, originals[1], path)
+
+        def save(loaded):
+            tc, fitted_from = loaded
+            header = _header(path.read_bytes())[1]
+            source = {key: operator.index(value) for key, value in header["dataset"].items()}
+            cfg = TeacherConfig.from_dict(header["teacher"])
+            ds = SimpleNamespace(cfg=cfg, sha256=fitted_from["dataset_sha256"], **source)
+            save_params(tc, tmp_path / "again.bin", ds, header["training"])
+            return (tmp_path / "again.bin").read_bytes()
+
+        _accepted_or_located(path, lambda: read_params(path), save)
 
 
 class TestFisherMatrix:
