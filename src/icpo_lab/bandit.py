@@ -8,9 +8,11 @@ perturbed) runs structural rather than a matter of careful call ordering.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import InvalidDistributionError
+from .errors import InvalidConfigError, InvalidDistributionError
 
 SIMPLEX_ATOL = 1e-12
 
@@ -24,13 +26,20 @@ _WORD = 0xFFFFFFFFFFFFFFFF
 _UNIT = 2.0**-53  # a 53-bit integer times this is a double in [0, 1)
 
 
+def check_seed(seed: int) -> int:
+    """The one seed check: `seed` as an int in [0, 2**64), the Philox keys, where no two seeds alias."""
+    if not 0 <= (seed := operator.index(seed)) < 2**64:
+        raise InvalidConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _philox_words(seed: int, stream_ids: range, purpose: int, blocks: int) -> np.ndarray:
     """Philox4x64-10 words as (len(stream_ids), 4 * blocks): words 4j..4j+3 of row i are
     block j of stream `stream_ids[i]`.
 
-    The key is (seed mod 2**64, 0).  Stream s, block j and purpose p take counter
-    (s + 1, carry, j, p), where the carry is 1 only for s = 2**64 - 1, so no two of them
-    share a counter.  Philox adds one to counter word 0, carrying into word 1, before each
+    The key is (seed, 0) for a seed that passes `check_seed`.  Stream s, block j and purpose p
+    take counter (s + 1, carry, j, p), where the carry is 1 only for s = 2**64 - 1, so no two
+    of them share a counter.  Philox adds one to counter word 0, carrying into word 1, before each
     block, so one state set per block j covers every stream of a step-1 range.
     """
     if stream_ids.step != 1 or (stream_ids and not 0 <= stream_ids.start < stream_ids.stop <= _WORD + 1):
@@ -38,7 +47,7 @@ def _philox_words(seed: int, stream_ids: range, purpose: int, blocks: int) -> np
     bit_gen = np.random.Philox(0)  # a constant seed reads no OS entropy; the state set replaces it
     counter = [stream_ids.start & _WORD, 0, 0, purpose]
     # Plain int lists: the state setter reads them faster than uint64 arrays.
-    state = dict(bit_generator="Philox", state=dict(counter=counter, key=[int(seed) & _WORD, 0]))
+    state = dict(bit_generator="Philox", state=dict(counter=counter, key=[check_seed(seed), 0]))
     state.update(buffer=[0, 0, 0, 0], buffer_pos=4, has_uint32=0, uinteger=0)
     words = np.empty((len(stream_ids), blocks, 4), dtype=np.uint64)
     for j in range(blocks):

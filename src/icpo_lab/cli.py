@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import run_lemma_suite
 from .atomic import write_atomic
-from .errors import IcpoError, InvalidConfigError
+from .errors import IcpoError, InvalidConfigError, RankDeficiencyError
 from .loop import matching_experiment, shock_experiment
 from .meicpo.generator import HttpGenerator, ScriptedGenerator, demo_generator
 from .meicpo.loop import MeIcpoConfig, run_me_icpo, write_trace_jsonl
@@ -65,8 +65,7 @@ def _float_or_auto(text: str) -> float | None:
 
 
 def _seed(text: str | int) -> int:
-    """A seed: an int in [0, 2**64), where no two draw the same numbers (the draws key on the seed
-    mod 2**64).  The error names --seed-override; `Config` rewords it for a config value."""
+    """A seed, in `bandit.check_seed`'s range.  The error names --seed-override; `Config` rewords it."""
     if (seed := int(text)) not in range(2**64):
         raise ValueError(f"--seed-override {seed} is not {_TYPE_NAMES[_seed]}")
     return seed
@@ -202,12 +201,8 @@ def _float64(message: str) -> Iterator[None]:
         raise InvalidConfigError(message) from None
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: Path, header: str, rounds: np.ndarray, *columns: np.ndarray) -> None:
-    rows = [",".join([str(r), *(_fmt(col[i]) for col in columns)]) for i, r in enumerate(rounds)]
+    rows = [",".join([str(r), *(f"{float(col[i]):.17g}" for col in columns)]) for i, r in enumerate(rounds)]
     write_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
@@ -238,34 +233,34 @@ def _train(config: Config, ds: PretrainDataset, out: Path) -> Path:
     sec = config.values.get("training", {})
     solver = sec.get("solver", "ls")
     fs = empirical_stats(ds)
-    log_lines = ["iteration,loss,grad_norm"]
     if solver == "ls":
         tc = solve_ls(fs)
-        log_lines.append(f"0,{_fmt(loss_quadratic(tc, fs))},{_fmt(np.linalg.norm(gradient(tc, fs)))}")
+        losses, grad_norms = [loss_quadratic(tc, fs)], [np.linalg.norm(gradient(tc, fs))]
     elif solver == "gd":
-        with np.errstate(over="warn", invalid="warn"):  # numpy's default: a step past float64 is train_gd's to judge
+        with _float64(f"{config._where('training')} gradient descent's iterates overflow float64; reduce the step"):
             result = config.build("training", train_gd, fs, **_pick(sec, "step", "max_iters", "tol"))
         if not result.converged:
             iters, gnorm = len(result.losses) - 1, result.grad_norms[-1]
             stopped = f"gradient descent stopped after {iters} iterations without converging"
             print(f"warning: {stopped}: |grad| {gnorm:.3e} > tol {result.tol:.3e}", file=sys.stderr)
-        tc = result.params
-        for i, (loss, gnorm) in enumerate(zip(result.losses, result.grad_norms)):
-            log_lines.append(f"{i},{_fmt(loss)},{_fmt(gnorm)}")
+        tc, losses, grad_norms = result.params, result.losses, result.grad_norms
     else:
         raise config.invalid("training", "solver", solver, "is not 'ls' or 'gd'")
     params_path = out / "params.bin"
     save_params(tc, params_path, ds, config.raw.get("training", {}))
-    write_atomic(out / "train_log.csv", "\n".join(log_lines) + "\n")
+    _write_csv(out / "train_log.csv", "iteration,loss,grad_norm", range(len(losses)), losses, grad_norms)
     return params_path
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    ds = load_dataset(args.dataset)
+    ds, dataset = load_dataset(args.dataset), Path(args.dataset) / DATASET_FILE
     out = _out_dir(config, args.out)
-    with _float64(f"{Path(args.dataset) / DATASET_FILE}: the pair statistics overflow float64"):
-        params_path = _train(config, ds, out)
+    try:
+        with _float64(f"{dataset}: the pair statistics overflow float64"):
+            params_path = _train(config, ds, out)
+    except RankDeficiencyError as exc:
+        raise RankDeficiencyError(f"{dataset}: {exc}", exc.eigenvalue) from None
     print(f"wrote {params_path}")
     return 0
 
@@ -284,7 +279,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if kind == "lemma-suite":
         dsec = config.require("dataset", "b", "n", "seed")
         checks = _pick(sec, "spectrum_samples", "lipschitz_samples", "sandwich_draws", "sandwich_scale")
-        with _float64(f"{config._where('teacher')} the lemma suite's rollouts or statistics overflow float64"):
+        with _float64(f"{config._where('teacher')} constants or [experiment] sandwich_scale take the lemma suite past float64"):
             ds = config.build("dataset", generate_dataset, cfg, **dsec)
             report = config.build("experiment", run_lemma_suite, ds, seed=seed, **checks)
         sidecar["dataset"] = config.raw["dataset"]

@@ -14,14 +14,14 @@ class InvalidDistributionError(IcpoError):
 
 
 class RankDeficiencyError(IcpoError):
-    """The restricted second moment is numerically singular."""
+    """The second moment is numerically singular."""
 
     def __init__(self, message: str, eigenvalue: float):
         super().__init__(message)
         self.eigenvalue = eigenvalue
 
 
-class StepSizeError(IcpoError):
+class StepSizeError(InvalidConfigError):
     """Gradient descent diverged; the step size is too large."""
 
 

@@ -247,20 +247,8 @@ def shock_experiment(
                 bounds[tasks, s - 1 :] = (lead[tasks] * powers * abs(delta_r)).T
             bound = bounds.mean(axis=0)
     except ArithmeticError:
-        # b is the cause if the envelope passes float64 at |delta_r| = 1: exp(b), a power or their
-        # product.  Otherwise |delta_r| scales a finite per-task factor past it, or the mean's sum.
-        try:
-            factor = max(
-                a_const * (1.0 + (math.exp(b) if c_b_override is None else c_b_override)) / s
-                * max(x ** (b - 1.0) for x in steps)
-                for b in b_values.tolist()
-            )
-        except OverflowError:
-            factor = math.inf
-        if math.isfinite(factor):
-            cause = f"|delta_r| = {abs(delta_r):.6g} times a per-task factor up to {factor:.6g}"
-        else:
-            cause = f"b reaches {b_values.max():.6g}"
+        c_b = "" if c_b_override is None else f", C_b = {c_b_override:.6g}"
+        cause = f"largest b = {b_values.max():.6g}{c_b}, |delta_r| = {abs(delta_r):.6g}"
         raise InvalidConfigError(f"the drift envelope overflows float64: {cause}") from None
     return ShockReport(
         rounds=np.arange(1, n + 1),

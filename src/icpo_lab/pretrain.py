@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .bandit import check_simplex
+from .bandit import check_seed, check_simplex
 from .errors import InvalidConfigError, RankDeficiencyError, StepSizeError
 from .loop import BLOCK_ROWS, closed_loop, task_blocks
 from .lsa import TwoChannelParams, expert_two_channel, project, teacher_two_channel
@@ -44,12 +44,6 @@ def _layout(b: int, n: int, k: int) -> list[list]:
         ["actions", "<i8", [b, n]],
         ["rewards", "<f8", [b, n]],
     ]
-
-
-def _check_seed(seed: int) -> None:
-    """A seed lies in [0, 2**64), where no two draw the same numbers: the draws key on the seed mod 2**64."""
-    if not 0 <= seed < 2**64:
-        raise InvalidConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _writable(array: np.ndarray) -> bool:
@@ -88,7 +82,7 @@ class PretrainDataset:
         w and rewards are finite."""
         for name in ("b", "n", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        _check_seed(self.seed)
+        check_seed(self.seed)
         k = self.cfg.k
         for name, _, shape in _layout(self.b, self.n, k):
             array = np.asarray(getattr(self, name))
@@ -366,30 +360,34 @@ def _differences(stored, written, name: str = "") -> list[str]:
     return [line for key, label in labels.items() for line in _differences(stored.get(key), written.get(key), label)]
 
 
-def _read_container(path: Path, kind: str, version: int, parse) -> tuple:
-    """(fields, arrays, digest hex) of a container.  The digest is checked before anything is
-    parsed, then the version; `parse(header)` gives (the header this version writes for its values,
-    their layout, the values): the stored text must be that header's, the file end with the layout.
-    A header `parse` rejects, or whose layout numpy cannot build, is malformed.  The arrays are
-    read-only views of the file's bytes."""
+def _read_container(path: Path, kind: str, version: int, sizes, parse) -> tuple:
+    """(fields, arrays, digest hex) of a container, checked in order: the digest; the version; `sizes(header)`,
+    the header with B, N and K as written and their layout, against the header and the file length, so no
+    teacher is built for a K the file does not hold; `parse(header)`, (the header written for its values, the
+    values), byte for byte.  A header either rejects is malformed.  The arrays view the file's bytes."""
     blob = path.read_bytes()
     if len(blob) < 40 or hashlib.sha256(memoryview(blob)[32:]).digest() != blob[:32]:
         raise InvalidConfigError(f"{path}: SHA-256 does not match the stored digest (file damaged or edited)")
     (size,) = struct.unpack_from("<Q", blob, 32)
     try:
         header = json.loads(blob[40 : 40 + size])
-        found = header["version"]
-        written, layout, fields = parse(header) if found == version else ({}, [], None)
-        arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])
+        if (found := header["version"]) == version:
+            sized, layout = sizes(header)
+            arrays = np.dtype([(name, dtype, tuple(shape)) for name, dtype, shape in layout])
+            if differ := _differences(header, {**sized, "arrays": layout}):
+                raise InvalidConfigError(f"{', '.join(differ)} is not what this version writes")
+            if fits := len(blob) == 40 + size + arrays.itemsize:
+                written, fields = parse(header)
     except (ValueError, KeyError, TypeError, OverflowError, InvalidConfigError) as exc:
-        raise InvalidConfigError(f"{path}: malformed header: {exc}") from exc
+        problem = f"field {exc} is missing" if isinstance(exc, KeyError) else exc
+        raise InvalidConfigError(f"{path}: malformed header: {problem}") from exc
     if found != version:
         raise InvalidConfigError(f"{path}: unsupported {kind} version {found!r}")
+    if not fits:
+        raise InvalidConfigError(f"{path}: {len(blob)} bytes, expected {40 + size + arrays.itemsize}")
     if _header_text(written, layout) != blob[40 : 40 + size]:
         differ = ", ".join(_differences(header, {**written, "arrays": layout})) or "its JSON text"
         raise InvalidConfigError(f"{path}: malformed header: {differ} is not what this version writes")
-    if len(blob) != 40 + size + arrays.itemsize:
-        raise InvalidConfigError(f"{path}: {len(blob)} bytes, expected {40 + size + arrays.itemsize}")
     record = np.frombuffer(blob, arrays, count=1, offset=40 + size)[0]
     return fields, {name: record[name] for name in arrays.names}, blob[:32].hex()
 
@@ -425,12 +423,15 @@ def load_dataset(directory: str | Path) -> PretrainDataset:
     if not path.exists():
         raise InvalidConfigError(f"dataset not found: {path}")
 
-    def parse(header: dict) -> tuple:
-        cfg = TeacherConfig.from_dict(header["teacher"])
-        b, n, seed = int(header["b"]), int(header["n"]), int(header["seed"])
-        return _dataset_header(cfg, b, n, seed), _layout(b, n, cfg.k), (cfg, b, n, seed)
+    def sizes(header: dict) -> tuple:
+        b, n, k = int(header["b"]), int(header["n"]), int(header["teacher"]["k"])
+        return dict(header, b=b, n=n, teacher=dict(header["teacher"], k=k)), _layout(b, n, k)
 
-    (cfg, b, n, seed), arrays, digest = _read_container(path, "dataset", DATASET_FORMAT_VERSION, parse)
+    def parse(header: dict) -> tuple:
+        cfg, b, n, seed = TeacherConfig.from_dict(header["teacher"]), header["b"], header["n"], int(header["seed"])
+        return _dataset_header(cfg, b, n, seed), (cfg, b, n, seed)
+
+    (cfg, b, n, seed), arrays, digest = _read_container(path, "dataset", DATASET_FORMAT_VERSION, sizes, parse)
     return _from_file(path, PretrainDataset, cfg, b, n, seed, **arrays, sha256=digest)
 
 
@@ -446,7 +447,7 @@ def _params_header(cfg: TeacherConfig, training: dict, b: int, n: int, seed: int
     sha = dataset_sha256
     if sha is not None and not (type(sha) is str and len(sha) == 64 and set(sha) <= set("0123456789abcdef")):
         raise InvalidConfigError(f"dataset_sha256 = {sha!r} is not a SHA-256 digest in hex")
-    _check_seed(seed)
+    check_seed(seed)
     _layout(b, n, cfg.k)  # B >= 1 and N >= 2, as for the dataset itself
     header = dict(version=PARAMS_FORMAT_VERSION, teacher=cfg.to_dict(), training=training)
     return dict(header, dataset=dict(b=b, n=n, seed=seed), dataset_sha256=sha)
@@ -473,13 +474,17 @@ def read_params(path: str | Path, cfg: TeacherConfig | None = None) -> tuple[Two
     dataset was built in memory).  The header is the one `_params_header` builds from its values."""
     path = Path(path)
 
+    def sizes(header: dict) -> tuple:
+        k = int(header["teacher"]["k"])
+        return dict(header, teacher=dict(header["teacher"], k=k)), _params_layout(k)
+
     def parse(header: dict) -> tuple:
         trained, source, sha = TeacherConfig.from_dict(header["teacher"]), header["dataset"], header["dataset_sha256"]
         b, n, seed = int(source["b"]), int(source["n"]), int(source["seed"])
         written = _params_header(trained, header["training"], b, n, seed, sha)
-        return written, _params_layout(trained.k), (written["teacher"], sha)
+        return written, (written["teacher"], sha)
 
-    (teacher, dataset_sha256), arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, parse)
+    (teacher, dataset_sha256), arrays, digest = _read_container(path, "parameter", PARAMS_FORMAT_VERSION, sizes, parse)
     if cfg is not None and (differ := [key for key, value in cfg.to_dict().items() if teacher[key] != value]):
         raise InvalidConfigError(f"{path} was trained for a different [teacher]: {', '.join(differ)} differ")
     return _from_file(path, TwoChannelParams, **arrays), {"params_sha256": digest, "dataset_sha256": dataset_sha256}

@@ -55,7 +55,10 @@ class TeacherConfig:
         if self.tau_w < 0 or self.sigma_xi < 0:
             raise InvalidConfigError("prior and noise stds must be >= 0")
 
-        h = np.eye(self.k) if self.h is None else np.asarray(self.h, dtype=float)
+        try:
+            h = np.eye(self.k) if self.h is None else np.asarray(self.h, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(f"regularizer must be {self.k}x{self.k} floats: {exc}") from None
         if h.shape != (self.k, self.k):
             raise InvalidConfigError(f"regularizer must be {self.k}x{self.k}, got {h.shape}")
         if not np.isfinite(h).all():

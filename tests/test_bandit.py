@@ -70,11 +70,10 @@ class TestCrnDraws:
     def _reference(seed, stream_id, purpose, n):
         """One stream built by hand: block j is the Philox4x64-10 block keyed (seed, 0) at counter
         (stream id + 1, carry, j, purpose); Philox adds the one, with its carry, before it draws."""
-        mask = 0xFFFFFFFFFFFFFFFF
         words = []
         for j in range(-(-n // 4)):
             bit_gen = np.random.Philox(
-                key=np.array([seed & mask, 0], dtype=np.uint64),
+                key=np.array([seed, 0], dtype=np.uint64),
                 counter=np.array([stream_id, 0, j, purpose], dtype=np.uint64),
             )
             words += bit_gen.random_raw(4).tolist()
@@ -85,7 +84,7 @@ class TestCrnDraws:
         theta = 2.0 * np.pi * (top[1::2] * 2.0**-53)
         return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1).ravel()[:n]
 
-    @pytest.mark.parametrize("seed", [7, -3])
+    @pytest.mark.parametrize("seed", [7, 2**64 - 3])
     @pytest.mark.parametrize("purpose", [PURPOSE_ACTION, PURPOSE_NOISE, PURPOSE_TASK])
     def test_rows_match_per_stream_philox(self, seed, purpose):
         for ids in self.RANGES:
@@ -107,16 +106,28 @@ class TestCrnDraws:
         assert np.allclose(crn_draws(5, range(3, 4), PURPOSE_NOISE, 16)[0], want, rtol=1e-14, atol=1e-15)
 
     def test_stream_form_is_one_row(self):
-        s = CrnStream(seed=-3, stream_id=512)
-        assert np.array_equal(s.uniforms(9), crn_draws(-3, range(512, 513), PURPOSE_ACTION, 9)[0])
-        assert np.array_equal(s.normals(9), crn_draws(-3, range(512, 513), PURPOSE_NOISE, 9)[0])
-        assert np.array_equal(s.task_normals(4), crn_draws(-3, range(512, 513), PURPOSE_TASK, 4)[0])
+        seed = 2**64 - 3
+        s = CrnStream(seed=seed, stream_id=512)
+        assert np.array_equal(s.uniforms(9), crn_draws(seed, range(512, 513), PURPOSE_ACTION, 9)[0])
+        assert np.array_equal(s.normals(9), crn_draws(seed, range(512, 513), PURPOSE_NOISE, 9)[0])
+        assert np.array_equal(s.task_normals(4), crn_draws(seed, range(512, 513), PURPOSE_TASK, 4)[0])
 
     def test_stream_form_masks_its_id(self):
         last = range(2**64 - 1, 2**64)
         assert CrnStream(7, -1).stream_id == 2**64 - 1
         assert np.array_equal(CrnStream(7, -1).normals(6), crn_draws(7, last, PURPOSE_NOISE, 6)[0])
         assert np.array_equal(CrnStream(7, 2**64).uniforms(6), crn_draws(7, range(1), PURPOSE_ACTION, 6)[0])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_the_philox_keys_is_refused(self, seed):
+        """The key used to be the seed mod 2**64: -1 drew what 2**64 - 1 draws, and 2**64 + 5 what 5 does."""
+        with pytest.raises(InvalidConfigError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            crn_draws(seed, range(2), PURPOSE_ACTION, 3)
+
+    def test_seed_that_is_not_an_integer_is_refused(self):
+        """A float seed used to be truncated, so 5.5 drew what 5 draws."""
+        with pytest.raises(TypeError):
+            crn_draws(5.5, range(2), PURPOSE_ACTION, 3)
 
     @pytest.mark.parametrize("ids", [range(0, 4, 2), range(-1, 1), range(2**64 - 1, 2**64 + 1)])
     def test_ids_outside_one_step_range_rejected(self, ids):

@@ -81,6 +81,9 @@ def _params_file(path, tc=None, cfg=None):
     return path
 
 
+LEMMA_SUITE_OVERFLOW = "{config}:1: [teacher] constants or [experiment] sandwich_scale take the lemma suite past float64"
+
+
 def _main_warning_free(argv):
     """`main(argv)`'s exit code, once it printed no warning: each one is recorded, not raised."""
     with warnings.catch_warnings(record=True) as seen:
@@ -651,6 +654,39 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: {path}:{line}: [training] max_iters must be >= 0, got -3\n"
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "step, b, problem",
+        [
+            ("1e300", 8, re.escape("gradient descent's iterates overflow float64; reduce the step")),
+            ("1e3", 1, r"loss grew to \S+ \(from \S+\); reduce the step"),
+        ],
+        ids=["past-float64", "blow-up"],
+    )
+    def test_gd_past_its_stable_step_names_file_line_and_section(self, tmp_path, capsys, step, b, problem):
+        """A step of 1e300 used to print numpy's RuntimeWarnings and then `error: loss grew to nan`;
+        a step of 1e3 on one trajectory of two rounds ended in the blow-up rule's message.  Neither
+        named a file.  Now each ends in one line at the [training] section, with no warning."""
+        path = _write_config(tmp_path, solver="gd")
+        path.write_text(path.read_text().replace("solver = gd", f"solver = gd\nstep = {step}"))
+        dataset = tmp_path / "dataset"
+        save_dataset(generate_dataset(teacher_from_config(load_config(path)), b=b, n=2, seed=11), dataset)
+        assert _main_warning_free(["train", "--config", str(path), "--dataset", str(dataset)]) == 2
+        line = path.read_text().splitlines().index("[training]") + 1
+        assert re.fullmatch(f"error: {re.escape(str(path))}:{line}: \\[training\\] {problem}\n", capsys.readouterr().err)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_singular_second_moment_names_the_dataset(self, tmp_path, capsys):
+        """One trajectory of two rounds at K = 3 gives a singular second moment; `solver = ls`
+        used to say so without naming the dataset."""
+        path = _write_config(tmp_path)
+        dataset = tmp_path / "dataset"
+        save_dataset(generate_dataset(teacher_from_config(load_config(path)), b=1, n=2, seed=11), dataset)
+        assert main(["train", "--config", str(path), "--dataset", str(dataset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dataset / DATASET_FILE}: second moment is singular (min eigenvalue ")
+        assert err.count("\n") == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_gd_that_stops_short_says_so(self, tmp_path, capsys):
         """Training still writes its files and exits 0, but one line names the iterations, |grad| and tol."""
         path = _write_config(tmp_path, solver="gd")
@@ -702,7 +738,8 @@ class TestPipeline:
         path.write_text(f"[teacher]\n{teacher}\n[experiment]\n{experiment}\n[output]\ndir = {out}\n")
         params = _params_file(tmp_path / "params.bin", cfg=teacher_from_config(load_config(path)))
         assert main(["experiment", "--config", str(path), "--params", str(params)]) == 2
-        problem = "the drift envelope overflows float64: b reaches 641.198"
+        c_b_text = "" if c_b == "auto" else ", C_b = 1"
+        problem = f"the drift envelope overflows float64: largest b = 641.198{c_b_text}, |delta_r| = 1"
         assert capsys.readouterr().err == f"error: {path}:9: [experiment] {problem}\n"
         assert list(out.iterdir()) == []
 
@@ -721,23 +758,26 @@ class TestPipeline:
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command, c, message",
+        "command, c, scale, message",
         [
-            ("generate", "1e308", "{config}:1: [teacher] the expert's rollouts overflow float64"),
-            ("train", "1e306", "{dataset}: the pair statistics overflow float64"),
-            ("lemma-suite", "1e308", "{config}:1: [teacher] the lemma suite's rollouts or statistics overflow float64"),
-            ("lemma-suite", "1e306", "{config}:1: [teacher] the lemma suite's rollouts or statistics overflow float64"),
+            ("generate", "1e308", "0.3", "{config}:1: [teacher] the expert's rollouts overflow float64"),
+            ("train", "1e306", "0.3", "{dataset}: the pair statistics overflow float64"),
+            ("lemma-suite", "1e308", "0.3", LEMMA_SUITE_OVERFLOW),
+            ("lemma-suite", "1e306", "0.3", LEMMA_SUITE_OVERFLOW),
+            ("lemma-suite", "1.0", "1e200", LEMMA_SUITE_OVERFLOW),
         ],
-        ids=["generate", "train", "lemma-suite-rollouts", "lemma-suite-statistics"],
+        ids=["generate", "train", "lemma-suite-rollouts", "lemma-suite-statistics", "lemma-suite-sandwich"],
     )
-    def test_overflow_names_the_input_at_fault(self, tmp_path, capsys, command, c, message):
+    def test_overflow_names_the_input_at_fault(self, tmp_path, capsys, command, c, scale, message):
         """At c = 1e308 the expert's logits leave float64 in the closed loop; at c = 1e306 the
-        rollouts stay finite and the pair statistics leave it.  `generate` used to print
-        RuntimeWarnings and `error: logits must be finite`; `train` warned and then blamed
-        parameters that did not exist yet.  Now each ends in one line naming its input."""
+        rollouts stay finite and the pair statistics leave it; at sandwich_scale = 1e200 the KL
+        sandwich's quadratic does.  `generate` used to print RuntimeWarnings and `error: logits
+        must be finite`; `train` warned and then blamed parameters that did not exist yet; the
+        lemma suite blamed [teacher] alone.  Now each ends in one line naming its inputs."""
         config = _write_config(tmp_path)
         text = config.read_text().replace("c = 1.0", f"c = {c}")
-        config.write_text(text.replace("kind = matching", "kind = lemma-suite\nspectrum_samples = 10\nlipschitz_samples = 30"))
+        lemma = f"kind = lemma-suite\nspectrum_samples = 10\nlipschitz_samples = 30\nsandwich_scale = {scale}"
+        config.write_text(text.replace("kind = matching", lemma))
         dataset = tmp_path / "dataset"
         argv = {"generate": ["generate"], "lemma-suite": ["experiment"], "train": ["train", "--dataset", str(dataset)]}
         if command == "train":
@@ -757,7 +797,7 @@ class TestPipeline:
         ],
     )
     def test_seed_outside_its_range_names_its_source(self, tmp_path, capsys, command, where, value):
-        """The draws key on the seed mod 2**64, so -1 and 2**64 - 1 wrote the same arrays under
+        """The draws used to key on the seed mod 2**64, so -1 and 2**64 - 1 wrote the same arrays under
         two digests and 2**64 aliased 0; a lemma suite with seed = -1 failed naming nothing."""
         path = tmp_path / "seed.ini"
         out = tmp_path / "out"

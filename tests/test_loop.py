@@ -216,6 +216,13 @@ class TestMatchingExperiment:
         assert rep.rounds.tolist() == list(range(1, 9))
         assert np.all(rep.mean >= 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_its_range_is_refused(self, seed):
+        """Seed -1 used to return seed 2**64 - 1's report."""
+        cfg = _cfg(k=3)
+        with pytest.raises(InvalidConfigError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            matching_experiment(cfg, teacher_two_channel(cfg), b_test=2, n=3, seed=seed)
+
     @pytest.mark.parametrize("b_test, n", [(0, 6), (-2, 6), (4, 0)])
     def test_empty_run_is_rejected(self, b_test, n):
         cfg = _cfg(k=3)
@@ -376,31 +383,24 @@ class TestShockExperiment:
         assert rep.c_b_values.tolist() == want_c_b
 
     @pytest.mark.parametrize(
-        "cfg, b_test, n, s, c_b_override, delta_r, blames_b",
+        "cfg, b_test, n, s, c_b_override, delta_r, cause",
         [
-            (_cfg(c=3400.0), 20, 10, 2, None, 1.0, True),
-            (_cfg(c=3000.0), 20, 10, 2, 1.0, 1.0, True),
-            (_cfg(c=2535.0), 20, 3, 1, None, 1.0, True),
-            (_cfg(c=0.5), 2, 2, 1, 1e300, 2e9, False),
-            (TeacherConfig(k=3), 4, 6, 2, None, 1e308, False),
+            (_cfg(c=3400.0), 20, 10, 2, None, 1.0, "largest b = 726.691, |delta_r| = 1"),
+            (_cfg(c=3000.0), 20, 10, 2, 1.0, 1.0, "largest b = 641.198, C_b = 1, |delta_r| = 1"),
+            (_cfg(c=2535.0), 20, 3, 1, None, 1.0, "largest b = 541.812, |delta_r| = 1"),
+            (_cfg(c=0.5), 2, 2, 1, 1e300, 2e9, "largest b = 0.10186, C_b = 1e+300, |delta_r| = 2e+09"),
+            (TeacherConfig(k=3), 4, 6, 2, None, 1e308, "largest b = 1.33068, |delta_r| = 1e+308"),
         ],
         ids=["exp", "power", "product", "mean", "delta_r"],
     )
-    def test_envelope_past_float64_is_a_config_error(self, cfg, b_test, n, s, c_b_override, delta_r, blames_b):
+    def test_envelope_past_float64_is_a_config_error(self, cfg, b_test, n, s, c_b_override, delta_r, cause):
         """At c = 3400 some task's b passes 709.78, where exp(b) leaves float64; at c = 3000,
         (t/s)^(b-1) does.  Near b = 540 both stay finite but the envelope, their product, does not.
-        Those name b.  With C_b = 1e300 and delta_r = 2e9 each task's envelope is about 1e308, but
-        the mean's sum is not; with delta_r = 1e308 the envelope is finite at |delta_r| = 1.  Those
-        name |delta_r| and the largest per-task factor, the envelope at |delta_r| = 1."""
-        b_values = sample_b_distribution(cfg, b_test, 0)
-        if blames_b:
-            cause = f"b reaches {b_values.max():.6g}"
-        else:
-            a = shock_constants(cfg, np.zeros(cfg.k))[0]
-            c_b = np.exp(b_values) if c_b_override is None else c_b_override
-            steps = np.array([max(u - 1, s) / s for u in range(s, n + 1)])
-            factor = (a * (1.0 + c_b) / s * (steps[:, np.newaxis] ** (b_values - 1.0)).max(axis=0)).max()
-            cause = f"|delta_r| = {abs(delta_r):.6g} times a per-task factor up to {factor:.6g}"
+        With C_b = 1e300 and delta_r = 2e9 each task's envelope is about 1e308, but the mean's sum
+        is not; with delta_r = 1e308 the envelope is finite at |delta_r| = 1.  Each error names every
+        input that scales the envelope, without evaluating it again: the largest b, C_b when it is
+        set, and |delta_r|."""
+        assert f"largest b = {sample_b_distribution(cfg, b_test, 0).max():.6g}," in cause
         tc = TwoChannelParams.zeros(cfg.k)
         with pytest.raises(InvalidConfigError, match=rf"^the drift envelope overflows float64: {re.escape(cause)}$"):
             shock_experiment(cfg, tc, b_test=b_test, n=n, s=s, delta_r=delta_r, seed=0, c_b_override=c_b_override)

@@ -320,6 +320,26 @@ class TestDatasetIntegrity:
         with pytest.raises(InvalidConfigError, match=message):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("kind", ["dataset", "params"])
+    def test_header_k_is_checked_against_the_file_before_a_teacher_is_built(self, tmp_path, monkeypatch, kind):
+        """A header whose K is 2000 over arrays of K = 4 used to build and invert a 2000x2000 H
+        before the byte rule refused it; now the sizes are compared with the arrays first."""
+        save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
+        path = tmp_path / DATASET_FILE
+        if kind == "params":
+            path = tmp_path / "params.bin"
+            save_params(TwoChannelParams.zeros(4), path, load_dataset(tmp_path), {"solver": "ls"})
+        _, header = _header(path.read_bytes())
+        header["teacher"]["k"] = 2000
+        _rewrite(path, header=header)
+        built = []
+        monkeypatch.setattr(TeacherConfig, "__post_init__", lambda cfg: built.append(cfg.k))
+        with pytest.raises(InvalidConfigError) as info:
+            load_dataset(tmp_path) if kind == "dataset" else load_params(path)
+        assert built == []
+        arrays = NOT_WRITTEN.format(f"arrays = {header['arrays']!r}")
+        assert str(info.value) == f"{path}: malformed header: {arrays}"
+
     def test_out_of_range_teacher_behind_a_valid_digest_names_the_file(self, tmp_path):
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
         path = tmp_path / DATASET_FILE
@@ -398,19 +418,28 @@ class TestDatasetIntegrity:
             ("params", lambda h: h.update(training={"k": 9}), "training = {'k': 9} is not a table of strings"),
             ("params", lambda h: h.update(dataset_sha256="ab"), "dataset_sha256 = 'ab' is not a SHA-256 digest in hex"),
             ("params", lambda h: h["dataset"].update(seed=True), NOT_WRITTEN.format("dataset.seed = True")),
-            ("dataset", lambda h: h["teacher"].update(h="eye"), "could not convert string to float: 'eye'"),
+            (
+                "dataset",
+                lambda h: h["teacher"].update(h="eye"),
+                "regularizer must be 4x4 floats: could not convert string to float: 'eye'",
+            ),
             ("dataset", lambda h: h["teacher"].update(h=[["1"]]), "regularizer must be 4x4, got (1, 1)"),
             ("dataset", lambda h: h.update(note=""), NOT_WRITTEN.format("note = ''")),
+            ("dataset", lambda h: h["teacher"].pop("tau_w"), "field 'tau_w' is missing"),
+            ("dataset", lambda h: h.pop("seed"), "field 'seed' is missing"),
+            ("params", lambda h: h.pop("dataset"), "field 'dataset' is missing"),
         ],
         ids=[
             "seed-float", "k-float", "n-string", "seed-negative", "seed-2**64", "sha-int", "c-string", "training-int",
-            "training-value-int", "sha-short", "seed-bool", "h-string", "h-strings", "extra-key",
+            "training-value-int", "sha-short", "seed-bool", "h-string", "h-strings", "extra-key", "tau_w-missing",
+            "seed-missing", "dataset-missing",
         ],
     )
     def test_header_fields_must_have_the_types_written(self, tmp_path, kind, edit, problem):
         """Behind a valid digest, a field no writer produces is refused, naming the file.  Each used
         to be coerced: seed 1.5 loaded as seed 1, K = 3.5 as K = 3, and a dataset digest of 7 went
-        into every experiment sidecar.  The byte rule names each field that differs."""
+        into every experiment sidecar.  The byte rule names each field that differs; a missing field,
+        which used to be named by its key alone (`malformed header: 'tau_w'`), is named as missing."""
         save_dataset(generate_dataset(_small_cfg(), b=4, n=5, seed=12), tmp_path)
         path = tmp_path / DATASET_FILE
         if kind == "params":
